@@ -10,7 +10,7 @@ Library layers:
 - cli: the `fracnoether` command line front end
 """
 
-from .fields import MissingPartialsError, PointField, VectorField
+from .fields import PointField, VectorField
 from .frac_kernels import (
     Constant,
     PowerShifted,
@@ -44,11 +44,13 @@ from .noether import (
 )
 from .problems import (
     DEFAULT_BAND,
+    INVARIANCE_TOLERANCE,
     ResidualReport,
     VariationalProblem,
     augmented_lagrangian,
     certification_tolerance,
     constraint_values,
+    endpoint_band,
     euler_lagrange_residual,
     frac_velocity,
     make_report,
@@ -77,15 +79,16 @@ __all__ = [
     "SampledFunction",
     "fill_endpoints",
     "sample",
-    "MissingPartialsError",
     "PointField",
     "VectorField",
     "DEFAULT_BAND",
+    "INVARIANCE_TOLERANCE",
     "ResidualReport",
     "VariationalProblem",
     "augmented_lagrangian",
     "certification_tolerance",
     "constraint_values",
+    "endpoint_band",
     "euler_lagrange_residual",
     "frac_velocity",
     "make_report",

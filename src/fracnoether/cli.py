@@ -26,7 +26,7 @@ from . import frac_kernels as fk
 from . import gammafn, solver
 from .exprspec import ProblemSpec, SpecError, parse_expression, parse_spec
 from .fields import PointField, VectorField
-from .grids import FracOrder, Grid, SampledFunction, fill_endpoints, sample
+from .grids import FracOrder, Grid, SampledFunction, sample
 from .hamiltonian import (
     ControlProblem,
     PontryaginExtremal,
@@ -40,11 +40,12 @@ from .noether import (
     noether_law_residual,
 )
 from .problems import (
-    DEFAULT_BAND,
+    INVARIANCE_TOLERANCE,
     ResidualReport,
     VariationalProblem,
     certification_tolerance,
     constraint_values,
+    endpoint_band,
     euler_lagrange_residual,
 )
 
@@ -56,16 +57,6 @@ EXIT_COMPUTE = 2
 EXIT_SPEC = 3
 
 _CHECK_KINDS = ("el", "noether", "momentum", "hamiltonian", "invariance")
-_INVARIANCE_TOL = 1e-2
-
-
-def _band(m: int) -> int:
-    """Endpoint exclusion band for norms: 5% of the interval per side.
-
-    Pointwise scheme error concentrates near the ends when the data has a
-    weak power singularity there; norms are taken on the inner 90%.
-    """
-    return max(DEFAULT_BAND, round(0.05 * m))
 
 
 # --------------------------------------------------------------------------
@@ -254,9 +245,9 @@ def cmd_check(args: argparse.Namespace) -> int:
             p=_time_curve(spec, spec.costate),
             lam=_multipliers(spec),
         )
-        tol = args.tol if args.tol is not None else 10.0 * (spec.b - spec.a) / spec.m
+        tol = args.tol if args.tol is not None else certification_tolerance(cp)
         names = ("state", "costate", "stationarity")
-        for name, rep in zip(names, pontryagin_residuals(cp, ext, band=_band(spec.m))):
+        for name, rep in zip(names, pontryagin_residuals(cp, ext, band=endpoint_band(spec.m))):
             profile = os.path.join(out, f"hamiltonian_{name}_profile.csv")
             _write_profile(profile, rep)
             entries.append(_report_entry(f"hamiltonian_{name}", rep, tol, profile))
@@ -265,7 +256,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         q = _candidate(spec)
         lam = _multipliers(spec)
         default_tol = certification_tolerance(problem)
-        band = _band(spec.m)
+        band = endpoint_band(spec.m)
         if which == "el":
             rep = euler_lagrange_residual(problem, lam, q, band=band)
             tol = args.tol if args.tol is not None else default_tol
@@ -281,7 +272,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             tol = args.tol if args.tol is not None else default_tol
         elif which == "invariance":
             rep = invariance_first_order_check(problem, lam, q, _generator(spec))
-            tol = args.tol if args.tol is not None else _INVARIANCE_TOL
+            tol = args.tol if args.tol is not None else INVARIANCE_TOLERANCE
         else:
             raise SpecError(f"unknown check kind {which!r}")
         profile = os.path.join(out, f"{which}_profile.csv")

@@ -3,6 +3,9 @@
 Analytic gradients are used when supplied; otherwise central finite
 differences with a relative step.  A self-check compares supplied gradients
 against the finite-difference ones on random probes.
+
+The ``*_along`` methods sample a field at the M points (t_s, X_s, Y_s) of a
+trajectory; they are the library's only loop over points calling a field.
 """
 
 from __future__ import annotations
@@ -12,13 +15,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-__all__ = ["PointField", "VectorField", "MissingPartialsError"]
+__all__ = ["PointField", "VectorField"]
 
 _FD_STEP = 1e-6
-
-
-class MissingPartialsError(RuntimeError):
-    """Raised when a partial derivative can be formed neither way."""
 
 
 def _fd_gradient(f: Callable[[np.ndarray], float], x: np.ndarray) -> np.ndarray:
@@ -31,6 +30,11 @@ def _fd_gradient(f: Callable[[np.ndarray], float], x: np.ndarray) -> np.ndarray:
         xm[i] -= step
         g[i] = (f(xp) - f(xm)) / (2.0 * step)
     return g
+
+
+def _nodewise(fn: Callable, t: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Stack fn(t_s, X_s, Y_s) over the points s = 0..M-1."""
+    return np.array([fn(t[s], X[s], Y[s]) for s in range(len(t))])
 
 
 @dataclass(frozen=True)
@@ -60,6 +64,42 @@ class PointField:
         if self.grad_y is not None:
             return np.atleast_1d(np.asarray(self.grad_y(t, x, y), float))
         return _fd_gradient(lambda yy: self.evaluator(t, x, yy), y)
+
+    def along(self, t: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        """Values at the points (t_s, X_s, Y_s); shape (M,)."""
+        return _nodewise(self, t, X, Y)
+
+    def grad_along(
+        self, t: np.ndarray, X: np.ndarray, Y: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(d_x, d_y) at the points (t_s, X_s, Y_s); each of shape (M, n)."""
+        return _nodewise(self.d_x, t, X, Y), _nodewise(self.d_y, t, X, Y)
+
+    def hessian_along(
+        self, t: np.ndarray, X: np.ndarray, Y: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Second partials at the points by central differences of d_x and
+        d_y, each of shape (M, n, n): Hxx[s, k, i] = d(d_x)_k / dx_i,
+        Hxy[s, k, i] = d(d_x)_k / dy_i and Hyy[s, k, i] = d(d_y)_k / dy_i."""
+        X = np.asarray(X, float)
+        Y = np.asarray(Y, float)
+        M, n = X.shape
+        Hxx, Hxy, Hyy = (np.empty((M, n, n)) for _ in range(3))
+        for i in range(n):
+            step = _FD_STEP * (1.0 + np.abs(X[:, i]))
+            Xp, Xm = X.copy(), X.copy()
+            Xp[:, i] += step
+            Xm[:, i] -= step
+            ap, am = _nodewise(self.d_x, t, Xp, Y), _nodewise(self.d_x, t, Xm, Y)
+            Hxx[:, :, i] = (ap - am) / (2.0 * step)[:, None]
+            step = _FD_STEP * (1.0 + np.abs(Y[:, i]))
+            Yp, Ym = Y.copy(), Y.copy()
+            Yp[:, i] += step
+            Ym[:, i] -= step
+            (ap, bp), (am, bm) = self.grad_along(t, X, Yp), self.grad_along(t, X, Ym)
+            Hxy[:, :, i] = (ap - am) / (2.0 * step)[:, None]
+            Hyy[:, :, i] = (bp - bm) / (2.0 * step)[:, None]
+        return Hxx, Hxy, Hyy
 
     def check_partials(
         self,
@@ -127,3 +167,13 @@ class VectorField:
         if self.jac_y is not None:
             return np.atleast_2d(np.asarray(self.jac_y(t, x, y), float))
         return self._fd_jac(t, np.asarray(x, float), np.asarray(y, float), "y")
+
+    def along(self, t: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        """Values at the points (t_s, X_s, Y_s); shape (M, n)."""
+        return _nodewise(self, t, X, Y)
+
+    def jac_along(
+        self, t: np.ndarray, X: np.ndarray, Y: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(d_x, d_y) at the points; shapes (M, n, dim_x) and (M, n, dim_y)."""
+        return _nodewise(self.d_x, t, X, Y), _nodewise(self.d_y, t, X, Y)

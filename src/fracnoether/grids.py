@@ -28,11 +28,6 @@ class FracOrder:
             raise ValueError(f"fractional order must be positive, got {self.alpha}")
 
     @property
-    def n(self) -> int:
-        """Smallest integer n with n - 1 <= alpha < n (n = 1 on (0, 1])."""
-        return max(1, math.ceil(self.alpha))
-
-    @property
     def is_classical(self) -> bool:
         return self.alpha == 1.0
 

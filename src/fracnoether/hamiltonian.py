@@ -17,7 +17,7 @@ from . import frac_kernels as fk
 from .fields import PointField, VectorField
 from .grids import FracOrder, Grid, SampledFunction, fill_endpoints
 from .noether import SymmetryGenerator, frac_pair_operator
-from .problems import DEFAULT_BAND, ResidualReport, make_report
+from .problems import DEFAULT_BAND, ResidualReport, augmented_lagrangian, make_report
 
 __all__ = [
     "ControlProblem",
@@ -94,16 +94,13 @@ class PontryaginExtremal:
 
 @dataclass(frozen=True)
 class ControlSymmetry:
-    """Generators (tau, xi, rho, sigma) of a control-space transformation.
-
-    Only tau and xi enter the Hamiltonian-form Noether law; rho and sigma
-    describe the control/costate parts of the family.
+    """Generators (tau, xi) of the time and state parts of a control-space
+    transformation; these are the parts the Hamiltonian-form Noether law
+    reads.
     """
 
     tau: Callable[[float, np.ndarray], float]
     xi: Callable[[float, np.ndarray], np.ndarray]
-    rho: Callable[[float, np.ndarray], np.ndarray] | None = None
-    sigma: Callable[[float, np.ndarray], np.ndarray] | None = None
 
     def base(self) -> SymmetryGenerator:
         return SymmetryGenerator(tau=self.tau, xi=self.xi)
@@ -117,29 +114,9 @@ def hamiltonian_value(
     p: np.ndarray,
     lam: np.ndarray,
 ) -> float:
-    """H = L - lambda . g + p . phi at one point."""
-    lam = cp.check_multipliers(lam)
-    q = np.atleast_1d(np.asarray(q, float))
-    u = np.atleast_1d(np.asarray(u, float))
-    p = np.atleast_1d(np.asarray(p, float))
-    val = cp.lagrangian(t, q, u)
-    for lj, gj in zip(lam, cp.constraints):
-        val -= lj * gj(t, q, u)
-    return val + float(np.dot(p, cp.dynamics(t, q, u)))
-
-
-def _h_gradients(
-    cp: ControlProblem, t: float, q: np.ndarray, u: np.ndarray, p: np.ndarray, lam: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(d_q H, d_u H); the gradient in p is phi itself and is used exactly."""
-    dq = cp.lagrangian.d_x(t, q, u).copy()
-    du = cp.lagrangian.d_y(t, q, u).copy()
-    for lj, gj in zip(lam, cp.constraints):
-        dq -= lj * gj.d_x(t, q, u)
-        du -= lj * gj.d_y(t, q, u)
-    dq += cp.dynamics.d_x(t, q, u).T @ p
-    du += cp.dynamics.d_y(t, q, u).T @ p
-    return dq, du
+    """H = F + p . phi at one point, F = L - lambda . g."""
+    q, u, p = (np.atleast_1d(np.asarray(x, float)) for x in (q, u, p))
+    return augmented_lagrangian(cp, lam)(t, q, u) + float(np.dot(p, cp.dynamics(t, q, u)))
 
 
 def pontryagin_residuals(
@@ -154,21 +131,16 @@ def pontryagin_residuals(
         (ii)  D_b^alpha p - d_q H
         (iii) d_u H
     """
-    lam = cp.check_multipliers(ext.lam)
     grid = ext.q.grid
-    t = grid.nodes
+    t, Q, U, P = grid.nodes, ext.q.values, ext.u.values, ext.p.values
     v = fk.left_rl_derivative(ext.q, cp.order).values
     rp = fk.right_rl_derivative(ext.p, cp.order).values
-
-    r_state = np.empty_like(v)
-    r_costate = np.empty_like(rp)
-    r_stationary = np.empty((t.size, ext.u.dim))
-    for j in range(t.size):
-        qj, uj, pj = ext.q.values[j], ext.u.values[j], ext.p.values[j]
-        r_state[j] = v[j] - cp.dynamics(t[j], qj, uj)
-        dq, du = _h_gradients(cp, t[j], qj, uj, pj, lam)
-        r_costate[j] = rp[j] - dq
-        r_stationary[j] = du
+    # d_q H = d_q F + (d_q phi)^T p, and likewise in u
+    a, b = augmented_lagrangian(cp, ext.lam).grad_along(t, Q, U)
+    jq, ju = cp.dynamics.jac_along(t, Q, U)
+    r_state = v - cp.dynamics.along(t, Q, U)
+    r_costate = rp - (a + np.einsum("sij,si->sj", jq, P))
+    r_stationary = b + np.einsum("sij,si->sj", ju, P)
     return (
         make_report(grid, r_state, band=band),
         make_report(grid, r_costate, band=band),
@@ -180,16 +152,11 @@ def _hamiltonian_samples(
     cp: ControlProblem, ext: PontryaginExtremal
 ) -> tuple[np.ndarray, np.ndarray]:
     """(H(t_j), p_j . D^alpha q_j) along the candidate, velocity filled."""
-    t = ext.q.grid.nodes
+    t, Q, U, P = ext.q.grid.nodes, ext.q.values, ext.u.values, ext.p.values
     v = fill_endpoints(fk.left_rl_derivative(ext.q, cp.order).values)
-    hs = np.array(
-        [
-            hamiltonian_value(cp, t[j], ext.q.values[j], ext.u.values[j], ext.p.values[j], ext.lam)
-            for j in range(t.size)
-        ]
-    )
-    pv = np.sum(ext.p.values * v, axis=1)
-    return hs, pv
+    F = augmented_lagrangian(cp, ext.lam)
+    hs = F.along(t, Q, U) + np.sum(P * cp.dynamics.along(t, Q, U), axis=1)
+    return hs, np.sum(P * v, axis=1)
 
 
 def hamiltonian_noether_residual(

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import frac_kernels as fk
 from .fields import PointField
-from .grids import FracOrder, Grid, SampledFunction, fill_endpoints, sample
+from .grids import FracOrder, Grid, SampledFunction, fill_endpoints
 from .problems import (
     DEFAULT_BAND,
     ResidualReport,
@@ -56,10 +56,6 @@ class SymmetryGenerator:
             [np.atleast_1d(np.asarray(self.xi(t[j], q.values[j]), float)) for j in range(t.size)]
         )
         return taus, xis
-
-
-def no_time_shift(xi: Callable[[float, np.ndarray], np.ndarray]) -> SymmetryGenerator:
-    return SymmetryGenerator(tau=lambda t, q: 0.0, xi=xi)
 
 
 def _pair_1d(f: np.ndarray, h: np.ndarray, grid: Grid, order: FracOrder) -> np.ndarray:
@@ -146,15 +142,8 @@ def noether_law_residual(
     grid = problem.grid
     taus, xis = gen.sampled_along(grid, q)
     F = augmented_lagrangian(problem, lam)
-    a_, b, v = _field_gradients_along(problem, F, q)
-    t = grid.nodes
-    fhat = np.array(
-        [
-            F(t[j], q.values[j], v[j])
-            - problem.order.alpha * float(np.dot(b[j], v[j]))
-            for j in range(t.size)
-        ]
-    )
+    _, b, v = _field_gradients_along(problem, F, q)
+    fhat = F.along(grid.nodes, q.values, v) - problem.order.alpha * np.sum(b * v, axis=1)
     term1 = frac_pair_operator(
         SampledFunction(grid, fhat), SampledFunction(grid, taus), problem.order
     )
@@ -204,7 +193,7 @@ def _transformed_value(
     vres = fill_endpoints(
         fk.left_rl_derivative(SampledFunction(tgrid, qres), problem.order).values
     )
-    fres = np.array([F(s[j], qres[j], vres[j]) for j in range(s.size)])
+    fres = F.along(s, qres, vres)
     fbar = np.interp(tbar, s, fres)
     return fbar * np.gradient(tbar, t)
 

@@ -14,7 +14,7 @@ where the right RL derivative is singular for generic data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -25,6 +25,8 @@ from .grids import FracOrder, Grid, SampledFunction, fill_endpoints
 
 __all__ = [
     "DEFAULT_BAND",
+    "INVARIANCE_TOLERANCE",
+    "endpoint_band",
     "VariationalProblem",
     "ResidualReport",
     "make_report",
@@ -39,6 +41,18 @@ __all__ = [
 
 #: Nodes dropped at each end of the grid when taking residual norms.
 DEFAULT_BAND = 2
+
+#: Pass/fail bound on the invariance probe's dI/d(eps) estimates.
+INVARIANCE_TOLERANCE = 1e-2
+
+
+def endpoint_band(m: int) -> int:
+    """Wider endpoint band, 5% of the m intervals per side (CLI checks).
+
+    Pointwise scheme error concentrates near the ends when the data has a
+    weak power singularity there; norms are then taken on the inner 90%.
+    """
+    return max(DEFAULT_BAND, round(0.05 * m))
 
 
 @dataclass(frozen=True)
@@ -111,8 +125,12 @@ def make_report(grid: Grid, residual: np.ndarray, band: int = DEFAULT_BAND) -> R
     return ResidualReport(grid, SampledFunction(grid, r), sup, l2, band)
 
 
-def certification_tolerance(problem: VariationalProblem, c: float = 10.0) -> float:
-    """Scheme-order residual tolerance c * h^min(1, 2 - alpha)."""
+def certification_tolerance(problem, c: float = 10.0) -> float:
+    """Scheme-order residual tolerance c * h^min(1, 2 - alpha).
+
+    ``problem`` is any object with ``order`` and ``grid``; on a
+    ControlProblem (alpha <= 1) this is c * h.
+    """
     expo = min(1.0, 2.0 - problem.order.alpha)
     return c * problem.grid.h**expo
 
@@ -122,8 +140,13 @@ def frac_velocity(q: SampledFunction, order: FracOrder) -> SampledFunction:
     return fk.left_rl_derivative(q, order)
 
 
-def augmented_lagrangian(problem: VariationalProblem, lam: np.ndarray) -> PointField:
-    """F = L - lambda . g as a single field with composed gradients."""
+def augmented_lagrangian(problem, lam: np.ndarray) -> PointField:
+    """F = L - lambda . g as a single field with composed gradients.
+
+    The library's only composition of F: ``problem`` is any object with
+    ``lagrangian``, ``constraints`` and ``check_multipliers`` (a
+    VariationalProblem, or a ControlProblem where v is the control u).
+    """
     lam = problem.check_multipliers(lam)
     L = problem.lagrangian
     gs = list(problem.constraints)
@@ -154,34 +177,28 @@ def _velocity_filled(problem: VariationalProblem, q: SampledFunction) -> np.ndar
     return fill_endpoints(frac_velocity(q, problem.order).values)
 
 
-def _quadrature(problem: VariationalProblem, field_: PointField, q: SampledFunction) -> float:
-    t = problem.grid.nodes
-    v = _velocity_filled(problem, q)
-    vals = np.array([field_(t[j], q.values[j], v[j]) for j in range(t.size)])
-    return float(np.trapezoid(vals, dx=problem.grid.h))
+def _integrals(problem: VariationalProblem, fields_, q: SampledFunction) -> np.ndarray:
+    """int f(t, q, D^alpha q) dt by composite trapezoid, one entry per field."""
+    t, v = problem.grid.nodes, _velocity_filled(problem, q)
+    return np.array([np.trapezoid(f.along(t, q.values, v), dx=problem.grid.h) for f in fields_])
 
 
 def constraint_values(problem: VariationalProblem, q: SampledFunction) -> np.ndarray:
     """Vector of int g_j(t, q, D^alpha q) dt by composite trapezoid."""
-    return np.array([_quadrature(problem, gj, q) for gj in problem.constraints])
+    return _integrals(problem, problem.constraints, q)
 
 
 def objective_value(problem: VariationalProblem, q: SampledFunction) -> float:
     """int L(t, q, D^alpha q) dt by composite trapezoid."""
-    return _quadrature(problem, problem.lagrangian, q)
+    return float(_integrals(problem, [problem.lagrangian], q)[0])
 
 
 def _field_gradients_along(
     problem: VariationalProblem, field_: PointField, q: SampledFunction
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(d_q field, d_v field, filled velocity) sampled along the trajectory."""
-    t = problem.grid.nodes
     v = _velocity_filled(problem, q)
-    a = np.empty((t.size, problem.dim))
-    b = np.empty((t.size, problem.dim))
-    for j in range(t.size):
-        a[j] = field_.d_x(t[j], q.values[j], v[j])
-        b[j] = field_.d_y(t[j], q.values[j], v[j])
+    a, b = field_.grad_along(problem.grid.nodes, q.values, v)
     return a, b, v
 
 

@@ -11,7 +11,7 @@ the discrete problem.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,13 +20,16 @@ from .grids import FracOrder, Grid, SampledFunction
 from .problems import (
     ResidualReport,
     VariationalProblem,
+    augmented_lagrangian,
     constraint_values,
     euler_lagrange_residual,
-    make_report,
     normality_check,
 )
 
 __all__ = ["SolverConfig", "Solution", "SolverError", "solve", "refine"]
+
+#: Largest isoperimetric defect a converged solution may leave.
+_CONSTRAINT_TOL = 1e-8
 
 
 class SolverError(RuntimeError):
@@ -39,16 +42,14 @@ class SolverConfig:
     # scaled-gradient stopping test; the floor for fields with
     # finite-difference gradients is about 1e-7, so do not tighten much
     newton_tolerance: float = 1e-6
-    fd_step: float = 1e-6
     continuation_steps: int = 0
     regularization: float = 0.0
-    constraint_tolerance: float = 1e-8
 
     def __post_init__(self) -> None:
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.newton_tolerance <= 0 or self.fd_step <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.newton_tolerance <= 0:
+            raise ValueError("newton_tolerance must be positive")
         if self.regularization < 0:
             raise ValueError("regularization must be >= 0")
 
@@ -87,12 +88,11 @@ class _Discretization:
     solutions nodally exact.
     """
 
-    def __init__(self, problem: VariationalProblem, alpha: float, fd_step: float):
+    def __init__(self, problem: VariationalProblem, alpha: float):
         self.problem = problem
         self.grid = problem.grid
         self.n = problem.dim
         self.k = problem.k
-        self.fd_step = fd_step
         m, h = self.grid.m, self.grid.h
         nodes = self.grid.nodes
         if alpha == 1.0:
@@ -113,119 +113,58 @@ class _Discretization:
                 self.grid, FracOrder(alpha), boundary="extrapolate"
             )
 
-    # -- pointwise gradients of F = L - lambda.g and of each g_j ----------
-    def _grads(self, s: int, qs: np.ndarray, vs: np.ndarray, lam: np.ndarray):
-        L = self.problem.lagrangian
-        ts = self.theta[s]
-        a = L.d_x(ts, qs, vs).copy()
-        b = L.d_y(ts, qs, vs).copy()
-        for lj, gj in zip(lam, self.problem.constraints):
-            a -= lj * gj.d_x(ts, qs, vs)
-            b -= lj * gj.d_y(ts, qs, vs)
-        return a, b
-
     def _points(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return self.P @ q, self.D @ q
 
+    def _pullback(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """P^T W a + D^T W b: node-space gradient of sum_s w_s f(x_s, v_s)
+        from the point-space partials a = d_x f, b = d_v f."""
+        return self.P.T @ (self.w[:, None] * a) + self.D.T @ (self.w[:, None] * b)
+
     def gradient(self, q: np.ndarray, lam: np.ndarray) -> np.ndarray:
         """Stacked [dJd/dq_interior ; constraint defects]."""
-        m, n = self.grid.m, self.n
         x, v = self._points(q)
-        M = self.theta.size
-        a = np.empty((M, n))
-        b = np.empty((M, n))
-        for s in range(M):
-            a[s], b[s] = self._grads(s, x[s], v[s], lam)
-        gel = self.P.T @ (self.w[:, None] * a) + self.D.T @ (self.w[:, None] * b)
+        F = augmented_lagrangian(self.problem, lam)
+        gel = self._pullback(*F.grad_along(self.theta, x, v))
         defects = self.constraint_defects(x, v)
         # scale the stationarity rows to O(1) so the Newton tolerance is
         # grid-independent
-        return np.concatenate([gel[1:m].ravel() / self.grid.h, defects])
+        return np.concatenate([gel[1 : self.grid.m].ravel() / self.grid.h, defects])
 
     def constraint_defects(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        vals = np.empty(self.k)
-        for r, gj in enumerate(self.problem.constraints):
-            samples = np.array(
-                [gj(self.theta[s], x[s], v[s]) for s in range(self.theta.size)]
-            )
-            vals[r] = np.dot(self.w, samples) - self.problem.constraint_levels[r]
-        return vals
-
-    # -- structured Jacobian ---------------------------------------------
-    def _hessian_blocks(self, x: np.ndarray, v: np.ndarray, lam: np.ndarray):
-        """Per-point second partials of F by central differences of gradients."""
-        M, n = self.theta.size, self.n
-        Hqq = np.empty((M, n, n))
-        Hqv = np.empty((M, n, n))
-        Hvv = np.empty((M, n, n))
-        for s in range(M):
-            xs, vs = x[s], v[s]
-            for i in range(n):
-                st = self.fd_step * (1.0 + abs(xs[i]))
-                xp, xm = xs.copy(), xs.copy()
-                xp[i] += st
-                xm[i] -= st
-                ap, _ = self._grads(s, xp, vs, lam)
-                am, _ = self._grads(s, xm, vs, lam)
-                Hqq[s][:, i] = (ap - am) / (2.0 * st)
-                st = self.fd_step * (1.0 + abs(vs[i]))
-                vp, vm = vs.copy(), vs.copy()
-                vp[i] += st
-                vm[i] -= st
-                ap, bp = self._grads(s, xs, vp, lam)
-                am, bm = self._grads(s, xs, vm, lam)
-                Hqv[s][:, i] = (ap - am) / (2.0 * st)
-                Hvv[s][:, i] = (bp - bm) / (2.0 * st)
-        return Hqq, Hqv, Hvv
+        vals = np.array(
+            [np.dot(self.w, g.along(self.theta, x, v)) for g in self.problem.constraints]
+        )
+        return vals - self.problem.constraint_levels
 
     def jacobian(self, q: np.ndarray, lam: np.ndarray) -> np.ndarray:
-        m, n, k = self.grid.m, self.n, self.k
+        """Exact Jacobian of ``gradient`` up to the finite-difference second
+        partials of F.  Unknowns are ordered node-major, so component i of
+        the state sits at rows/columns i::n of the node-space block K."""
+        n, k = self.n, self.k
+        P, D, w = self.P, self.D, self.w
         x, v = self._points(q)
-        M = self.theta.size
-        Pb = self.P if n == 1 else np.kron(self.P, np.eye(n))
-        Db = self.D if n == 1 else np.kron(self.D, np.eye(n))
-        wb = np.repeat(self.w, n)
-        Hqq, Hqv, Hvv = self._hessian_blocks(x, v, lam)
+        F = augmented_lagrangian(self.problem, lam)
+        Hqq, Hqv, Hvv = F.hessian_along(self.theta, x, v)
+        N = (self.grid.m + 1) * n
+        K = np.empty((N, N))
+        for i in range(n):
+            for j in range(n):
+                Kij = K[i::n, j::n]
+                Kij[...] = P.T @ ((w * Hqq[:, i, j])[:, None] * P)
+                Kij += P.T @ ((w * Hqv[:, i, j])[:, None] * D)
+                # d(d_v F)_i / dq_j = d2F / dv_i dq_j = Hqv[:, j, i]
+                Kij += D.T @ ((w * Hqv[:, j, i])[:, None] * P)
+                Kij += D.T @ ((w * Hvv[:, i, j])[:, None] * D)
 
-        if n == 1:
-            dqq, dqv, dvv = Hqq[:, 0, 0], Hqv[:, 0, 0], Hvv[:, 0, 0]
-            K = Pb.T @ ((wb * dqq)[:, None] * Pb)
-            K += Pb.T @ ((wb * dqv)[:, None] * Db)
-            K += Db.T @ ((wb * dqv)[:, None] * Pb)
-            K += Db.T @ ((wb * dvv)[:, None] * Db)
-        else:
-            def blockdiag(H):
-                Dm = np.zeros((M * n, M * n))
-                for s in range(M):
-                    Dm[s * n : (s + 1) * n, s * n : (s + 1) * n] = H[s]
-                return Dm
-
-            Dqq, Dqv, Dvv = (blockdiag(H) for H in (Hqq, Hqv, Hvv))
-            W = np.diag(wb)
-            K = (
-                Pb.T @ W @ Dqq @ Pb
-                + Pb.T @ W @ Dqv @ Db
-                + Db.T @ Dqv.T @ W @ Pb
-                + Db.T @ W @ Dvv @ Db
-            )
-
-        N = (m + 1) * n
-        interior = np.arange(n, N - n)
-        J = np.zeros((interior.size + k, interior.size + k))
-        J[: interior.size, : interior.size] = K[np.ix_(interior, interior)] / self.grid.h
-
+        ni = N - 2 * n
+        J = np.zeros((ni + k, ni + k))
+        J[:ni, :ni] = K[n:-n, n:-n] / self.grid.h
         # multiplier coupling: d(gel)/d(lambda_r) = -(P^T W g_q + D^T W g_v)
-        for r, gj in enumerate(self.problem.constraints):
-            gq = np.empty((M, n))
-            gv = np.empty((M, n))
-            for s in range(M):
-                gq[s] = gj.d_x(self.theta[s], x[s], v[s])
-                gv[s] = gj.d_y(self.theta[s], x[s], v[s])
-            col = (
-                self.P.T @ (self.w[:, None] * gq) + self.D.T @ (self.w[:, None] * gv)
-            ).ravel()
-            J[: interior.size, interior.size + r] = -col[interior] / self.grid.h
-            J[interior.size + r, : interior.size] = col[interior]
+        for r, g in enumerate(self.problem.constraints):
+            col = self._pullback(*g.grad_along(self.theta, x, v)).ravel()[n:-n]
+            J[:ni, ni + r] = -col / self.grid.h
+            J[ni + r, :ni] = col
         return J
 
 
@@ -301,7 +240,7 @@ def solve(
 
     converged, iterations, gnorm = False, 0, np.inf
     for alpha in alphas:
-        disc = _Discretization(problem, float(alpha), config.fd_step)
+        disc = _Discretization(problem, float(alpha))
         q, lam, converged, its, gnorm = _newton(disc, q, lam, config)
         iterations += its
 
@@ -309,7 +248,7 @@ def solve(
     el = euler_lagrange_residual(problem, lam, qs)
     defects = constraint_values(problem, qs) - problem.constraint_levels
     converged = converged and (
-        problem.k == 0 or np.max(np.abs(defects)) <= config.constraint_tolerance
+        problem.k == 0 or np.max(np.abs(defects)) <= _CONSTRAINT_TOL
     )
     if converged and problem.k > 0:
         abnormal = all(

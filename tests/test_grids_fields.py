@@ -13,7 +13,6 @@ from fracnoether import (
 
 
 def test_frac_order_validation_and_flags():
-    assert FracOrder(0.5).n == 1
     assert not FracOrder(0.5).is_classical
     assert FracOrder(1.0).is_classical
     with pytest.raises(ValueError):

@@ -18,6 +18,7 @@ from fracnoether import (
     left_rl_derivative,
     make_report,
     pontryagin_residuals,
+    right_rl_derivative,
     sample,
 )
 
@@ -144,3 +145,58 @@ def test_hamiltonian_alone_is_not_conserved():
     h_values = SampledFunction(GRID, np.full(GRID.m + 1, 3.0))
     rep = make_report(GRID, left_rl_derivative(h_values, HALF).values, band=BAND)
     assert rep.sup_norm > 1.0
+
+
+@pytest.mark.parametrize("analytic", [True, False])
+def test_pontryagin_residuals_with_linear_dynamics(analytic):
+    """dim=2, three controls, phi = A q + B u, L = u.u / 2 + t (q1 + 2 q2),
+    g = q1 u3: the costate residual is D_b p - (t (1, 2) - lam (u3, 0) + A^T p)
+    and the stationarity residual is u - lam (0, 0, q1) + B^T p."""
+    A = np.array([[0.0, 1.0], [-2.0, 0.5]])
+    B = np.array([[1.0, 0.0, 2.0], [0.0, -1.0, 1.0]])
+
+    def given(**partials):
+        return partials if analytic else {}
+
+    L = PointField(
+        lambda t, q, u: 0.5 * float(u @ u) + t * (q[0] + 2.0 * q[1]),
+        **given(grad_x=lambda t, q, u: np.array([t, 2.0 * t]), grad_y=lambda t, q, u: u),
+    )
+    g = PointField(
+        lambda t, q, u: q[0] * u[2],
+        **given(
+            grad_x=lambda t, q, u: np.array([u[2], 0.0]),
+            grad_y=lambda t, q, u: np.array([0.0, 0.0, q[0]]),
+        ),
+    )
+    phi = VectorField(
+        lambda t, q, u: A @ q + B @ u,
+        **given(jac_x=lambda t, q, u: A, jac_y=lambda t, q, u: B),
+    )
+    grid = Grid(0.0, 1.0, 50)
+    cp = ControlProblem(
+        order=HALF, lagrangian=L, dynamics=phi, grid=grid, initial=[0.0, 0.0],
+        control_dim=3, constraints=[g], constraint_levels=[0.0],
+    )
+    t = grid.nodes
+    q = SampledFunction(grid, np.column_stack([t**1.5, np.sin(t)]))
+    u = SampledFunction(grid, np.column_stack([np.cos(t), t * t, 1.0 - t]))
+    p = SampledFunction(grid, np.column_stack([1.0 - t * t, np.exp(-t)]))
+    lam = 0.7
+    state, costate, stationary = pontryagin_residuals(
+        cp, PontryaginExtremal(q=q, u=u, p=p, lam=[lam])
+    )
+
+    Q, U, Pv = q.values, u.values, p.values
+    dq_h = np.column_stack([t, 2.0 * t]) - lam * np.column_stack([U[:, 2], 0.0 * t]) + Pv @ A
+    du_h = U - lam * np.column_stack([0.0 * t, 0.0 * t, Q[:, 0]]) + Pv @ B
+    expected = (
+        left_rl_derivative(q, HALF).values - (Q @ A.T + U @ B.T),
+        right_rl_derivative(p, HALF).values - dq_h,
+        du_h,
+    )
+    tol = 1e-12 if analytic else 1e-8
+    for rep, exp in zip((state, costate, stationary), expected):
+        got = rep.pointwise.values[1:-1]
+        assert got.shape == exp[1:-1].shape
+        assert np.max(np.abs(got - exp[1:-1])) <= tol * (1.0 + np.max(np.abs(exp[1:-1])))

@@ -15,6 +15,7 @@ from fracnoether import (
     sample,
     solve,
 )
+from fracnoether.solver import _Discretization
 
 from conftest import benchmark_extremal, benchmark_problem, classical_problem
 
@@ -138,3 +139,75 @@ def test_config_validation():
         SolverConfig(newton_tolerance=0.0)
     with pytest.raises(ValueError):
         SolverConfig(regularization=-1.0)
+
+
+def coupled_problem(alpha: float, m: int = 20) -> VariationalProblem:
+    """dim=2 with nonzero off-diagonal second partials, Hqv not symmetric:
+    L = v.v + q1 v2 + q1^2 q2, g = t^2 (v1 + v2)."""
+    L = PointField(
+        lambda t, q, v: float(v @ v + q[0] * v[1] + q[0] ** 2 * q[1]),
+        grad_x=lambda t, q, v: np.array([v[1] + 2.0 * q[0] * q[1], q[0] ** 2]),
+        grad_y=lambda t, q, v: np.array([2.0 * v[0], 2.0 * v[1] + q[0]]),
+    )
+    g = PointField(
+        lambda t, q, v: t * t * float(v[0] + v[1]),
+        grad_x=lambda t, q, v: np.zeros(2),
+        grad_y=lambda t, q, v: np.full(2, t * t),
+    )
+    return VariationalProblem(
+        FracOrder(alpha), L, Grid(0.0, 1.0, m), [0.0, 0.0], [0.3, -0.2],
+        constraints=[g], constraint_levels=[0.1],
+    )
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0])
+def test_jacobian_matches_central_differences_of_gradient(alpha):
+    p = coupled_problem(alpha)
+    disc = _Discretization(p, alpha)
+    m, n = p.grid.m, p.dim
+    rng = np.random.default_rng(11)
+    q = rng.uniform(-1.0, 1.0, (m + 1, n))
+    q[0], q[-1] = p.boundary_a, p.boundary_b
+    z = np.concatenate([q[1:m].ravel(), [0.7]])
+
+    def gradient(z):
+        qz = q.copy()
+        qz[1:m] = z[: (m - 1) * n].reshape(m - 1, n)
+        return disc.gradient(qz, z[(m - 1) * n :])
+
+    J = disc.jacobian(q, z[(m - 1) * n :])
+    step = 1e-5
+    fd = np.column_stack(
+        [(gradient(z + step * e) - gradient(z - step * e)) / (2.0 * step) for e in np.eye(z.size)]
+    )
+    assert np.max(np.abs(J - fd)) <= 1e-7 * np.max(np.abs(J))
+
+
+def test_two_state_solve_matches_closed_form():
+    """Two decoupled copies of the benchmark: L = t^4 + v.v,
+    g = t^2 (v1 + v2); lambda = 5 * level, q_i = lambda t^(5/2) / Gamma(7/2)."""
+    m, level = 200, 0.4
+    lam = 5.0 * level
+    L = PointField(
+        lambda t, q, v: t**4 + float(v @ v),
+        grad_x=lambda t, q, v: np.zeros(2),
+        grad_y=lambda t, q, v: 2.0 * v,
+    )
+    g = PointField(
+        lambda t, q, v: t * t * float(v[0] + v[1]),
+        grad_x=lambda t, q, v: np.zeros(2),
+        grad_y=lambda t, q, v: np.full(2, t * t),
+    )
+    p = VariationalProblem(
+        FracOrder(0.5), L, Grid(0.0, 1.0, m), [0.0, 0.0], [lam / gamma(3.5)] * 2,
+        constraints=[g], constraint_levels=[level],
+    )
+    sol = solve(p)
+    assert sol.converged
+    # relative error at the L1 scheme's order 2 - alpha
+    tol = 10.0 * p.grid.h ** (2.0 - p.order.alpha)
+    exact = lam * p.grid.nodes**2.5 / gamma(3.5)
+    assert abs(sol.lam[0] - lam) / lam <= tol
+    for i in range(2):
+        assert np.max(np.abs(sol.q.component(i) - exact)) / np.max(exact) <= tol
+    assert np.max(np.abs(sol.q.component(0) - sol.q.component(1))) <= 1e-12
