@@ -27,7 +27,6 @@ from .grids import FracOrder, Grid, SampledFunction, fill_endpoints, sample
 from .hamiltonian import (
     AutonomyError,
     ControlProblem,
-    ControlSymmetry,
     PontryaginExtremal,
     autonomous_energy_residual,
     hamiltonian_noether_residual,
@@ -102,7 +101,6 @@ __all__ = [
     "noether_law_residual",
     "AutonomyError",
     "ControlProblem",
-    "ControlSymmetry",
     "PontryaginExtremal",
     "autonomous_energy_residual",
     "hamiltonian_noether_residual",

@@ -20,16 +20,22 @@ __all__ = ["PointField", "VectorField"]
 _FD_STEP = 1e-6
 
 
-def _fd_gradient(f: Callable[[np.ndarray], float], x: np.ndarray) -> np.ndarray:
-    g = np.empty_like(x, dtype=float)
-    for i in range(x.size):
+def _central(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
+    """Central differences of f in each component x_i along x's first axis,
+    with step _FD_STEP * (1 + |x_i|); the i axis is last in the result.
+
+    x is one point (n,) with f scalar or (k,)-valued, giving (n,) or (k, n),
+    or a batch (n, M) with f returning (k, M), giving (M, k, n).
+    """
+    cols = []
+    for i in range(len(x)):
         step = _FD_STEP * (1.0 + abs(x[i]))
         xp = x.copy()
         xm = x.copy()
         xp[i] += step
         xm[i] -= step
-        g[i] = (f(xp) - f(xm)) / (2.0 * step)
-    return g
+        cols.append((f(xp) - f(xm)) / (2.0 * step))
+    return np.array(cols).T
 
 
 def _nodewise(fn: Callable, t: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -56,14 +62,14 @@ class PointField:
         y = np.asarray(y, float)
         if self.grad_x is not None:
             return np.atleast_1d(np.asarray(self.grad_x(t, x, y), float))
-        return _fd_gradient(lambda xx: self.evaluator(t, xx, y), x)
+        return _central(lambda xx: self.evaluator(t, xx, y), x)
 
     def d_y(self, t: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         x = np.asarray(x, float)
         y = np.asarray(y, float)
         if self.grad_y is not None:
             return np.atleast_1d(np.asarray(self.grad_y(t, x, y), float))
-        return _fd_gradient(lambda yy: self.evaluator(t, x, yy), y)
+        return _central(lambda yy: self.evaluator(t, x, yy), y)
 
     def along(self, t: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """Values at the points (t_s, X_s, Y_s); shape (M,)."""
@@ -83,23 +89,10 @@ class PointField:
         Hxy[s, k, i] = d(d_x)_k / dy_i and Hyy[s, k, i] = d(d_y)_k / dy_i."""
         X = np.asarray(X, float)
         Y = np.asarray(Y, float)
-        M, n = X.shape
-        Hxx, Hxy, Hyy = (np.empty((M, n, n)) for _ in range(3))
-        for i in range(n):
-            step = _FD_STEP * (1.0 + np.abs(X[:, i]))
-            Xp, Xm = X.copy(), X.copy()
-            Xp[:, i] += step
-            Xm[:, i] -= step
-            ap, am = _nodewise(self.d_x, t, Xp, Y), _nodewise(self.d_x, t, Xm, Y)
-            Hxx[:, :, i] = (ap - am) / (2.0 * step)[:, None]
-            step = _FD_STEP * (1.0 + np.abs(Y[:, i]))
-            Yp, Ym = Y.copy(), Y.copy()
-            Yp[:, i] += step
-            Ym[:, i] -= step
-            (ap, bp), (am, bm) = self.grad_along(t, X, Yp), self.grad_along(t, X, Ym)
-            Hxy[:, :, i] = (ap - am) / (2.0 * step)[:, None]
-            Hyy[:, :, i] = (bp - bm) / (2.0 * step)[:, None]
-        return Hxx, Hxy, Hyy
+        n = X.shape[1]
+        Hxx = _central(lambda XT: _nodewise(self.d_x, t, XT.T, Y).T, X.T)
+        H = _central(lambda YT: np.hstack(self.grad_along(t, X, YT.T)).T, Y.T)
+        return Hxx, H[:, :n], H[:, n:]
 
     def check_partials(
         self,
@@ -118,11 +111,11 @@ class PointField:
             y = rng.uniform(-1.0, 1.0, dim)
             scale = 1.0 + abs(self(t, x, y))
             if self.grad_x is not None:
-                fd = _fd_gradient(lambda xx: self.evaluator(t, xx, y), x)
+                fd = _central(lambda xx: self.evaluator(t, xx, y), x)
                 if np.max(np.abs(self.d_x(t, x, y) - fd)) > tol * scale * 100:
                     raise ValueError("grad_x disagrees with finite differences")
             if self.grad_y is not None:
-                fd = _fd_gradient(lambda yy: self.evaluator(t, x, yy), y)
+                fd = _central(lambda yy: self.evaluator(t, x, yy), y)
                 if np.max(np.abs(self.d_y(t, x, y) - fd)) > tol * scale * 100:
                     raise ValueError("grad_y disagrees with finite differences")
 
@@ -142,31 +135,15 @@ class VectorField:
         out = np.atleast_1d(np.asarray(self.evaluator(t, np.asarray(x, float), np.asarray(y, float)), float))
         return out
 
-    def _fd_jac(self, t: float, x: np.ndarray, y: np.ndarray, wrt: str) -> np.ndarray:
-        base = self(t, x, y)
-        arg = x if wrt == "x" else y
-        J = np.empty((base.size, arg.size))
-        for i in range(arg.size):
-            step = _FD_STEP * (1.0 + abs(arg[i]))
-            ap = arg.copy()
-            am = arg.copy()
-            ap[i] += step
-            am[i] -= step
-            if wrt == "x":
-                J[:, i] = (self(t, ap, y) - self(t, am, y)) / (2.0 * step)
-            else:
-                J[:, i] = (self(t, x, ap) - self(t, x, am)) / (2.0 * step)
-        return J
-
     def d_x(self, t: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         if self.jac_x is not None:
             return np.atleast_2d(np.asarray(self.jac_x(t, x, y), float))
-        return self._fd_jac(t, np.asarray(x, float), np.asarray(y, float), "x")
+        return _central(lambda xx: self(t, xx, y), np.asarray(x, float))
 
     def d_y(self, t: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         if self.jac_y is not None:
             return np.atleast_2d(np.asarray(self.jac_y(t, x, y), float))
-        return self._fd_jac(t, np.asarray(x, float), np.asarray(y, float), "y")
+        return _central(lambda yy: self(t, x, yy), np.asarray(y, float))
 
     def along(self, t: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """Values at the points (t_s, X_s, Y_s); shape (M, n)."""

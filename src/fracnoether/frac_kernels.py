@@ -9,6 +9,10 @@ scheme is available as an independent cross-check.
 
 Left derivatives are undefined (singular) at the first node, right
 derivatives at the last one; those entries are returned as NaN markers.
+Right operators are the left ones conjugated by the reflection
+t -> a + b - t, at every order, alpha = 1 included.  left_derivative_matrix
+is the matrix of left_rl_derivative, NaN first row included; callers that
+need a finite first row fill it like the velocity, with fill_endpoints.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .gammafn import GammaPoleError, gamma, reciprocal_gamma
 from .grids import FracOrder, Grid, SampledFunction
@@ -113,23 +118,24 @@ def _pl_integral_1d(f: np.ndarray, h: float, alpha: float) -> np.ndarray:
     return out
 
 
+def _columns(fn, values: np.ndarray, *args) -> np.ndarray:
+    """Apply the 1-D rule fn(column, *args) to each column of (m+1, dim) values."""
+    return np.column_stack([fn(values[:, i], *args) for i in range(values.shape[1])])
+
+
+def _reflected(f: SampledFunction) -> SampledFunction:
+    """Samples of f(a + b - t)."""
+    return SampledFunction(f.grid, f.values[::-1])
+
+
 def left_rl_integral(f: SampledFunction, order: FracOrder) -> SampledFunction:
     """Node-wise left RL integral of order alpha > 0; zero at the left end."""
-    vals = np.column_stack(
-        [_pl_integral_1d(f.component(i), f.grid.h, order.alpha) for i in range(f.dim)]
-    )
-    return SampledFunction(f.grid, vals)
+    return SampledFunction(f.grid, _columns(_pl_integral_1d, f.values, f.grid.h, order.alpha))
 
 
 def right_rl_integral(f: SampledFunction, order: FracOrder) -> SampledFunction:
     """Mirror image of left_rl_integral; zero at the right end."""
-    vals = np.column_stack(
-        [
-            _pl_integral_1d(f.component(i)[::-1], f.grid.h, order.alpha)[::-1]
-            for i in range(f.dim)
-        ]
-    )
-    return SampledFunction(f.grid, vals)
+    return _reflected(left_rl_integral(_reflected(f), order))
 
 
 # --------------------------------------------------------------------------
@@ -169,8 +175,8 @@ def _gl_left_1d(f: np.ndarray, h: float, alpha: float) -> np.ndarray:
     return out
 
 
-def _classical_derivative_1d(f: np.ndarray, h: float) -> np.ndarray:
-    """Second-order central differences, one-sided at the endpoints."""
+def _classical_derivative(f: np.ndarray, h: float) -> np.ndarray:
+    """Second-order central differences along axis 0, one-sided at the ends."""
     out = np.empty_like(f)
     out[1:-1] = (f[2:] - f[:-2]) / (2.0 * h)
     out[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * h)
@@ -192,63 +198,39 @@ def left_rl_derivative(
     _check_derivative_order(order)
     h = f.grid.h
     if order.is_classical:
-        cols = [_classical_derivative_1d(f.component(i), h) for i in range(f.dim)]
+        vals = _classical_derivative(f.values, h)
     elif scheme == "l1":
-        cols = [_l1_left_1d(f.component(i), h, order.alpha) for i in range(f.dim)]
+        vals = _columns(_l1_left_1d, f.values, h, order.alpha)
     elif scheme == "gl":
-        cols = [_gl_left_1d(f.component(i), h, order.alpha) for i in range(f.dim)]
+        vals = _columns(_gl_left_1d, f.values, h, order.alpha)
     else:
         raise ValueError(f"unknown scheme {scheme!r}; expected 'l1' or 'gl'")
-    return SampledFunction(f.grid, np.column_stack(cols))
+    return SampledFunction(f.grid, vals)
 
 
 def right_rl_derivative(
     f: SampledFunction, order: FracOrder, scheme: str = "l1"
 ) -> SampledFunction:
     """Right RL derivative: the left operator conjugated by t -> a + b - t."""
-    _check_derivative_order(order)
-    if order.is_classical:
-        vals = np.column_stack(
-            [-_classical_derivative_1d(f.component(i), f.grid.h) for i in range(f.dim)]
-        )
-        return SampledFunction(f.grid, vals)
-    reflected = SampledFunction(f.grid, f.values[::-1])
-    d = left_rl_derivative(reflected, order, scheme=scheme)
-    return SampledFunction(f.grid, d.values[::-1])
+    return _reflected(left_rl_derivative(_reflected(f), order, scheme=scheme))
 
 
-def left_derivative_matrix(
-    grid: Grid, order: FracOrder, boundary: str = "nan"
-) -> np.ndarray:
-    """Dense (m+1) x (m+1) matrix A with (A f)_j the left derivative at t_j.
+def left_derivative_matrix(grid: Grid, order: FracOrder) -> np.ndarray:
+    """Dense (m+1) x (m+1) matrix of left_rl_derivative (default scheme).
 
-    boundary='nan' leaves the singular first row NaN; 'extrapolate' replaces
-    it by the linear extrapolation 2*row_1 - row_2, which is what the solver
-    and the quadrature layers use.
+    Column i is the derivative of the i-th unit vector, so the first row is
+    the NaN marker row; fill_endpoints replaces it by 2*row_1 - row_2.
     """
     _check_derivative_order(order)
     m, h = grid.m, grid.h
-    A = np.zeros((m + 1, m + 1))
     if order.is_classical:
-        i = np.arange(1, m)
-        A[i, i - 1] = -1.0 / (2.0 * h)
-        A[i, i + 1] = 1.0 / (2.0 * h)
-        A[0, :3] = np.array([-3.0, 4.0, -1.0]) / (2.0 * h)
-        A[m, m - 2 :] = np.array([1.0, -4.0, 3.0]) / (2.0 * h)
-        return A
-    alpha = order.alpha
-    r = np.arange(m, dtype=float)
-    b = (r + 1.0) ** (1.0 - alpha) - r ** (1.0 - alpha)
-    c = h ** (-alpha) / gamma(2.0 - alpha)
-    for j in range(1, m + 1):
-        A[j, 0] = reciprocal_gamma(1.0 - alpha) * (j * h) ** (-alpha) - c * b[j - 1]
-        if j >= 2:
-            A[j, 1:j] = c * (b[j - 1 : 0 : -1] - b[j - 2 :: -1])
-        A[j, j] = c * b[0]
-    if boundary == "extrapolate":
-        A[0] = 2.0 * A[1] - A[2]
-    elif boundary == "nan":
-        A[0] = np.nan
-    else:
-        raise ValueError(f"unknown boundary mode {boundary!r}")
+        return _classical_derivative(np.eye(m + 1), h)
+    e = np.zeros(m + 1)
+    e[0] = 1.0
+    A = np.empty((m + 1, m + 1))
+    A[:, 0] = _l1_left_1d(e, h, order.alpha)
+    # columns 1..m are the unit-vector response at node 1 shifted down (Toeplitz)
+    col1 = _l1_left_1d(np.roll(e, 1), h, order.alpha)
+    A[0, 1:] = col1[0]
+    A[1:, 1:] = sliding_window_view(np.concatenate([np.zeros(m - 1), col1[1:]]), m)[:, ::-1]
     return A

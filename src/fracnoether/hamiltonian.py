@@ -9,7 +9,7 @@ synthesizes controls.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -22,7 +22,6 @@ from .problems import DEFAULT_BAND, ResidualReport, augmented_lagrangian, make_r
 __all__ = [
     "ControlProblem",
     "PontryaginExtremal",
-    "ControlSymmetry",
     "hamiltonian_value",
     "pontryagin_residuals",
     "hamiltonian_noether_residual",
@@ -92,20 +91,6 @@ class PontryaginExtremal:
         object.__setattr__(self, "lam", np.atleast_1d(np.asarray(self.lam, float)))
 
 
-@dataclass(frozen=True)
-class ControlSymmetry:
-    """Generators (tau, xi) of the time and state parts of a control-space
-    transformation; these are the parts the Hamiltonian-form Noether law
-    reads.
-    """
-
-    tau: Callable[[float, np.ndarray], float]
-    xi: Callable[[float, np.ndarray], np.ndarray]
-
-    def base(self) -> SymmetryGenerator:
-        return SymmetryGenerator(tau=self.tau, xi=self.xi)
-
-
 def hamiltonian_value(
     cp: ControlProblem,
     t: float,
@@ -162,7 +147,7 @@ def _hamiltonian_samples(
 def hamiltonian_noether_residual(
     cp: ControlProblem,
     ext: PontryaginExtremal,
-    sym: ControlSymmetry,
+    sym: SymmetryGenerator,
     band: int = DEFAULT_BAND,
 ) -> ResidualReport:
     """Residual of the Hamiltonian-form Noether law:
@@ -170,7 +155,7 @@ def hamiltonian_noether_residual(
         D^alpha(H - (1 - alpha) p . D^alpha q, tau) - D^alpha(p, xi).
     """
     grid = ext.q.grid
-    taus, xis = sym.base().sampled_along(grid, ext.q)
+    taus, xis = sym.sampled_along(grid, ext.q)
     hs, pv = _hamiltonian_samples(cp, ext)
     hhat = hs - (1.0 - cp.order.alpha) * pv
     term1 = frac_pair_operator(

@@ -58,14 +58,6 @@ class SymmetryGenerator:
         return taus, xis
 
 
-def _pair_1d(f: np.ndarray, h: np.ndarray, grid: Grid, order: FracOrder) -> np.ndarray:
-    fs = SampledFunction(grid, f)
-    hs = SampledFunction(grid, h)
-    right_f = fk.right_rl_derivative(fs, order).scalar
-    left_h = fk.left_rl_derivative(hs, order).scalar
-    return -h * right_f + f * left_h
-
-
 def frac_pair_operator(
     f: SampledFunction, h: SampledFunction, order: FracOrder
 ) -> SampledFunction:
@@ -78,10 +70,9 @@ def frac_pair_operator(
         raise ValueError("pair operator needs both arguments on one grid")
     if f.dim != h.dim:
         raise ValueError(f"dimension mismatch: {f.dim} vs {h.dim}")
-    out = np.zeros(f.grid.m + 1)
-    for i in range(f.dim):
-        out += _pair_1d(f.component(i), h.component(i), f.grid, order)
-    return SampledFunction(f.grid, out)
+    right_f = fk.right_rl_derivative(f, order).values
+    left_h = fk.left_rl_derivative(h, order).values
+    return SampledFunction(f.grid, np.sum(-h.values * right_f + f.values * left_h, axis=1))
 
 
 def invariance_necessary_condition(
@@ -166,7 +157,8 @@ def _transformed_value(
     problem: VariationalProblem,
     F: PointField,
     q: SampledFunction,
-    gen: SymmetryGenerator,
+    taus: np.ndarray,
+    xis: np.ndarray,
     eps: float,
 ) -> np.ndarray:
     """Integrand of the transformed functional, in the original parameter.
@@ -179,7 +171,6 @@ def _transformed_value(
     """
     grid = problem.grid
     t = grid.nodes
-    taus, xis = gen.sampled_along(grid, q)
     tbar = t + eps * taus
     if np.any(np.diff(tbar) <= 0.0):
         raise ValueError("transformed time map is not monotone for the probe eps")
@@ -213,9 +204,10 @@ def invariance_first_order_check(
     F = augmented_lagrangian(problem, lam)
     grid = problem.grid
     t = grid.nodes
+    taus, xis = gen.sampled_along(grid, q)
 
     integrands = {
-        eps: _transformed_value(problem, F, q, gen, eps)
+        eps: _transformed_value(problem, F, q, taus, xis, eps)
         for eps in (_EPS, -_EPS, _EPS / 2.0, -_EPS / 2.0)
     }
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import frac_kernels as fk
-from .grids import FracOrder, Grid, SampledFunction
+from .grids import FracOrder, Grid, SampledFunction, fill_endpoints
 from .problems import (
     ResidualReport,
     VariationalProblem,
@@ -109,9 +109,7 @@ class _Discretization:
             self.theta = nodes
             self.w = _trapezoid_weights(self.grid)
             self.P = np.eye(m + 1)
-            self.D = fk.left_derivative_matrix(
-                self.grid, FracOrder(alpha), boundary="extrapolate"
-            )
+            self.D = fill_endpoints(fk.left_derivative_matrix(self.grid, FracOrder(alpha)))
 
     def _points(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return self.P @ q, self.D @ q

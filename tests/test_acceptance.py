@@ -270,14 +270,15 @@ def test_criterion_7_property_suites():
         )
 
     # reflection duality: right operator == reflected left operator
-    for _ in range(5):
-        f = SampledFunction(grid, rng.standard_normal(grid.m + 1))
-        reflected = SampledFunction(grid, f.values[::-1])
-        lhs = right_rl_derivative(f, HALF).scalar
-        rhs = left_rl_derivative(reflected, HALF).scalar[::-1]
-        checks.append(
-            ("reflection duality", float(np.max(np.abs(lhs[:-1] - rhs[:-1]))), 1e-12)
-        )
+    for order in (HALF, FracOrder(1.0)):
+        for _ in range(5):
+            f = SampledFunction(grid, rng.standard_normal(grid.m + 1))
+            reflected = SampledFunction(grid, f.values[::-1])
+            lhs = right_rl_derivative(f, order).scalar
+            rhs = left_rl_derivative(reflected, order).scalar[::-1]
+            checks.append(
+                ("reflection duality", float(np.max(np.abs(lhs[:-1] - rhs[:-1]))), 1e-12)
+            )
     # independent oracle for the right operator: the right power rule
     pg = Grid(0.0, 1.0, 2000)
     num = right_rl_derivative(sample(pg, lambda s: (1.0 - s) ** 2), HALF).scalar

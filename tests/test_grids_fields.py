@@ -90,3 +90,37 @@ def test_vector_field_fd_jacobian():
     assert J.shape == (2, 1)
     assert J[0, 0] == pytest.approx(2.0, abs=1e-6)
     assert J[1, 0] == pytest.approx(6.0, abs=1e-6)
+
+
+class _Counting:
+    """Wraps an evaluator and counts its calls."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.calls = 0
+
+    def __call__(self, t, x, y):
+        self.calls += 1
+        return self.fn(t, x, y)
+
+
+@pytest.mark.parametrize("dim, expected", [(1, 2), (2, 4)])
+def test_vector_field_fd_jacobian_evaluation_count(dim, expected):
+    ev = _Counting(lambda t, x, y: np.array([x @ x * y[0], np.sin(x[0])]))
+    vf = VectorField(ev)
+    J = vf.d_x(0.3, np.linspace(0.1, 0.5, dim), np.array([0.7]))
+    assert J.shape == (2, dim)
+    assert ev.calls == expected
+
+
+def test_point_field_hessian_evaluation_count():
+    ev = _Counting(lambda t, x, y: float(np.sin(t) * x[0] ** 2 * y[0] + y[0] ** 3))
+    M = 5
+    t = np.linspace(0.1, 0.9, M)
+    X = np.linspace(-0.5, 0.5, M)[:, None]
+    Y = np.linspace(0.2, 1.0, M)[:, None]
+    Hxx, Hxy, Hyy = PointField(ev).hessian_along(t, X, Y)
+    assert Hxx.shape == Hxy.shape == Hyy.shape == (M, 1, 1)
+    assert ev.calls == 12 * M
+    assert Hxy[:, 0, 0] == pytest.approx(2.0 * np.sin(t) * X[:, 0], abs=1e-4)
+    assert Hyy[:, 0, 0] == pytest.approx(6.0 * Y[:, 0], abs=1e-4)

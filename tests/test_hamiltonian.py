@@ -4,12 +4,12 @@ import pytest
 from fracnoether import (
     AutonomyError,
     ControlProblem,
-    ControlSymmetry,
     FracOrder,
     Grid,
     PointField,
     PontryaginExtremal,
     SampledFunction,
+    SymmetryGenerator,
     VectorField,
     autonomous_energy_residual,
     gamma,
@@ -128,7 +128,7 @@ def test_autonomous_energy_law_exact():
 
 
 def test_hamiltonian_noether_law():
-    sym = ControlSymmetry(tau=lambda t, q: 1.0, xi=lambda t, q: np.zeros(1))
+    sym = SymmetryGenerator(tau=lambda t, q: 1.0, xi=lambda t, q: np.zeros(1))
     rep = hamiltonian_noether_residual(
         autonomous_problem(), autonomous_extremal(), sym, band=BAND
     )

@@ -10,6 +10,7 @@ from fracnoether import (
     SampledFunction,
     UnsupportedOrderError,
     closed_form_left_derivative,
+    fill_endpoints,
     gamma,
     left_derivative_matrix,
     left_rl_derivative,
@@ -148,7 +149,7 @@ def test_derivative_matrix_matches_convolution():
     grid = Grid(0.0, 1.0, 50)
     rng = np.random.default_rng(3)
     f = SampledFunction(grid, rng.standard_normal(grid.m + 1))
-    A = left_derivative_matrix(grid, HALF, boundary="nan")
+    A = left_derivative_matrix(grid, HALF)
     direct = left_rl_derivative(f, HALF).scalar
     via_matrix = A @ f.scalar
     assert np.max(np.abs(via_matrix[1:] - direct[1:])) <= 1e-12
@@ -157,10 +158,47 @@ def test_derivative_matrix_matches_convolution():
 
 def test_derivative_matrix_extrapolate_row():
     grid = Grid(0.0, 1.0, 50)
-    A = left_derivative_matrix(grid, HALF, boundary="extrapolate")
-    assert np.allclose(A[0], 2.0 * A[1] - A[2])
-    with pytest.raises(ValueError):
-        left_derivative_matrix(grid, HALF, boundary="bogus")
+    A = left_derivative_matrix(grid, HALF)
+    filled = fill_endpoints(A)
+    assert np.array_equal(filled[0], 2.0 * A[1] - A[2])
+    assert np.array_equal(filled[1:], A[1:])
+
+
+def _row_loop_l1_matrix(grid, alpha):
+    """Independent oracle: the L1 matrix assembled row by row from its weights."""
+    m, h = grid.m, grid.h
+    A = np.zeros((m + 1, m + 1))
+    r = np.arange(m, dtype=float)
+    b = (r + 1.0) ** (1.0 - alpha) - r ** (1.0 - alpha)
+    c = h ** (-alpha) / gamma(2.0 - alpha)
+    for j in range(1, m + 1):
+        A[j, 0] = (j * h) ** (-alpha) / gamma(1.0 - alpha) - c * b[j - 1]
+        if j >= 2:
+            A[j, 1:j] = c * (b[j - 1 : 0 : -1] - b[j - 2 :: -1])
+        A[j, j] = c * b[0]
+    A[0] = np.nan
+    return A
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.5, 0.999])
+@pytest.mark.parametrize("m", [3, 17, 200])
+def test_derivative_matrix_matches_row_loop_oracle(alpha, m):
+    grid = Grid(0.0, 1.0, m)
+    A = left_derivative_matrix(grid, FracOrder(alpha))
+    oracle = _row_loop_l1_matrix(grid, alpha)
+    assert np.all(np.isnan(A[0]))
+    scale = np.max(np.abs(oracle[1:]))
+    assert np.max(np.abs(A[1:] - oracle[1:])) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.5, 0.999, 1.0])
+@pytest.mark.parametrize("m", [2, 3, 17, 200])
+def test_derivative_matrix_is_kernel_of_identity(alpha, m):
+    grid = Grid(0.0, 2.0, m)
+    order = FracOrder(alpha)
+    A = left_derivative_matrix(grid, order)
+    columns = left_rl_derivative(SampledFunction(grid, np.eye(m + 1)), order).values
+    assert np.array_equal(A, columns, equal_nan=True)
 
 
 def test_orders_above_one_rejected():

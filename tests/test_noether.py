@@ -113,3 +113,20 @@ def test_first_order_probe_zero_generator(bench2000, bench2000_q):
         bench2000, np.array([2.0]), bench2000_q, zero_gen
     )
     assert rep.sup_norm == 0.0
+
+
+def test_first_order_probe_samples_generator_once():
+    from conftest import benchmark_extremal, benchmark_problem
+
+    problem = benchmark_problem(100)
+    q = benchmark_extremal(problem.grid)
+    calls = []
+
+    def tau(t, x):
+        calls.append(t)
+        return 1.0
+
+    gen = SymmetryGenerator(tau=tau, xi=lambda t, x: np.zeros(1))
+    rep = invariance_first_order_check(problem, np.array([2.0]), q, gen)
+    assert len(calls) == problem.grid.m + 1
+    assert rep.sup_norm <= 1e-2
