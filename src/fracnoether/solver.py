@@ -79,13 +79,17 @@ class _Discretization:
 
         Jd(q, lambda) = sum_s w_s F(theta_s, (P q)_s, (D q)_s),
 
-    with P an evaluation matrix and D the discrete fractional-derivative
-    matrix.  For alpha < 1, theta = grid nodes, P = identity, D = the L1
+    with P an evaluation operator and D the discrete fractional derivative.
+    For alpha < 1, theta = grid nodes, P = identity, D = the dense L1
     matrix (singular first row extrapolated), w = trapezoid weights.  For
     alpha = 1 the quadrature is per-interval midpoint with P the endpoint
     average and D the interval slope; on piecewise-linear data this is the
     exact classical functional, which makes the classical benchmark
     solutions nodally exact.
+
+    P is never formed: at alpha < 1 it is implicit, and at alpha = 1 both P
+    and D are two-point stencils.  The Newton matrix is built per component
+    pair from its structure; at alpha < 1 its one dense product is D^T W D.
     """
 
     def __init__(self, problem: VariationalProblem, alpha: float):
@@ -93,31 +97,67 @@ class _Discretization:
         self.grid = problem.grid
         self.n = problem.dim
         self.k = problem.k
-        m, h = self.grid.m, self.grid.h
+        self.midpoint = alpha == 1.0
         nodes = self.grid.nodes
-        if alpha == 1.0:
+        if self.midpoint:
             self.theta = 0.5 * (nodes[:-1] + nodes[1:])
-            self.w = np.full(m, h)
-            self.P = np.zeros((m, m + 1))
-            self.D = np.zeros((m, m + 1))
-            idx = np.arange(m)
-            self.P[idx, idx] = 0.5
-            self.P[idx, idx + 1] = 0.5
-            self.D[idx, idx] = -1.0 / h
-            self.D[idx, idx + 1] = 1.0 / h
+            self.w = np.full(self.grid.m, self.grid.h)
         else:
             self.theta = nodes
             self.w = _trapezoid_weights(self.grid)
-            self.P = np.eye(m + 1)
             self.D = fill_endpoints(fk.left_derivative_matrix(self.grid, FracOrder(alpha)))
 
     def _points(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self.P @ q, self.D @ q
+        if self.midpoint:
+            return 0.5 * (q[:-1] + q[1:]), np.diff(q, axis=0) / self.grid.h
+        return q, self.D @ q
 
     def _pullback(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """P^T W a + D^T W b: node-space gradient of sum_s w_s f(x_s, v_s)
         from the point-space partials a = d_x f, b = d_v f."""
-        return self.P.T @ (self.w[:, None] * a) + self.D.T @ (self.w[:, None] * b)
+        wa = self.w[:, None] * a
+        wb = self.w[:, None] * b
+        if not self.midpoint:
+            return wa + self.D.T @ wb
+        # each interval sends 0.5 w a -+ w b / h to its left/right node
+        half, slope = 0.5 * wa, wb / self.grid.h
+        out = np.zeros((self.grid.m + 1,) + a.shape[1:])
+        out[:-1] += half - slope
+        out[1:] += half + slope
+        return out
+
+    def _interior_block(
+        self, cqq: np.ndarray, cqv: np.ndarray, cvq: np.ndarray, cvv: np.ndarray
+    ) -> np.ndarray:
+        """Interior rows/columns of P^T Cqq P + P^T Cqv D + D^T Cvq P + D^T Cvv D
+        for one component pair, where C = diag(c) holds weighted second
+        partials at the M points."""
+        m, h = self.grid.m, self.grid.h
+        if self.midpoint:
+            # tridiagonal: interval s couples nodes s and s+1 through the
+            # element matrix [p; d]^T [[cqq, cqv], [cvq, cvv]] [p; d],
+            # p = (1/2, 1/2), d = (-1/h, 1/h)
+            quarter, curv = 0.25 * cqq, cvv / (h * h)
+            cross, skew = 0.5 * (cqv + cvq) / h, 0.5 * (cqv - cvq) / h
+            B = np.zeros((m - 1, m - 1))
+            # node s is the right end of interval s-1 and the left end of s
+            np.fill_diagonal(B, (quarter + cross + curv)[:-1] + (quarter - cross + curv)[1:])
+            np.fill_diagonal(B[:, 1:], (quarter + skew - curv)[1 : m - 1])
+            np.fill_diagonal(B[1:], (quarter - skew - curv)[1 : m - 1])
+            return B
+        # P = I and D is lower triangular, so below the diagonal only Cqv D
+        # meets D^T Cvv D and above it only D^T Cvq; the diagonal sums all
+        # four terms in the order of the definition.  D^T Cvv D is formed
+        # whole and then sliced, since BLAS may round a product of another
+        # shape differently.
+        D, Di = self.D, self.D[1:m, 1:m]
+        B = (D.T @ (cvv[:, None] * D))[1:m, 1:m]
+        d = np.diagonal(Di)
+        diag = cqq[1:m] + cqv[1:m] * d + d * cvq[1:m] + np.diagonal(B)
+        B += cqv[1:m, None] * Di
+        B += Di.T * cvq[1:m]
+        np.fill_diagonal(B, diag)
+        return B
 
     def gradient(self, q: np.ndarray, lam: np.ndarray) -> np.ndarray:
         """Stacked [dJd/dq_interior ; constraint defects]."""
@@ -138,30 +178,28 @@ class _Discretization:
     def jacobian(self, q: np.ndarray, lam: np.ndarray) -> np.ndarray:
         """Exact Jacobian of ``gradient`` up to the finite-difference second
         partials of F.  Unknowns are ordered node-major, so component i of
-        the state sits at rows/columns i::n of the node-space block K."""
-        n, k = self.n, self.k
-        P, D, w = self.P, self.D, self.w
+        the state sits at rows/columns i::n of the interior block."""
+        n, k, h = self.n, self.k, self.grid.h
         x, v = self._points(q)
         F = augmented_lagrangian(self.problem, lam)
-        Hqq, Hqv, Hvv = F.hessian_along(self.theta, x, v)
-        N = (self.grid.m + 1) * n
-        K = np.empty((N, N))
-        for i in range(n):
-            for j in range(n):
-                Kij = K[i::n, j::n]
-                Kij[...] = P.T @ ((w * Hqq[:, i, j])[:, None] * P)
-                Kij += P.T @ ((w * Hqv[:, i, j])[:, None] * D)
-                # d(d_v F)_i / dq_j = d2F / dv_i dq_j = Hqv[:, j, i]
-                Kij += D.T @ ((w * Hqv[:, j, i])[:, None] * P)
-                Kij += D.T @ ((w * Hvv[:, i, j])[:, None] * D)
-
-        ni = N - 2 * n
+        w = self.w[:, None, None]
+        Hqq, Hqv, Hvv = (w * H for H in F.hessian_along(self.theta, x, v))
+        # d(d_v F)_i / dq_j = d2F / dv_i dq_j = Hqv[:, j, i]
+        blocks = {
+            (i, j): self._interior_block(Hqq[:, i, j], Hqv[:, i, j], Hqv[:, j, i], Hvv[:, i, j])
+            for i in range(n)
+            for j in range(n)
+        }
+        # J is allocated after the blocks so one call holds at most two
+        # matrices of its size
+        ni = (self.grid.m - 1) * n
         J = np.zeros((ni + k, ni + k))
-        J[:ni, :ni] = K[n:-n, n:-n] / self.grid.h
+        for (i, j), B in blocks.items():
+            np.divide(B, h, out=J[i:ni:n, j:ni:n])
         # multiplier coupling: d(gel)/d(lambda_r) = -(P^T W g_q + D^T W g_v)
         for r, g in enumerate(self.problem.constraints):
             col = self._pullback(*g.grad_along(self.theta, x, v)).ravel()[n:-n]
-            J[:ni, ni + r] = -col / self.grid.h
+            J[:ni, ni + r] = -col / h
             J[ni + r, :ni] = col
         return J
 
@@ -194,7 +232,7 @@ def _newton(
             return q, lam, True, iterations - 1, float(np.max(np.abs(G)))
         J = disc.jacobian(q, lam)
         if config.regularization > 0.0:
-            J = J + config.regularization * np.eye(J.shape[0])
+            J[np.diag_indices_from(J)] += config.regularization
         try:
             step = np.linalg.solve(J, -G)
         except np.linalg.LinAlgError as exc:

@@ -1,3 +1,6 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from fracnoether import (
     SolverConfig,
     SolverError,
     VariationalProblem,
+    augmented_lagrangian,
     constraint_values,
     euler_lagrange_residual,
     gamma,
@@ -17,7 +21,7 @@ from fracnoether import (
 )
 from fracnoether.solver import _Discretization
 
-from conftest import benchmark_extremal, benchmark_problem, classical_problem
+from conftest import benchmark_extremal, benchmark_fields, benchmark_problem, classical_problem
 
 
 def test_unconstrained_quadratic_gives_zero():
@@ -211,3 +215,107 @@ def test_two_state_solve_matches_closed_form():
     for i in range(2):
         assert np.max(np.abs(sol.q.component(i) - exact)) / np.max(exact) <= tol
     assert np.max(np.abs(sol.q.component(0) - sol.q.component(1))) <= 1e-12
+
+
+def dense_reference(disc, q, lam):
+    """The dense P-product assembly of J and the gradient, with P and D as
+    full matrices: P = I and D = the L1 matrix at alpha < 1, the two-point
+    endpoint average and slope at alpha = 1.  Partials are taken at
+    ``disc``'s own points so that the comparison isolates the assembly."""
+    p, w, h = disc.problem, disc.w, disc.grid.h
+    m, n, k = disc.grid.m, disc.n, disc.k
+    if disc.midpoint:
+        P, D, idx = np.zeros((m, m + 1)), np.zeros((m, m + 1)), np.arange(m)
+        P[idx, idx] = P[idx, idx + 1] = 0.5
+        D[idx, idx] = -1.0 / h
+        D[idx, idx + 1] = 1.0 / h
+    else:
+        P, D = np.eye(m + 1), disc.D
+    x, v = disc._points(q)
+    F = augmented_lagrangian(p, lam)
+
+    def pullback(a, b):
+        return P.T @ (w[:, None] * a) + D.T @ (w[:, None] * b)
+
+    gel = pullback(*F.grad_along(disc.theta, x, v))
+    G = np.concatenate([gel[1:m].ravel() / h, disc.constraint_defects(x, v)])
+    Hqq, Hqv, Hvv = F.hessian_along(disc.theta, x, v)
+    N = (m + 1) * n
+    K = np.empty((N, N))
+    for i in range(n):
+        for j in range(n):
+            Kij = K[i::n, j::n]
+            Kij[...] = P.T @ ((w * Hqq[:, i, j])[:, None] * P)
+            Kij += P.T @ ((w * Hqv[:, i, j])[:, None] * D)
+            Kij += D.T @ ((w * Hqv[:, j, i])[:, None] * P)
+            Kij += D.T @ ((w * Hvv[:, i, j])[:, None] * D)
+    ni = N - 2 * n
+    J = np.zeros((ni + k, ni + k))
+    J[:ni, :ni] = K[n:-n, n:-n] / h
+    for r, g in enumerate(p.constraints):
+        col = pullback(*g.grad_along(disc.theta, x, v)).ravel()[n:-n]
+        J[:ni, ni + r] = -col / h
+        J[ni + r, :ni] = col
+    return (P @ q, D @ q), J, G
+
+
+def benchmark_at_order(alpha: float) -> VariationalProblem:
+    return replace(benchmark_problem(500), order=FracOrder(alpha))
+
+
+def self_coupled_problem(alpha: float) -> VariationalProblem:
+    """dim=1 with all four second partials nonzero, so every diagonal entry
+    of the Newton matrix sums four terms: L = v^2 + q^2 v + q^3."""
+    L = PointField(
+        lambda t, q, v: float(v[0] ** 2 + q[0] ** 2 * v[0] + q[0] ** 3),
+        grad_x=lambda t, q, v: np.array([2.0 * q[0] * v[0] + 3.0 * q[0] ** 2]),
+        grad_y=lambda t, q, v: np.array([2.0 * v[0] + q[0] ** 2]),
+    )
+    _, g = benchmark_fields()
+    return VariationalProblem(
+        FracOrder(alpha), L, Grid(0.0, 1.0, 40), [0.0], [0.5],
+        constraints=[g], constraint_levels=[0.2],
+    )
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0])
+@pytest.mark.parametrize("make", [coupled_problem, benchmark_at_order, self_coupled_problem])
+def test_structured_assembly_matches_dense_reference(make, alpha):
+    p = make(alpha)
+    disc = _Discretization(p, alpha)
+    m, n = p.grid.m, p.dim
+    q = np.random.default_rng(3).uniform(-1.0, 1.0, (m + 1, n))
+    q[0], q[-1] = p.boundary_a, p.boundary_b
+    lam = np.array([0.7])
+    (x_ref, v_ref), J_ref, G_ref = dense_reference(disc, q, lam)
+    x, v = disc._points(q)
+    J, G = disc.jacobian(q, lam), disc.gradient(q, lam)
+    for got, ref in [(x, x_ref), (v, v_ref), (J, J_ref), (G, G_ref)]:
+        if alpha < 1.0:
+            assert np.array_equal(got, ref)
+        else:
+            assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("make, alpha", [(benchmark_problem, 0.5), (classical_problem, 1.0)])
+def test_jacobian_peak_memory(make, alpha):
+    """One call holds at most the Newton matrix and one block of its size
+    (plus O(m) work arrays); no full node-space K or dense P."""
+    p = make(1000)
+    disc = _Discretization(p, alpha)
+    q = np.linspace(0.0, 0.3, p.grid.m + 1)[:, None]
+    tracemalloc.start()
+    try:
+        J = disc.jacobian(q, np.array([0.7]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (8.0 * J.shape[0] ** 2) <= 2.5
+
+
+def test_regularized_solve_converges_to_same_multiplier():
+    p = benchmark_problem(200)
+    plain = solve(p)
+    reg = solve(p, SolverConfig(regularization=1e-12))
+    assert reg.converged
+    assert abs(reg.lam[0] - plain.lam[0]) <= 1e-9
