@@ -24,7 +24,7 @@ import numpy as np
 
 from . import frac_kernels as fk
 from . import gammafn, solver
-from .exprspec import ProblemSpec, SpecError, parse_expression, parse_spec
+from .exprspec import ProblemSpec, SpecError, parse_spec
 from .fields import PointField, VectorField
 from .grids import FracOrder, Grid, SampledFunction, sample
 from .hamiltonian import (
@@ -76,66 +76,17 @@ def _apply_overrides(spec: ProblemSpec, args: argparse.Namespace) -> ProblemSpec
     return spec
 
 
-def _scalar_field(spec: ProblemSpec, text: str) -> PointField:
-    fvars = spec.field_variables()
-    expr = parse_expression(text, fvars)
-    dim = spec.dim
-    ynames = fvars[1 + dim :]
-
-    def ev(t, x, y):
-        env = {"t": t}
-        for i in range(dim):
-            env[f"q{i + 1}"] = x[i]
-        for i, name in enumerate(ynames):
-            env[name] = y[i]
-        return float(expr(env))
-
-    return PointField(ev)
-
-
-def _dynamics_field(spec: ProblemSpec) -> VectorField:
-    fvars = spec.field_variables()
-    exprs = [parse_expression(text, fvars) for text in spec.dynamics]
-
-    def ev(t, x, y):
-        env = {"t": t}
-        for i in range(spec.dim):
-            env[f"q{i + 1}"] = x[i]
-        for i in range(spec.control_dim):
-            env[f"u{i + 1}"] = y[i]
-        return np.array([float(e(env)) for e in exprs])
-
-    return VectorField(ev)
-
-
-def _time_curve(spec: ProblemSpec, texts: list[str]) -> SampledFunction:
-    exprs = [parse_expression(text, ("t",)) for text in texts]
-    grid = Grid(spec.a, spec.b, spec.m)
-    return sample(grid, lambda t: np.array([float(e({"t": t})) for e in exprs]))
+def _time_curve(spec: ProblemSpec, key: str, texts: list[str]) -> SampledFunction:
+    return sample(Grid(spec.a, spec.b, spec.m), spec.compile(key, texts))
 
 
 def _generator(spec: ProblemSpec) -> SymmetryGenerator:
-    tq = ("t",) + tuple(f"q{i + 1}" for i in range(spec.dim))
-    tau_expr = parse_expression(spec.tau, tq) if spec.tau is not None else None
-    xi_exprs = [parse_expression(text, tq) for text in spec.xi] if spec.xi else None
-    if tau_expr is None and xi_exprs is None:
+    if spec.tau is None and spec.xi is None:
         raise SpecError("this check needs symmetry generators: add 'tau' and/or 'xi1..'")
-
-    def env_of(t, q):
-        env = {"t": t}
-        for i in range(spec.dim):
-            env[f"q{i + 1}"] = q[i]
-        return env
-
-    def tau(t, q):
-        return float(tau_expr(env_of(t, q))) if tau_expr is not None else 0.0
-
-    def xi(t, q):
-        if xi_exprs is None:
-            return np.zeros(spec.dim)
-        return np.array([float(e(env_of(t, q))) for e in xi_exprs])
-
-    return SymmetryGenerator(tau=tau, xi=xi)
+    return SymmetryGenerator(
+        tau=spec.compile("tau", spec.tau) if spec.tau is not None else lambda t, q: 0.0,
+        xi=spec.compile("xi", spec.xi) if spec.xi else lambda t, q: np.zeros(spec.dim),
+    )
 
 
 def build_variational(spec: ProblemSpec) -> VariationalProblem:
@@ -145,11 +96,11 @@ def build_variational(spec: ProblemSpec) -> VariationalProblem:
         raise SpecError("variational specs need final boundary values 'q_b1..'")
     return VariationalProblem(
         order=FracOrder(spec.alpha),
-        lagrangian=_scalar_field(spec, spec.lagrangian),
+        lagrangian=PointField(spec.compile("L", spec.lagrangian)),
         grid=Grid(spec.a, spec.b, spec.m),
         boundary_a=np.array(spec.q_a),
         boundary_b=np.array(spec.q_b),
-        constraints=[_scalar_field(spec, g) for g in spec.constraints],
+        constraints=[PointField(spec.compile("g", g)) for g in spec.constraints],
         constraint_levels=np.array(spec.levels),
     )
 
@@ -159,12 +110,12 @@ def build_control(spec: ProblemSpec) -> ControlProblem:
         raise SpecError("hamiltonian checks need dynamics expressions 'phi1..'")
     return ControlProblem(
         order=FracOrder(spec.alpha),
-        lagrangian=_scalar_field(spec, spec.lagrangian),
-        dynamics=_dynamics_field(spec),
+        lagrangian=PointField(spec.compile("L", spec.lagrangian)),
+        dynamics=VectorField(spec.compile("phi", spec.dynamics)),
         grid=Grid(spec.a, spec.b, spec.m),
         initial=np.array(spec.q_a),
         control_dim=spec.control_dim,
-        constraints=[_scalar_field(spec, g) for g in spec.constraints],
+        constraints=[PointField(spec.compile("g", g)) for g in spec.constraints],
         constraint_levels=np.array(spec.levels),
     )
 
@@ -172,7 +123,7 @@ def build_control(spec: ProblemSpec) -> ControlProblem:
 def _candidate(spec: ProblemSpec) -> SampledFunction:
     if spec.trajectory is None:
         raise SpecError("this command needs a candidate trajectory ('trajectory1..')")
-    return _time_curve(spec, spec.trajectory)
+    return _time_curve(spec, "trajectory", spec.trajectory)
 
 
 def _multipliers(spec: ProblemSpec) -> np.ndarray:
@@ -241,8 +192,8 @@ def cmd_check(args: argparse.Namespace) -> int:
             raise SpecError("hamiltonian checks need 'control1..' and 'costate1..'")
         ext = PontryaginExtremal(
             q=_candidate(spec),
-            u=_time_curve(spec, spec.control),
-            p=_time_curve(spec, spec.costate),
+            u=_time_curve(spec, "control", spec.control),
+            p=_time_curve(spec, "costate", spec.costate),
             lam=_multipliers(spec),
         )
         tol = args.tol if args.tol is not None else certification_tolerance(cp)
@@ -322,7 +273,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     problem = build_variational(spec)
     sol = solver.solve(problem)
 
-    reference = _time_curve(spec, spec.trajectory) if spec.trajectory is not None else None
+    reference = _candidate(spec) if spec.trajectory is not None else None
     traj_path = os.path.join(out, "trajectory.csv")
     _write_trajectory(traj_path, sol.q, reference)
     profile = os.path.join(out, "el_profile.csv")
@@ -468,8 +419,8 @@ def _selftest_cases() -> list[tuple[str, float, float]]:
     cp = build_control(spec2)
     ext = PontryaginExtremal(
         q=_candidate(spec2),
-        u=_time_curve(spec2, spec2.control),
-        p=_time_curve(spec2, spec2.costate),
+        u=_time_curve(spec2, "control", spec2.control),
+        p=_time_curve(spec2, "costate", spec2.costate),
         lam=_multipliers(spec2),
     )
     cases.append(("autonomous-energy-law", autonomous_energy_residual(cp, ext).sup_norm, 1e-8))

@@ -1,9 +1,11 @@
-"""Arithmetic expressions and the plain-text problem spec format.
+"""Arithmetic expressions, the plain-text problem spec format, and the
+binding of each spec expression to a callable.
 
 The expression grammar is deliberately tiny so spec files stay portable:
 +, -, *, /, ^ (right-associative), parentheses, numeric literals, named
 variables, and the gamma() function.  Specs are flat `key = value` files;
-see docs/formats.md for the full key reference.
+see docs/formats.md for the full key reference.  `ProblemSpec.compile` is the
+one place where a key's variable names are resolved to its call arguments.
 """
 
 from __future__ import annotations
@@ -34,10 +36,24 @@ class SpecError(ValueError):
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>\^|[+\-*/(),]))"
+    r"|(?P<op>\^|[+\-*/(),]))\s*"
 )
 
+# Where a variable's value sits in the environment tuple: (slot, None) for a
+# scalar slot, (slot, i) for component i of an array slot.
+_Place = tuple[int, int | None]
+
 _FUNCTIONS: dict[str, Callable] = {"gamma": np.vectorize(gamma, otypes=[float])}
+
+# Compiled expressions are closure trees over an environment tuple; each
+# variable is resolved at compile time to its place in that tuple.
+_OPERATORS: dict[str, Callable[[Callable, Callable], Callable]] = {
+    "+": lambda a, b: lambda env: a(env) + b(env),
+    "-": lambda a, b: lambda env: a(env) - b(env),
+    "*": lambda a, b: lambda env: a(env) * b(env),
+    "/": lambda a, b: lambda env: a(env) / b(env),
+    "^": lambda a, b: lambda env: a(env) ** b(env),
+}
 
 
 def _tokenize(text: str) -> list[tuple[str, str]]:
@@ -58,7 +74,7 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
 
 
 class _Parser:
-    def __init__(self, tokens: list[tuple[str, str]], variables: set[str], text: str):
+    def __init__(self, tokens: list[tuple[str, str]], variables: Mapping[str, _Place], text: str):
         self.tokens = tokens
         self.pos = 0
         self.variables = variables
@@ -84,23 +100,15 @@ class _Parser:
         return node
 
     def expr(self) -> Callable:
-        node = self.term()
-        while self.peek()[1] in ("+", "-"):
-            op = self.take()[1]
-            rhs = self.term()
-            node = (lambda a, b: lambda env: a(env) + b(env))(node, rhs) if op == "+" else (
-                lambda a, b: lambda env: a(env) - b(env)
-            )(node, rhs)
-        return node
+        return self._binary(self.term, ("+", "-"))
 
     def term(self) -> Callable:
-        node = self.unary()
-        while self.peek()[1] in ("*", "/"):
-            op = self.take()[1]
-            rhs = self.unary()
-            node = (lambda a, b: lambda env: a(env) * b(env))(node, rhs) if op == "*" else (
-                lambda a, b: lambda env: a(env) / b(env)
-            )(node, rhs)
+        return self._binary(self.unary, ("*", "/"))
+
+    def _binary(self, operand: Callable[[], Callable], ops: tuple[str, ...]) -> Callable:
+        node = operand()
+        while self.peek()[1] in ops:
+            node = _OPERATORS[self.take()[1]](node, operand())
         return node
 
     def unary(self) -> Callable:
@@ -117,8 +125,7 @@ class _Parser:
         base = self.atom()
         if self.peek()[1] == "^":
             self.take()
-            expo = self.unary()
-            return lambda env: base(env) ** expo(env)
+            return _OPERATORS["^"](base, self.unary())
         return base
 
     def atom(self) -> Callable:
@@ -138,8 +145,10 @@ class _Parser:
                     f"unknown variable {tok!r} in {self.text!r} "
                     f"(allowed: {', '.join(sorted(self.variables)) or 'none'})"
                 )
-            name = tok
-            return lambda env: env[name]
+            slot, index = self.variables[tok]
+            if index is None:
+                return lambda env: env[slot]
+            return lambda env: env[slot][index]
         if tok == "(":
             node = self.expr()
             self.expect(")")
@@ -149,18 +158,23 @@ class _Parser:
 
 @dataclass(frozen=True)
 class Expression:
-    """A compiled expression; call with a variable environment."""
+    """A compiled expression; call with a mapping from each variable to its value."""
 
     text: str
     variables: tuple[str, ...]
     _fn: Callable = field(repr=False)
 
     def __call__(self, env: Mapping[str, float | np.ndarray] | None = None) -> float | np.ndarray:
-        return self._fn(env or {})
+        env = env or {}
+        return self._fn(tuple(env[name] for name in self.variables))
+
+
+def _compile(text: str, variables: Mapping[str, _Place]) -> Callable:
+    return _Parser(_tokenize(text), variables, text).parse()
 
 
 def parse_expression(text: str, variables: tuple[str, ...] = ()) -> Expression:
-    fn = _Parser(_tokenize(text), set(variables), text).parse()
+    fn = _compile(text, {name: (i, None) for i, name in enumerate(variables)})
     return Expression(text=text, variables=tuple(variables), _fn=fn)
 
 
@@ -171,6 +185,19 @@ def parse_expression(text: str, variables: tuple[str, ...] = ()) -> Expression:
 BUILTIN_TRAJECTORIES = {
     "example1": "2*t^(2.5)/gamma(3.5)",
 }
+
+# The "variables" column of the Keys table in docs/formats.md, as the number
+# of leading arguments of (t, q, y) that the callable compiled from each
+# expression key (or indexed stem) takes.  q stands for q1..qn, and y for the
+# fractional velocity v1..vn, or for the control u1..uk in control specs.
+_ARITY = {"L": 3, "g": 3, "phi": 3, "tau": 2, "xi": 2, "trajectory": 1, "control": 1, "costate": 1}
+
+_BINDERS = {
+    3: lambda fn: lambda t, q, y: fn((t, q, y)),
+    2: lambda fn: lambda t, q: fn((t, q)),
+    1: lambda fn: lambda t: fn((t,)),
+}
+
 
 @dataclass
 class ProblemSpec:
@@ -203,11 +230,30 @@ class ProblemSpec:
     def k(self) -> int:
         return len(self.constraints)
 
-    def field_variables(self) -> tuple[str, ...]:
-        qs = tuple(f"q{i + 1}" for i in range(self.dim))
-        if self.is_control:
-            return ("t",) + qs + tuple(f"u{i + 1}" for i in range(self.control_dim))
-        return ("t",) + qs + tuple(f"v{i + 1}" for i in range(self.dim))
+    def variables(self, key: str) -> dict[str, _Place]:
+        """The names an expression under `key` (a key or an indexed stem) may
+        use, each mapped to its place among the arguments (t, q, y)."""
+        names: dict[str, _Place] = {"t": (0, None)}
+        if _ARITY[key] > 1:
+            names.update({f"q{i + 1}": (1, i) for i in range(self.dim)})
+        if _ARITY[key] > 2:
+            stem, n = ("u", self.control_dim) if self.is_control else ("v", self.dim)
+            names.update({f"{stem}{i + 1}": (2, i) for i in range(n)})
+        return names
+
+    def compile(self, key: str, text: str | list[str]) -> Callable:
+        """Bind the expression under `key` to a callable of the key's
+        arguments: (t, q, y) for L, g and phi; (t, q) for tau and xi; (t) for
+        trajectory, control and costate.  It returns a float, or for a list
+        of expressions an array with one entry per expression."""
+        variables = self.variables(key)
+        if isinstance(text, str):
+            fn = _compile(text, variables)
+            value = lambda env: float(fn(env))
+        else:
+            fns = [_compile(s, variables) for s in text]
+            value = lambda env: np.array([float(f(env)) for f in fns])
+        return _BINDERS[_ARITY[key]](value)
 
 
 def _read_pairs(path: str) -> dict[str, tuple[str, int]]:
@@ -230,21 +276,33 @@ def _read_pairs(path: str) -> dict[str, tuple[str, int]]:
     return pairs
 
 
-def _const(pairs: dict, key: str, default: float | None = None) -> float | None:
+def _constant(key: str, value: str, lineno: int) -> float:
+    """The value of a constant expression; failing to parse or to evaluate it
+    (division by zero, overflow, a gamma pole, a complex power) is a SpecError."""
+    try:
+        return float(parse_expression(value)())
+    except (ArithmeticError, ValueError, TypeError) as exc:
+        raise SpecError(f"in {key}: {exc}", lineno) from exc
+
+
+def _const(
+    pairs: dict, key: str, default: float | None = None, integer: bool = False
+) -> float | int | None:
     if key not in pairs:
         return default
     value, lineno = pairs.pop(key)
-    try:
-        return float(parse_expression(value)({}))
-    except SpecError as exc:
-        raise SpecError(f"in constant {key}: {exc}", lineno) from exc
+    number = _constant(key, value, lineno)
+    if integer and not number.is_integer():
+        raise SpecError(f"{key} must be an integer, got {value!r}", lineno)
+    return int(number) if integer else number
 
 
-def _indexed(pairs: dict, stem: str) -> list[tuple[str, int]]:
+def _indexed(pairs: dict, stem: str) -> list[tuple[str, str, int]]:
+    """Pop stem1, stem2, ... as (key, value, line) triples."""
     out = []
     i = 1
     while f"{stem}{i}" in pairs:
-        out.append(pairs.pop(f"{stem}{i}"))
+        out.append((f"{stem}{i}", *pairs.pop(f"{stem}{i}")))
         i += 1
     stray = [k for k in pairs if re.fullmatch(f"{re.escape(stem)}\\d+", k)]
     if stray:
@@ -258,6 +316,7 @@ def _indexed(pairs: dict, stem: str) -> list[tuple[str, int]]:
 def parse_spec(path: str) -> ProblemSpec:
     """Read and validate a spec file; raises SpecError with line info."""
     pairs = _read_pairs(path)
+    lines = {key: lineno for key, (_, lineno) in pairs.items()}
 
     alpha = _const(pairs, "alpha")
     if alpha is None:
@@ -266,9 +325,9 @@ def parse_spec(path: str) -> ProblemSpec:
         raise SpecError(f"alpha must lie in (0, 1], got {alpha}")
     a = _const(pairs, "a", 0.0)
     b = _const(pairs, "b", 1.0)
-    m = int(_const(pairs, "m", 500))
-    dim = int(_const(pairs, "dim", 1))
-    control_dim = int(_const(pairs, "controls", 1))
+    m = _const(pairs, "m", 500, integer=True)
+    dim = _const(pairs, "dim", 1, integer=True)
+    control_dim = _const(pairs, "controls", 1, integer=True)
     if a >= b:
         raise SpecError(f"need a < b, got [{a}, {b}]")
     if m < 2 or dim < 1 or control_dim < 1:
@@ -278,46 +337,31 @@ def parse_spec(path: str) -> ProblemSpec:
         raise SpecError("missing required key 'L'")
     lagrangian = pairs.pop("L")[0]
 
-    gs = [v for v, _ in _indexed(pairs, "g")]
-    levels_raw = _indexed(pairs, "l")
+    def entries(stem: str, expected: int | None = None) -> list[tuple[str, str, int]]:
+        raw = _indexed(pairs, stem)
+        if raw and expected is not None and len(raw) != expected:
+            raise SpecError(f"expected {expected} {stem!r} entries, got {len(raw)}", raw[0][2])
+        return raw
+
+    def const_list(stem: str, expected: int) -> list[float] | None:
+        return [_constant(*entry) for entry in entries(stem, expected)] or None
+
+    def expr_list(stem: str, expected: int) -> list[str] | None:
+        return [value for _, value, _ in entries(stem, expected)] or None
+
+    gs = [value for _, value, _ in entries("g")]
+    levels_raw = entries("l")
     if len(levels_raw) != len(gs):
         raise SpecError(
             f"{len(gs)} constraint expressions but {len(levels_raw)} levels"
         )
-    levels = []
-    for value, lineno in levels_raw:
-        try:
-            levels.append(float(parse_expression(value)({})))
-        except SpecError as exc:
-            raise SpecError(f"in constraint level: {exc}", lineno) from exc
+    levels = [_constant(*entry) for entry in levels_raw]
 
-    def const_list(stem: str, expected: int, what: str) -> list[float] | None:
-        raw = _indexed(pairs, stem)
-        if not raw:
-            return None
-        if len(raw) != expected:
-            raise SpecError(f"expected {expected} {what} entries, got {len(raw)}", raw[0][1])
-        out = []
-        for value, lineno in raw:
-            try:
-                out.append(float(parse_expression(value)({})))
-            except SpecError as exc:
-                raise SpecError(f"in {what}: {exc}", lineno) from exc
-        return out
-
-    q_a = const_list("q_a", dim, "initial boundary")
+    q_a = const_list("q_a", dim)
     if q_a is None:
         raise SpecError("missing required key(s) 'q_a1..'")
-    q_b = const_list("q_b", dim, "final boundary")
-    multipliers = const_list("lambda", len(gs), "multiplier") if gs else None
-
-    def expr_list(stem: str, expected: int) -> list[str] | None:
-        raw = _indexed(pairs, stem)
-        if not raw:
-            return None
-        if len(raw) != expected:
-            raise SpecError(f"expected {expected} {stem!r} entries, got {len(raw)}", raw[0][1])
-        return [v for v, _ in raw]
+    q_b = const_list("q_b", dim)
+    multipliers = const_list("lambda", len(gs)) if gs else None
 
     trajectory = expr_list("trajectory", dim)
     if trajectory is not None:
@@ -358,23 +402,15 @@ def parse_spec(path: str) -> ProblemSpec:
         costate=costate,
     )
 
-    # compile every expression once so bad syntax is a parse-time diagnostic
-    fvars = spec.field_variables()
-    parse_expression(spec.lagrangian, fvars)
-    for gexpr in spec.constraints:
-        parse_expression(gexpr, fvars)
-    tq = ("t",) + tuple(f"q{i + 1}" for i in range(dim))
-    if spec.tau is not None:
-        parse_expression(spec.tau, tq)
-    for group in (spec.xi,):
-        if group:
-            for e in group:
-                parse_expression(e, tq)
-    for group in (spec.trajectory, spec.control, spec.costate):
-        if group:
-            for e in group:
-                parse_expression(e, ("t",))
-    if spec.dynamics:
-        for e in spec.dynamics:
-            parse_expression(e, fvars)
+    # compile every expression once, so that bad syntax or an unknown
+    # variable is a parse-time diagnostic with its line
+    groups = {"L": [lagrangian], "g": gs, "phi": dynamics, "tau": [tau] if tau else None,
+              "xi": xi, "trajectory": trajectory, "control": control, "costate": costate}
+    for stem, texts in groups.items():
+        for i, text in enumerate(texts or (), start=1):
+            key = stem if stem in ("L", "tau") else f"{stem}{i}"
+            try:
+                spec.compile(stem, text)
+            except SpecError as exc:
+                raise SpecError(f"in {key}: {exc}", lines[key]) from exc
     return spec

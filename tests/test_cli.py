@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -53,7 +54,7 @@ def test_check_hamiltonian_passes(tmp_path):
 
 def test_zero_multiplier_fails_with_exit_1(tmp_path):
     spec = tmp_path / "lam0.spec"
-    text = open(EX1, encoding="utf-8").read().replace("lambda1 = 2", "lambda1 = 0")
+    text = Path(EX1).read_text(encoding="utf-8").replace("lambda1 = 2", "lambda1 = 0")
     spec.write_text(text)
     out = tmp_path / "o"
     assert run("check", "--which", "el", "--out", str(out), str(spec)) == 1
@@ -65,6 +66,18 @@ def test_invalid_spec_exits_3(tmp_path):
     spec.write_text("alpha = 0.5\nL = t + bogus\nq_a1 = 0\nq_b1 = 0\n")
     assert run("check", "--out", str(tmp_path / "o"), str(spec)) == 3
     assert run("check", "--out", str(tmp_path / "o"), str(tmp_path / "missing.spec")) == 3
+
+
+@pytest.mark.parametrize("bad", ["l1 = 1/0", "q_b1 = gamma(0)"])
+def test_unevaluable_constant_exits_3_with_line(tmp_path, capsys, bad):
+    key, value = bad.split(" = ")
+    lines = Path(EX1).read_text(encoding="utf-8").splitlines()
+    lineno = next(i for i, line in enumerate(lines, 1) if line.startswith(f"{key} "))
+    lines[lineno - 1] = bad
+    spec = tmp_path / "bad.spec"
+    spec.write_text("\n".join(lines) + "\n")
+    assert run("check", "--out", str(tmp_path / "o"), str(spec)) == 3
+    assert f"line {lineno}: in {key}" in capsys.readouterr().err
 
 
 def test_missing_trajectory_exits_3(tmp_path):
@@ -95,7 +108,7 @@ def test_solve_trivial_spec(tmp_path):
 
 def test_solve_infeasible_exits_2(tmp_path):
     spec = tmp_path / "inf.spec"
-    text = open(EX1, encoding="utf-8").read().replace("l1 = 1/5", "l1 = 1e9")
+    text = Path(EX1).read_text(encoding="utf-8").replace("l1 = 1/5", "l1 = 1e9")
     spec.write_text(text)
     assert run("solve", "--grid", "200", "--out", str(tmp_path / "o"), str(spec)) == 2
 
@@ -133,3 +146,62 @@ def test_check_csv_determinism(tmp_path):
     run("check", "--which", "el", "--out", str(out1), EX1)
     run("check", "--which", "el", "--out", str(out2), EX1)
     assert (out1 / "el_profile.csv").read_bytes() == (out2 / "el_profile.csv").read_bytes()
+
+
+# dim = 2 benchmark: two copies of the order-1/2 extremal q_i = t^2.5 / gamma(3.5)
+# (fractional velocity t^2 / 2) with one shared constraint; lambda = 1.
+DIM2 = """\
+alpha = 0.5
+dim = 2
+L = 0.5*t^4 + v1^2 + v2^2
+g1 = t^2*(v1 + v2)
+l1 = 1/5
+lambda1 = 1
+q_a1 = 0
+q_a2 = 0
+q_b1 = 1/gamma(3.5)
+q_b2 = 1/gamma(3.5)
+trajectory1 = t^2.5/gamma(3.5)
+trajectory2 = t^2.5/gamma(3.5)
+tau = 1
+xi1 = 1
+xi2 = 1
+"""
+
+# two controls: u = (4, 1) is stationary for L - 6 g with zero costate, and
+# the state has D^alpha q = u1 - 2 u2 = 2
+TWO_CONTROLS = """\
+alpha = 0.5
+controls = 2
+L = (u1 - 1)^2 + 3*(u2 + 1)^2
+phi1 = u1 - 2*u2
+g1 = u1 + 2*u2
+l1 = 6
+q_a1 = 0
+lambda1 = 6
+trajectory1 = 2*t^0.5/gamma(1.5)
+control1 = 4
+control2 = 1
+costate1 = 0
+"""
+
+
+@pytest.mark.parametrize("which", ["el", "noether", "momentum", "invariance"])
+def test_two_state_spec_checks_pass(tmp_path, which):
+    spec = tmp_path / "dim2.spec"
+    spec.write_text(DIM2)
+    out = tmp_path / "o"
+    assert run("check", "--which", which, "--out", str(out), str(spec)) == 0
+    assert read_report(out)["passed"]
+
+
+def test_two_control_spec_hamiltonian_passes(tmp_path):
+    spec = tmp_path / "ctrl2.spec"
+    spec.write_text(TWO_CONTROLS)
+    out = tmp_path / "o"
+    assert run("check", "--which", "hamiltonian", "--out", str(out), str(spec)) == 0
+    assert [c["pass"] for c in read_report(out)["checks"]] == [True, True, True]
+    # swapping the two controls breaks the state equation and stationarity
+    swapped = TWO_CONTROLS.replace("control1 = 4\ncontrol2 = 1", "control1 = 1\ncontrol2 = 4")
+    spec.write_text(swapped)
+    assert run("check", "--which", "hamiltonian", "--out", str(out), str(spec)) == 1

@@ -48,6 +48,13 @@ def test_unknown_variable_rejected():
         parse_expression("t + x", ("t",))
 
 
+def test_surrounding_whitespace_accepted():
+    for text, value in (("t ", 3.0), ("t\n", 3.0), (" t\t", 3.0), ("\t( t ) * 2 \n", 6.0)):
+        assert parse_expression(text, ("t",))({"t": 3.0}) == value
+    with pytest.raises(SpecError, match="unexpected character '\\$'"):
+        parse_expression("2 $ 3")
+
+
 def test_syntax_errors():
     for bad in ("2 +", "(1 + 2", "1 2", "gamma 3", "* 4", "2 $ 3"):
         with pytest.raises(SpecError):
@@ -156,5 +163,64 @@ q_a1 = 0
 """
     spec = parse_spec(write(tmp_path, text))
     assert spec.is_control
-    assert "u1" in spec.field_variables()
-    assert "v1" not in spec.field_variables()
+    assert "u1" in spec.variables("L")
+    assert "v1" not in spec.variables("L")
+
+
+@pytest.mark.parametrize("line", ["m = 100.7", "dim = 1.9", "controls = 1.5", "m = 1e999"])
+def test_sizes_must_be_integers(tmp_path, line):
+    key = line.split(" = ")[0]
+    with pytest.raises(SpecError, match=f"line 5: {key} must be an integer"):
+        parse_spec(write(tmp_path, MINIMAL + line + "\n"))
+
+
+def test_integral_float_sizes_accepted(tmp_path):
+    spec = parse_spec(write(tmp_path, MINIMAL + "m = 1e3\ndim = 1.0\n"))
+    assert spec.m == 1000 and isinstance(spec.m, int) and spec.dim == 1
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("l1", "1/0"),
+        ("q_b1", "gamma(0)"),
+        ("q_b1", "10^400"),
+        ("q_a1", "(-1)^0.5"),
+        ("b", "1/(1 - 1)"),
+    ],
+)
+def test_unevaluable_constant_is_spec_error_with_line(tmp_path, key, value):
+    # the bad constant goes on line 1, ahead of the other keys of a valid spec
+    rest = (MINIMAL + "g1 = v1\nl1 = 1\n").splitlines()
+    text = "\n".join([f"{key} = {value}"] + [ln for ln in rest if not ln.startswith(key)]) + "\n"
+    with pytest.raises(SpecError, match=f"line 1: in {key}: "):
+        parse_spec(write(tmp_path, text))
+
+
+def test_expression_errors_carry_key_and_line(tmp_path):
+    text = "alpha = 0.5\ndim = 2\nL = v1^2 + v2^2\nq_a1 = 0\nq_a2 = 0\nxi1 = 1\nxi2 = q3\n"
+    with pytest.raises(SpecError, match="line 7: in xi2: unknown variable 'q3'"):
+        parse_spec(write(tmp_path, text))
+
+
+def test_compiled_keys_bind_each_index(tmp_path):
+    """Every key's callable reads q2, v2/u2 and xi2 from the right entry; the
+    values are asymmetric, so a binder that swaps indices fails."""
+    q, y, t = np.array([1.0, 2.0]), np.array([10.0, 20.0]), 0.5
+    var = parse_spec(write(tmp_path, "alpha = 0.5\ndim = 2\nL = t\nq_a1 = 0\nq_a2 = 0\n"))
+    assert var.compile("L", "q2 + 1000*v2 + 100*t")(t, q, y) == 20052.0
+    assert var.compile("g", "q1 + 1000*v1")(t, q, y) == 10001.0
+    assert var.compile("tau", "q2 - t")(t, q) == 1.5
+    assert list(var.compile("xi", ["q2", "q1 - t"])(t, q)) == [2.0, 0.5]
+    assert list(var.compile("trajectory", ["t", "2*t"])(t)) == [0.5, 1.0]
+    ctl = parse_spec(write(tmp_path, "alpha = 0.5\ndim = 2\ncontrols = 3\nL = u3\n"
+                           "phi1 = u1\nphi2 = u2\nq_a1 = 0\nq_a2 = 0\n"))
+    u = np.array([10.0, 20.0, 30.0])
+    assert ctl.compile("L", "u2 + 100*u3 + q2")(t, q, u) == 3022.0
+    assert list(ctl.compile("phi", ["u2", "q2 * u1"])(t, q, u)) == [20.0, 20.0]
+    assert list(ctl.compile("control", ["t", "t^2"])(t)) == [0.5, 0.25]
+    assert ctl.compile("costate", "3*t")(t) == 1.5
+    with pytest.raises(SpecError, match="unknown variable 'v1'"):
+        ctl.compile("L", "v1")
+    with pytest.raises(SpecError, match="unknown variable 'q1'"):
+        ctl.compile("control", "q1")
