@@ -11,7 +11,6 @@ from fracnoether import (
     FracOrder,
     Grid,
     PointField,
-    SolverConfig,
     VariationalProblem,
     gamma,
     refine,
@@ -70,7 +69,7 @@ print()
 print("= Continuation in the order =")
 print("Warm-starting from alpha = 1 and stepping the order down is useful")
 print("for harder fractional problems; here it reproduces the direct solve.")
-sol_cont = solve(problem, SolverConfig(continuation_steps=4))
+sol_cont = solve(problem, continuation_steps=4)
 print(f"converged = {sol_cont.converged}, multiplier = {sol_cont.lam[0]:.6f}")
 
 print()

@@ -56,7 +56,7 @@ from .problems import (
     normality_check,
     objective_value,
 )
-from .solver import Solution, SolverConfig, SolverError, refine, solve
+from .solver import Solution, SolverError, refine, solve
 
 __version__ = "0.1.0"
 
@@ -107,7 +107,6 @@ __all__ = [
     "hamiltonian_value",
     "pontryagin_residuals",
     "Solution",
-    "SolverConfig",
     "SolverError",
     "refine",
     "solve",

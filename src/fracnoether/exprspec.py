@@ -11,14 +11,14 @@ one place where a key's variable names are resolved to its call arguments.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
 
 from .gammafn import gamma
 
-__all__ = ["SpecError", "Expression", "parse_expression", "ProblemSpec", "parse_spec"]
+__all__ = ["SpecError", "parse_expression", "ProblemSpec", "parse_spec"]
 
 
 class SpecError(ValueError):
@@ -156,26 +156,15 @@ class _Parser:
         raise SpecError(f"unexpected {tok or 'end of input'!r} in {self.text!r}")
 
 
-@dataclass(frozen=True)
-class Expression:
-    """A compiled expression; call with a mapping from each variable to its value."""
-
-    text: str
-    variables: tuple[str, ...]
-    _fn: Callable = field(repr=False)
-
-    def __call__(self, env: Mapping[str, float | np.ndarray] | None = None) -> float | np.ndarray:
-        env = env or {}
-        return self._fn(tuple(env[name] for name in self.variables))
-
-
 def _compile(text: str, variables: Mapping[str, _Place]) -> Callable:
     return _Parser(_tokenize(text), variables, text).parse()
 
 
-def parse_expression(text: str, variables: tuple[str, ...] = ()) -> Expression:
-    fn = _compile(text, {name: (i, None) for i, name in enumerate(variables)})
-    return Expression(text=text, variables=tuple(variables), _fn=fn)
+def parse_expression(text: str, variables: tuple[str, ...] = ()) -> Callable:
+    """Compile ``text``; call the result with a mapping from each variable to its value."""
+    names = tuple(variables)
+    fn = _compile(text, {name: (i, None) for i, name in enumerate(names)})
+    return lambda env=None: fn(tuple((env or {})[name] for name in names))
 
 
 # --------------------------------------------------------------------------

@@ -18,6 +18,9 @@ import numpy as np
 __all__ = ["PointField", "VectorField"]
 
 _FD_STEP = 1e-6
+# random points and relative tolerance of PointField.check_partials
+_PARTIALS_PROBES = 10
+_PARTIALS_TOL = 1e-6
 
 
 def _central(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
@@ -95,28 +98,23 @@ class PointField:
         return Hxx, H[:, :n], H[:, n:]
 
     def check_partials(
-        self,
-        t_range: tuple[float, float],
-        dim: int,
-        rng: np.random.Generator,
-        probes: int = 10,
-        tol: float = 1e-6,
+        self, t_range: tuple[float, float], dim: int, rng: np.random.Generator
     ) -> None:
         """Verify analytic gradients against finite differences."""
         if self.grad_x is None and self.grad_y is None:
             return
-        for _ in range(probes):
+        for _ in range(_PARTIALS_PROBES):
             t = rng.uniform(*t_range)
             x = rng.uniform(-1.0, 1.0, dim)
             y = rng.uniform(-1.0, 1.0, dim)
-            scale = 1.0 + abs(self(t, x, y))
+            bound = _PARTIALS_TOL * (1.0 + abs(self(t, x, y))) * 100
             if self.grad_x is not None:
                 fd = _central(lambda xx: self.evaluator(t, xx, y), x)
-                if np.max(np.abs(self.d_x(t, x, y) - fd)) > tol * scale * 100:
+                if np.max(np.abs(self.d_x(t, x, y) - fd)) > bound:
                     raise ValueError("grad_x disagrees with finite differences")
             if self.grad_y is not None:
                 fd = _central(lambda yy: self.evaluator(t, x, yy), y)
-                if np.max(np.abs(self.d_y(t, x, y) - fd)) > tol * scale * 100:
+                if np.max(np.abs(self.d_y(t, x, y) - fd)) > bound:
                     raise ValueError("grad_y disagrees with finite differences")
 
 

@@ -164,10 +164,7 @@ def _l1_left_1d(f: np.ndarray, h: float, alpha: float) -> np.ndarray:
 def _gl_left_1d(f: np.ndarray, h: float, alpha: float) -> np.ndarray:
     """Shifted Grunwald-Letnikov left derivative; independent cross-check."""
     m = f.size - 1
-    w = np.empty(m + 1)
-    w[0] = 1.0
-    for k in range(1, m + 1):
-        w[k] = w[k - 1] * (1.0 - (alpha + 1.0) / k)
+    w = np.cumprod(np.concatenate([[1.0], 1.0 - (alpha + 1.0) / np.arange(1, m + 1)]))
     out = np.empty(m + 1)
     out[0] = np.nan
     conv = np.convolve(w, f)[: m + 1]

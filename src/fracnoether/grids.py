@@ -100,10 +100,6 @@ class SampledFunction:
         _check_same_grid(self, other)
         return SampledFunction(self.grid, self.values + other.values)
 
-    def __sub__(self, other: "SampledFunction") -> "SampledFunction":
-        _check_same_grid(self, other)
-        return SampledFunction(self.grid, self.values - other.values)
-
     def __mul__(self, c: float) -> "SampledFunction":
         return SampledFunction(self.grid, self.values * c)
 

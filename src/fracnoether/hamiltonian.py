@@ -165,7 +165,8 @@ def hamiltonian_noether_residual(
     return make_report(grid, term1.values - term2.values, band=band)
 
 
-def _check_autonomous(cp: ControlProblem, rng: np.random.Generator, tol: float = 1e-8) -> None:
+def _check_autonomous(cp: ControlProblem, tol: float = 1e-8) -> None:
+    rng = np.random.default_rng(0)
     t0, t1 = cp.grid.a, cp.grid.b
     for _ in range(8):
         q = rng.uniform(-1.0, 1.0, cp.dim)
@@ -184,12 +185,11 @@ def autonomous_energy_residual(
     cp: ControlProblem,
     ext: PontryaginExtremal,
     band: int = DEFAULT_BAND,
-    seed: int = 0,
 ) -> ResidualReport:
     """Residual of D^alpha[ H + (alpha - 1) p . D^alpha q ] for autonomous
     data: the fractional replacement for conservation of the Hamiltonian.
     """
-    _check_autonomous(cp, np.random.default_rng(seed))
+    _check_autonomous(cp)
     grid = ext.q.grid
     hs, pv = _hamiltonian_samples(cp, ext)
     energy = hs + (cp.order.alpha - 1.0) * pv

@@ -26,32 +26,18 @@ from .problems import (
     normality_check,
 )
 
-__all__ = ["SolverConfig", "Solution", "SolverError", "solve", "refine"]
+__all__ = ["Solution", "SolverError", "solve", "refine"]
 
 #: Largest isoperimetric defect a converged solution may leave.
 _CONSTRAINT_TOL = 1e-8
+_MAX_ITERATIONS = 50
+# scaled-gradient stopping test; the floor for fields with finite-difference
+# gradients is about 1e-7, so do not tighten much
+_NEWTON_TOL = 1e-6
 
 
 class SolverError(RuntimeError):
     pass
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    max_iterations: int = 50
-    # scaled-gradient stopping test; the floor for fields with
-    # finite-difference gradients is about 1e-7, so do not tighten much
-    newton_tolerance: float = 1e-6
-    continuation_steps: int = 0
-    regularization: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if self.newton_tolerance <= 0:
-            raise ValueError("newton_tolerance must be positive")
-        if self.regularization < 0:
-            raise ValueError("regularization must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -219,26 +205,18 @@ def _initial_state(problem: VariationalProblem, guess: Solution | None):
 
 
 def _newton(
-    disc: _Discretization,
-    q: np.ndarray,
-    lam: np.ndarray,
-    config: SolverConfig,
+    disc: _Discretization, q: np.ndarray, lam: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, bool, int, float]:
     m, n = disc.grid.m, disc.n
     G = disc.gradient(q, lam)
     iterations = 0
-    for iterations in range(1, config.max_iterations + 1):
-        if np.max(np.abs(G)) <= config.newton_tolerance:
+    for iterations in range(1, _MAX_ITERATIONS + 1):
+        if np.max(np.abs(G)) <= _NEWTON_TOL:
             return q, lam, True, iterations - 1, float(np.max(np.abs(G)))
-        J = disc.jacobian(q, lam)
-        if config.regularization > 0.0:
-            J[np.diag_indices_from(J)] += config.regularization
         try:
-            step = np.linalg.solve(J, -G)
+            step = np.linalg.solve(disc.jacobian(q, lam), -G)
         except np.linalg.LinAlgError as exc:
-            raise SolverError(
-                "singular Jacobian; consider setting SolverConfig.regularization > 0"
-            ) from exc
+            raise SolverError("singular Jacobian") from exc
         base_norm = np.linalg.norm(G)
         scale = 1.0
         for _ in range(30):
@@ -253,13 +231,13 @@ def _newton(
         else:
             # no residual decrease found: report the best iterate
             return q, lam, False, iterations, float(np.max(np.abs(G)))
-    converged = np.max(np.abs(G)) <= config.newton_tolerance
+    converged = np.max(np.abs(G)) <= _NEWTON_TOL
     return q, lam, converged, iterations, float(np.max(np.abs(G)))
 
 
 def solve(
     problem: VariationalProblem,
-    config: SolverConfig = SolverConfig(),
+    continuation_steps: int = 0,
     initial_guess: Solution | None = None,
 ) -> Solution:
     """Find (q, lambda) annihilating the discrete Euler-Lagrange gradient
@@ -269,15 +247,15 @@ def solve(
     """
     q, lam = _initial_state(problem, initial_guess)
     target = problem.order.alpha
-    if config.continuation_steps > 0 and initial_guess is None and target < 1.0:
-        alphas = np.linspace(1.0, target, config.continuation_steps + 1)
+    if continuation_steps > 0 and initial_guess is None and target < 1.0:
+        alphas = np.linspace(1.0, target, continuation_steps + 1)
     else:
         alphas = np.array([target])
 
     converged, iterations, gnorm = False, 0, np.inf
     for alpha in alphas:
         disc = _Discretization(problem, float(alpha))
-        q, lam, converged, its, gnorm = _newton(disc, q, lam, config)
+        q, lam, converged, its, gnorm = _newton(disc, q, lam)
         iterations += its
 
     qs = SampledFunction(problem.grid, q)

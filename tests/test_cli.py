@@ -113,6 +113,11 @@ def test_solve_infeasible_exits_2(tmp_path):
     assert run("solve", "--grid", "200", "--out", str(tmp_path / "o"), str(spec)) == 2
 
 
+def test_solve_control_spec_exits_3(tmp_path, capsys):
+    assert run("solve", "--out", str(tmp_path / "o"), EX2) == 3
+    assert "spec declares dynamics" in capsys.readouterr().err
+
+
 def test_selftest_passes_and_deterministic(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert run("selftest", "--out", str(out1)) == 0

@@ -19,6 +19,7 @@ from fracnoether import (
     right_rl_integral,
     sample,
 )
+from fracnoether.frac_kernels import _gl_left_1d
 
 HALF = FracOrder(0.5)
 
@@ -84,6 +85,22 @@ def test_gl_cross_check():
     l1 = left_rl_derivative(f, HALF, scheme="l1").scalar
     gl = left_rl_derivative(f, HALF, scheme="gl").scalar
     assert np.max(np.abs(l1[20:-1] - gl[20:-1])) <= 1e-2
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 0.77, 0.999])
+def test_gl_weights_bitwise_equal_recurrence(alpha):
+    """With h = 1 the GL derivative of a unit impulse at t = 0 is the weight
+    sequence; it must be bitwise w_k = w_{k-1} (1 - (alpha + 1) / k)."""
+    m = 5000
+    w = np.empty(m + 1)
+    w[0] = 1.0
+    for k in range(1, m + 1):
+        w[k] = w[k - 1] * (1.0 - (alpha + 1.0) / k)
+    impulse = np.zeros(m + 1)
+    impulse[0] = 1.0
+    out = _gl_left_1d(impulse, 1.0, alpha)
+    assert np.isnan(out[0])
+    assert np.array_equal(out[1:], w[1:])
 
 
 def test_unknown_scheme():

@@ -1,9 +1,12 @@
-"""Every name the demos and the README import from fracnoether exists."""
+"""Every name the demos, the README and the benchmark tracer use from
+fracnoether exists."""
 
 import ast
 import importlib
 import re
 from pathlib import Path
+
+import fracnoether
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -32,4 +35,15 @@ def test_demo_and_readme_imports_exist():
             if not hasattr(importlib.import_module(module), name):
                 missing.append(f"{where}: from {module} import {name}")
     assert checked > 0
+    assert not missing, missing
+
+
+def test_benchmark_tracer_targets_exist(monkeypatch):
+    """Every function the benchmark tracer wraps still exists, so renaming or
+    deleting one fails here rather than in a traced benchmark run."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    tracer = importlib.import_module("tracer")
+    pairs = [pair for targets in tracer.layer_table(fracnoether).values() for pair in targets]
+    assert pairs
+    missing = [f"{owner!r}.{name}" for owner, name in pairs if not hasattr(owner, name)]
     assert not missing, missing
