@@ -11,6 +11,7 @@ one place where a key's variable names are resolved to its call arguments.
 from __future__ import annotations
 
 import re
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -46,7 +47,8 @@ _Place = tuple[int, int | None]
 _FUNCTIONS: dict[str, Callable] = {"gamma": np.vectorize(gamma, otypes=[float])}
 
 # Compiled expressions are closure trees over an environment tuple; each
-# variable is resolved at compile time to its place in that tuple.
+# variable is resolved at compile time to its place in that tuple, and a
+# function call whose argument reads no variable is evaluated there too.
 _OPERATORS: dict[str, Callable[[Callable, Callable], Callable]] = {
     "+": lambda a, b: lambda env: a(env) + b(env),
     "-": lambda a, b: lambda env: a(env) - b(env),
@@ -79,6 +81,7 @@ class _Parser:
         self.pos = 0
         self.variables = variables
         self.text = text
+        self.reads = 0  # variable references parsed so far
 
     def peek(self) -> tuple[str, str]:
         return self.tokens[self.pos]
@@ -137,15 +140,18 @@ class _Parser:
             if tok in _FUNCTIONS:
                 fn = _FUNCTIONS[tok]
                 self.expect("(")
+                reads = self.reads
                 arg = self.expr()
                 self.expect(")")
-                return lambda env: fn(arg(env))
+                call = lambda env: fn(arg(env))
+                return call if self.reads > reads else _folded(call)
             if tok not in self.variables:
                 raise SpecError(
                     f"unknown variable {tok!r} in {self.text!r} "
                     f"(allowed: {', '.join(sorted(self.variables)) or 'none'})"
                 )
             slot, index = self.variables[tok]
+            self.reads += 1
             if index is None:
                 return lambda env: env[slot]
             return lambda env: env[slot][index]
@@ -154,6 +160,18 @@ class _Parser:
             self.expect(")")
             return node
         raise SpecError(f"unexpected {tok or 'end of input'!r} in {self.text!r}")
+
+
+def _folded(node: Callable) -> Callable:
+    """``node``, which reads no variable, evaluated once now.  If that fails
+    or warns, ``node`` itself is kept, so the error surfaces at evaluation."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = node(())
+    except (ArithmeticError, ValueError, TypeError, Warning):
+        return node
+    return lambda env: value
 
 
 def _compile(text: str, variables: Mapping[str, _Place]) -> Callable:

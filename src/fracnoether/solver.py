@@ -10,6 +10,7 @@ the discrete problem.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 
@@ -34,6 +35,10 @@ _MAX_ITERATIONS = 50
 # scaled-gradient stopping test; the floor for fields with finite-difference
 # gradients is about 1e-7, so do not tighten much
 _NEWTON_TOL = 1e-6
+# At alpha < 1 a Newton system is solved by GMRES to this relative residual;
+# a solve that misses it within the iteration cap falls back to dense LU.
+_KRYLOV_TOL = 1e-13
+_KRYLOV_MAX_ITERATIONS = 60
 
 
 class SolverError(RuntimeError):
@@ -74,8 +79,11 @@ class _Discretization:
     solutions nodally exact.
 
     P is never formed: at alpha < 1 it is implicit, and at alpha = 1 both P
-    and D are two-point stencils.  The Newton matrix is built per component
-    pair from its structure; at alpha < 1 its one dense product is D^T W D.
+    and D are two-point stencils.  At alpha < 1 a Newton step is a
+    preconditioned Krylov solve (_NewtonOperator) that never forms the
+    Newton matrix.  ``assemble`` builds that matrix per component pair from
+    its structure, for alpha = 1 and for the Krylov fallback; at alpha < 1
+    its one dense product is D^T W D.
     """
 
     def __init__(self, problem: VariationalProblem, alpha: float):
@@ -92,6 +100,8 @@ class _Discretization:
             self.theta = nodes
             self.w = _trapezoid_weights(self.grid)
             self.D = fill_endpoints(fk.left_derivative_matrix(self.grid, FracOrder(alpha)))
+            # T = D[1:m, 1:m] is lower-triangular Toeplitz, and so is T^-1
+            self.t_inv = _toeplitz_inverse(self.D[1 : self.grid.m, 1])
 
     def _points(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if self.midpoint:
@@ -161,15 +171,30 @@ class _Discretization:
         )
         return vals - self.problem.constraint_levels
 
+    def newton_partials(self, q: np.ndarray, lam: np.ndarray):
+        """What the Newton matrix at (q, lambda) is built from: F's second
+        partials (Hqq, Hqv, Hvv) at the points, and one column
+        P^T W g_q + D^T W g_v per constraint at the interior unknowns."""
+        n = self.n
+        x, v = self._points(q)
+        hessians = augmented_lagrangian(self.problem, lam).hessian_along(self.theta, x, v)
+        cols = np.empty(((self.grid.m - 1) * n, self.k))
+        for r, g in enumerate(self.problem.constraints):
+            cols[:, r] = self._pullback(*g.grad_along(self.theta, x, v)).ravel()[n:-n]
+        return hessians, cols
+
     def jacobian(self, q: np.ndarray, lam: np.ndarray) -> np.ndarray:
         """Exact Jacobian of ``gradient`` up to the finite-difference second
-        partials of F.  Unknowns are ordered node-major, so component i of
-        the state sits at rows/columns i::n of the interior block."""
+        partials of F."""
+        return self.assemble(*self.newton_partials(q, lam))
+
+    def assemble(self, hessians, cols: np.ndarray) -> np.ndarray:
+        """The dense Newton matrix from ``newton_partials``.  Unknowns are
+        ordered node-major, so component i of the state sits at rows/columns
+        i::n of the interior block."""
         n, k, h = self.n, self.k, self.grid.h
-        x, v = self._points(q)
-        F = augmented_lagrangian(self.problem, lam)
         w = self.w[:, None, None]
-        Hqq, Hqv, Hvv = (w * H for H in F.hessian_along(self.theta, x, v))
+        Hqq, Hqv, Hvv = (w * H for H in hessians)
         # d(d_v F)_i / dq_j = d2F / dv_i dq_j = Hqv[:, j, i]
         blocks = {
             (i, j): self._interior_block(Hqq[:, i, j], Hqv[:, i, j], Hqv[:, j, i], Hvv[:, i, j])
@@ -183,11 +208,119 @@ class _Discretization:
         for (i, j), B in blocks.items():
             np.divide(B, h, out=J[i:ni:n, j:ni:n])
         # multiplier coupling: d(gel)/d(lambda_r) = -(P^T W g_q + D^T W g_v)
-        for r, g in enumerate(self.problem.constraints):
-            col = self._pullback(*g.grad_along(self.theta, x, v)).ravel()[n:-n]
-            J[:ni, ni + r] = -col / h
-            J[ni + r, :ni] = col
+        J[:ni, ni:] = -cols / h
+        J[ni:, :ni] = cols.T
         return J
+
+
+def _toeplitz_inverse(col: np.ndarray) -> np.ndarray:
+    """First column of T^-1 for the lower-triangular Toeplitz T with first
+    column ``col``, by the Newton iteration u <- u + u (e_1 - T u) on leading
+    sections of doubling size."""
+    inv = np.array([1.0 / col[0]])
+    while inv.size < col.size:
+        size = min(2 * inv.size, col.size)
+        defect = np.convolve(col[:size], inv)[:size]
+        defect[0] -= 1.0
+        inv = np.pad(inv, (0, size - inv.size)) - np.convolve(inv, defect)[:size]
+    return inv
+
+
+def _toeplitz_apply(col: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """T x for the lower-triangular Toeplitz T with first column ``col``,
+    applied to each column of x."""
+    return np.column_stack([np.convolve(col, x[:, i])[: len(col)] for i in range(x.shape[1])])
+
+
+def _gmres(apply, precondition, b: np.ndarray) -> np.ndarray | None:
+    """x with ||b - apply(x)|| <= _KRYLOV_TOL ||b||, by GMRES right-
+    preconditioned by ``precondition``; None if _KRYLOV_MAX_ITERATIONS
+    iterations do not reach it."""
+    beta = np.linalg.norm(b)
+    if beta == 0.0:
+        return np.zeros_like(b)
+    cap = _KRYLOV_MAX_ITERATIONS
+    H = np.zeros((cap + 1, cap))  # Hessenberg matrix of the Arnoldi process
+    basis = [b / beta]  # orthonormal, grown one vector per iteration
+    rotations = []  # Givens rotations (cos, sin) that make H upper triangular
+    residual = beta
+    for j in range(cap):
+        w = apply(precondition(basis[j]))
+        V = np.array(basis)
+        for _ in range(2):  # classical Gram-Schmidt, applied twice
+            coefficients = V @ w
+            w -= coefficients @ V
+            H[: j + 1, j] += coefficients
+        H[j + 1, j] = np.linalg.norm(w)
+        col = H[: j + 2, j].tolist()
+        for i, (cos, sin) in enumerate(rotations):
+            col[i], col[i + 1] = cos * col[i] + sin * col[i + 1], cos * col[i + 1] - sin * col[i]
+        r = math.hypot(col[j], col[j + 1])
+        if r == 0.0:  # the operator is singular on the Krylov space
+            return None
+        rotations.append((col[j] / r, col[j + 1] / r))
+        residual *= abs(col[j + 1]) / r
+        if residual <= _KRYLOV_TOL * beta:
+            rhs = np.zeros(j + 2)
+            rhs[0] = beta
+            y = np.linalg.lstsq(H[: j + 2, : j + 1], rhs, rcond=None)[0]
+            return precondition(y @ V)
+        basis.append(w / H[j + 1, j])
+    return None
+
+
+class _NewtonOperator:
+    """The Newton matrix at alpha < 1, applied without forming it.
+
+    Its interior block is P^T Cqq P + P^T Cqv D + D^T Cvq P + D^T Cvv D over
+    h, with P = I.  Writing T = D[1:m, 1:m], the leading term is
+    T^T C_vv T / h, where C_vv holds the blocks w_s Hvv[s] at the interior
+    nodes; h T^-1 C_vv^-1 T^-T is its exact inverse and preconditions GMRES.
+    Raises LinAlgError when C_vv is singular at an interior node.
+    """
+
+    def __init__(self, disc: _Discretization, hessians, cols: np.ndarray):
+        m = disc.grid.m
+        self.disc, self.cols = disc, cols
+        self.Hqq, self.Hqv, self.Hvv = hessians
+        self.cvv_inv = np.linalg.inv(disc.w[1:m, None, None] * self.Hvv[1:m])
+        if not np.isfinite(self.cvv_inv).all():
+            raise np.linalg.LinAlgError("C_vv is singular at an interior node")
+
+    def interior(self, y: np.ndarray) -> np.ndarray:
+        """The interior block times y, node-major like the unknowns."""
+        disc = self.disc
+        m, n = disc.grid.m, disc.n
+        z = np.zeros((m + 1, n))
+        z[1:m] = y.reshape(m - 1, n)
+        x, v = disc._points(z)
+        a = np.einsum("sij,sj->si", self.Hqq, x) + np.einsum("sij,sj->si", self.Hqv, v)
+        b = np.einsum("sji,sj->si", self.Hqv, x) + np.einsum("sij,sj->si", self.Hvv, v)
+        return disc._pullback(a, b)[1:m].ravel() / disc.grid.h
+
+    def precondition(self, r: np.ndarray) -> np.ndarray:
+        """h T^-1 C_vv^-1 T^-T r; T^T is T conjugated by the reversal."""
+        disc = self.disc
+        t_inv = disc.t_inv
+        y = _toeplitz_apply(t_inv, r.reshape(-1, disc.n)[::-1])[::-1]
+        y = np.einsum("sij,sj->si", self.cvv_inv, y)
+        return disc.grid.h * _toeplitz_apply(t_inv, y).ravel()
+
+    def step(self, G: np.ndarray) -> np.ndarray | None:
+        """The Newton step -J^-1 G, or None if a Krylov solve misses its
+        tolerance.  The k multiplier rows go by a Schur complement: k + 1
+        Krylov solves with the interior block, then one k x k solve."""
+        ni, h = self.cols.shape[0], self.disc.grid.h
+        # J = [[A, -cols/h], [cols^T, 0]] with A the interior block
+        solves = []
+        for b in [-G[:ni], *(-self.cols.T / h)]:
+            x = _gmres(self.interior, self.precondition, b)
+            if x is None:
+                return None
+            solves.append(x)
+        base, coupled = solves[0], np.array(solves[1:]).reshape(-1, ni).T
+        lam_step = np.linalg.solve(self.cols.T @ coupled, self.cols.T @ base + G[ni:])
+        return np.concatenate([base - coupled @ lam_step, lam_step])
 
 
 def _initial_state(problem: VariationalProblem, guess: Solution | None):
@@ -204,6 +337,25 @@ def _initial_state(problem: VariationalProblem, guess: Solution | None):
     return q, lam
 
 
+def _newton_step(
+    disc: _Discretization, q: np.ndarray, lam: np.ndarray, G: np.ndarray
+) -> np.ndarray:
+    """-J^-1 G: by the Krylov solve at alpha < 1, else (alpha = 1, C_vv
+    singular, or GMRES short of its tolerance) by dense LU of J."""
+    partials = disc.newton_partials(q, lam)
+    if not disc.midpoint:
+        try:
+            step = _NewtonOperator(disc, *partials).step(G)
+        except np.linalg.LinAlgError:
+            step = None
+        if step is not None:
+            return step
+    try:
+        return np.linalg.solve(disc.assemble(*partials), -G)
+    except np.linalg.LinAlgError as exc:
+        raise SolverError("singular Jacobian") from exc
+
+
 def _newton(
     disc: _Discretization, q: np.ndarray, lam: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, bool, int, float]:
@@ -213,10 +365,7 @@ def _newton(
     for iterations in range(1, _MAX_ITERATIONS + 1):
         if np.max(np.abs(G)) <= _NEWTON_TOL:
             return q, lam, True, iterations - 1, float(np.max(np.abs(G)))
-        try:
-            step = np.linalg.solve(disc.jacobian(q, lam), -G)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError("singular Jacobian") from exc
+        step = _newton_step(disc, q, lam, G)
         base_norm = np.linalg.norm(G)
         scale = 1.0
         for _ in range(30):

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from fracnoether import Grid, exprspec, sample
 from fracnoether.exprspec import SpecError, parse_expression, parse_spec
+from fracnoether.gammafn import GammaPoleError
 
 
 # -- expression grammar ------------------------------------------------------
@@ -35,6 +37,30 @@ def test_unary_signs():
 def test_gamma_function():
     assert ev("gamma(0.5) ^ 2") == pytest.approx(math.pi, rel=1e-12)
     assert ev("2 / gamma(3.5)") == pytest.approx(0.6018022225, rel=1e-9)
+
+
+def test_constant_gamma_argument_is_evaluated_once(monkeypatch):
+    """example1's trajectory: gamma(3.5) is folded at compile time, and the
+    samples are bitwise those of the same curve with gamma evaluated at
+    every node (3.5 + 0 t is exactly 3.5)."""
+    calls = []
+    real = exprspec._FUNCTIONS["gamma"]
+    monkeypatch.setitem(exprspec._FUNCTIONS, "gamma", lambda x: calls.append(x) or real(x))
+    grid = Grid(0.0, 1.0, 300)
+    folded = parse_expression("2 * t^2.5 / gamma(3.5)", ("t",))
+    assert len(calls) == 1
+    samples = sample(grid, lambda t: folded({"t": t}))
+    assert len(calls) == 1
+    runtime = parse_expression("2 * t^2.5 / gamma(3.5 + 0 * t)", ("t",))
+    reference = sample(grid, lambda t: runtime({"t": t}))
+    assert len(calls) == 1 + grid.m + 1
+    assert np.array_equal(samples.values, reference.values)
+
+
+def test_constant_that_fails_to_fold_raises_at_evaluation():
+    fn = parse_expression("t + gamma(0)", ("t",))
+    with pytest.raises(GammaPoleError):
+        fn({"t": 1.0})
 
 
 def test_variables():

@@ -18,7 +18,14 @@ from fracnoether import (
     sample,
     solve,
 )
-from fracnoether.solver import _Discretization
+from fracnoether import solver
+from fracnoether.solver import (
+    _Discretization,
+    _NewtonOperator,
+    _initial_state,
+    _newton,
+    _toeplitz_apply,
+)
 
 from conftest import benchmark_extremal, benchmark_fields, benchmark_problem, classical_problem
 
@@ -84,10 +91,9 @@ def test_classical_benchmark():
     assert sol.lam[0] == pytest.approx(24.0, abs=1e-4)
 
 
-def test_continuation_rescues_stalled_direct_solve():
-    """L = v^2 - 50 cos 3q, g = q^2 at level 1/2, q(0) = 0, q(1) = 1: from the
-    straight-line start Newton stalls at alpha = 0.6, while stepping the order
-    down from the classical solution converges."""
+def stalling_problem() -> VariationalProblem:
+    """L = v^2 - 50 cos 3q, g = q^2 at level 1/2, q(0) = 0, q(1) = 1, at
+    alpha = 0.6 and m = 40."""
     L = PointField(
         lambda t, q, v: float(v[0] ** 2 - 50.0 * np.cos(3.0 * q[0])),
         grad_x=lambda t, q, v: 150.0 * np.sin(3.0 * q),
@@ -98,10 +104,16 @@ def test_continuation_rescues_stalled_direct_solve():
         grad_x=lambda t, q, v: 2.0 * q,
         grad_y=lambda t, q, v: np.zeros(1),
     )
-    p = VariationalProblem(
+    return VariationalProblem(
         FracOrder(0.6), L, Grid(0.0, 1.0, 40), [0.0], [1.0],
         constraints=[g], constraint_levels=[0.5],
     )
+
+
+def test_continuation_rescues_stalled_direct_solve():
+    """From the straight-line start Newton stalls on stalling_problem, while
+    stepping the order down from the classical solution converges."""
+    p = stalling_problem()
     assert not solve(p).converged
     cont = solve(p, continuation_steps=4)
     assert cont.converged
@@ -140,16 +152,19 @@ def test_infeasible_level_reports_non_convergence():
     assert not sol.converged
 
 
-def test_singular_jacobian_raises_with_suggestion():
-    # linear Lagrangian: zero Hessian, singular Newton system
+def linear_problem() -> VariationalProblem:
+    """L = q: zero Hessian, so the Newton system is singular."""
     L = PointField(
         lambda t, q, v: float(q[0]),
         grad_x=lambda t, q, v: np.ones(1),
         grad_y=lambda t, q, v: np.zeros(1),
     )
-    p = VariationalProblem(FracOrder(0.5), L, Grid(0.0, 1.0, 50), [0.0], [0.0])
+    return VariationalProblem(FracOrder(0.5), L, Grid(0.0, 1.0, 50), [0.0], [0.0])
+
+
+def test_singular_jacobian_raises_with_suggestion():
     with pytest.raises(SolverError, match="singular"):
-        solve(p)
+        solve(linear_problem())
 
 
 def coupled_problem(alpha: float, m: int = 20) -> VariationalProblem:
@@ -318,3 +333,102 @@ def test_jacobian_peak_memory(make, alpha):
     finally:
         tracemalloc.stop()
     assert peak / (8.0 * J.shape[0] ** 2) <= 2.5
+
+
+# -- matrix-free Newton at alpha < 1 ------------------------------------------
+
+
+def krylov_case(make, alpha):
+    """A problem's discretization at a random state, its Newton operator,
+    and the assembled Newton matrix and gradient as the oracle."""
+    p = make(alpha)
+    disc = _Discretization(p, alpha)
+    m, n = p.grid.m, p.dim
+    q = np.random.default_rng(3).uniform(-1.0, 1.0, (m + 1, n))
+    q[0], q[-1] = p.boundary_a, p.boundary_b
+    lam = np.array([0.7])
+    partials = disc.newton_partials(q, lam)
+    return disc, _NewtonOperator(disc, *partials), disc.assemble(*partials), disc.gradient(q, lam)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5])
+@pytest.mark.parametrize("make", [coupled_problem, benchmark_at_order, self_coupled_problem])
+def test_krylov_product_matches_assembled_jacobian(make, alpha):
+    disc, op, J, _ = krylov_case(make, alpha)
+    ni = J.shape[0] - disc.k
+    z = np.random.default_rng(5).standard_normal(ni)
+    ref = J[:ni, :ni] @ z
+    assert np.max(np.abs(op.interior(z) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5])
+@pytest.mark.parametrize("make", [coupled_problem, benchmark_at_order, self_coupled_problem])
+def test_krylov_step_matches_dense_solve(make, alpha):
+    _, op, J, G = krylov_case(make, alpha)
+    dense = np.linalg.solve(J, -G)
+    step = op.step(G)
+    assert step is not None
+    assert np.max(np.abs(step - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9, 0.999])
+def test_toeplitz_inverse_and_preconditioner(alpha):
+    m = 2000
+    disc = _Discretization(benchmark_problem(m), alpha)
+    T = disc.D[1:m, 1:m]
+    identity = T @ disc.t_inv  # T T^-1 is Toeplitz: its first column decides
+    identity[0] -= 1.0
+    assert np.max(np.abs(identity)) <= 4.0 * np.finfo(float).eps * m
+    # on the benchmark the preconditioner inverts T^T C_vv T / h exactly
+    x = np.random.default_rng(7).standard_normal((m - 1, 1))
+    q = np.zeros((m + 1, 1))
+    op = _NewtonOperator(disc, *disc.newton_partials(q, np.array([0.7])))
+    cvv = disc.w[1:m] * op.Hvv[1:m, 0, 0]
+    leading = T.T @ (cvv[:, None] * (T @ x)) / disc.grid.h
+    assert np.max(np.abs(op.precondition(leading) - x.ravel())) <= 1e-10 * np.max(np.abs(x))
+    product = T @ x
+    assert np.max(np.abs(_toeplitz_apply(T[:, 0], x) - product)) <= 1e-12 * np.max(np.abs(product))
+
+
+def test_dense_fallback_only_where_krylov_cannot_solve(monkeypatch):
+    """At alpha < 1 the Newton matrix is assembled only when C_vv is singular
+    (a linear Lagrangian) or GMRES misses its tolerance within the iteration
+    cap (lowered here below what the coupled problem needs), never on the
+    benchmark; the fallback reaches the Krylov solve's solution."""
+    assembled = []
+    real = _Discretization.assemble
+
+    def spy(self, *partials):
+        if not self.midpoint:
+            assembled.append(self.grid.m)
+        return real(self, *partials)
+
+    monkeypatch.setattr(_Discretization, "assemble", spy)
+    assert solve(benchmark_problem(500)).converged
+    assert assembled == []
+    with pytest.raises(SolverError, match="singular"):
+        solve(linear_problem())
+    assert assembled == [50]
+    krylov = solve(coupled_problem(0.5))
+    assert krylov.converged and assembled == [50]
+    monkeypatch.setattr(solver, "_KRYLOV_MAX_ITERATIONS", 2)
+    dense = solve(coupled_problem(0.5))
+    assert dense.converged and len(assembled) == 1 + dense.iterations
+    assert dense.lam[0] == pytest.approx(krylov.lam[0], rel=1e-10)
+    assert np.max(np.abs(dense.q.values - krylov.q.values)) <= 1e-10
+
+
+def test_krylov_newton_peak_memory():
+    """A Krylov Newton solve holds nothing of the Newton matrix's size: at
+    m = 2000 its peak stays under a tenth of one (m - 1)^2 matrix."""
+    p = benchmark_problem(2000)
+    disc = _Discretization(p, p.order.alpha)
+    q, lam = _initial_state(p, None)
+    tracemalloc.start()
+    try:
+        _, _, converged, iterations, _ = _newton(disc, q, lam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert converged and iterations == 1
+    assert peak <= 0.1 * 8.0 * (p.grid.m - 1) ** 2
