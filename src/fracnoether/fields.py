@@ -82,7 +82,11 @@ class PointField:
         self, t: np.ndarray, X: np.ndarray, Y: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """(d_x, d_y) at the points (t_s, X_s, Y_s); each of shape (M, n)."""
-        return _nodewise(self.d_x, t, X, Y), _nodewise(self.d_y, t, X, Y)
+        return _nodewise(self.d_x, t, X, Y), self.d_y_along(t, X, Y)
+
+    def d_y_along(self, t: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        """d_y alone at the points (t_s, X_s, Y_s); shape (M, n)."""
+        return _nodewise(self.d_y, t, X, Y)
 
     def hessian_along(
         self, t: np.ndarray, X: np.ndarray, Y: np.ndarray

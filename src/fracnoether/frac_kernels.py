@@ -17,13 +17,12 @@ need a finite first row fill it like the velocity, with fill_endpoints.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .gammafn import GammaPoleError, gamma, reciprocal_gamma
+from .gammafn import GammaPoleError, _is_nonpositive_integer, gamma, reciprocal_gamma
 from .grids import FracOrder, Grid, SampledFunction
 
 __all__ = [
@@ -87,10 +86,6 @@ def closed_form_left_derivative(
         raise ValueError(f"atom derivative undefined at t = {t} (base point {atom.a})")
     base = (t - atom.a) ** tail if t > atom.a else (1.0 if tail == 0.0 else 0.0)
     return atom.coefficient * gamma(ups + 1.0) / gamma(tail + 1.0) * base
-
-
-def _is_nonpositive_integer(x: float) -> bool:
-    return x <= 0.0 and x == math.floor(x)
 
 
 # --------------------------------------------------------------------------

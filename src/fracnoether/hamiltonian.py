@@ -17,7 +17,7 @@ from . import frac_kernels as fk
 from .fields import PointField, VectorField
 from .grids import FracOrder, Grid, SampledFunction, fill_endpoints
 from .noether import SymmetryGenerator, frac_pair_operator
-from .problems import DEFAULT_BAND, ResidualReport, augmented_lagrangian, make_report
+from .problems import DEFAULT_BAND, ResidualReport, VariationalProblem, augmented_lagrangian, make_report
 
 __all__ = [
     "ControlProblem",
@@ -67,11 +67,7 @@ class ControlProblem:
     def k(self) -> int:
         return len(self.constraints)
 
-    def check_multipliers(self, lam: np.ndarray) -> np.ndarray:
-        lam = np.atleast_1d(np.asarray(lam, float))
-        if lam.size != self.k:
-            raise ValueError(f"expected {self.k} multipliers, got {lam.size}")
-        return lam
+    check_multipliers = VariationalProblem.check_multipliers
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ from .problems import (
     ResidualReport,
     VariationalProblem,
     _field_gradients_along,
+    _velocity_filled,
     augmented_lagrangian,
     make_report,
 )
@@ -92,7 +93,7 @@ def invariance_necessary_condition(
     if np.max(np.abs(taus)) > 0.0:
         raise ValueError("necessary condition of invariance requires tau == 0")
     F = augmented_lagrangian(problem, lam)
-    a, b, _ = _field_gradients_along(problem, F, q)
+    a, b = _field_gradients_along(problem, F, q)
     dxi = fk.left_rl_derivative(SampledFunction(problem.grid, xis), problem.order)
     r = np.sum(a * xis, axis=1) + np.sum(b * fill_endpoints(dxi.values), axis=1)
     return make_report(problem.grid, r, band=band)
@@ -110,7 +111,7 @@ def momentum_law_residual(
     if np.max(np.abs(taus)) > 0.0:
         raise ValueError("momentum law applies to generators with tau == 0")
     F = augmented_lagrangian(problem, lam)
-    _, b, _ = _field_gradients_along(problem, F, q)
+    b = F.d_y_along(problem.grid.nodes, q.values, _velocity_filled(problem, q))
     r = frac_pair_operator(
         SampledFunction(problem.grid, b),
         SampledFunction(problem.grid, xis),
@@ -133,7 +134,8 @@ def noether_law_residual(
     grid = problem.grid
     taus, xis = gen.sampled_along(grid, q)
     F = augmented_lagrangian(problem, lam)
-    _, b, v = _field_gradients_along(problem, F, q)
+    v = _velocity_filled(problem, q)
+    b = F.d_y_along(grid.nodes, q.values, v)
     fhat = F.along(grid.nodes, q.values, v) - problem.order.alpha * np.sum(b * v, axis=1)
     term1 = frac_pair_operator(
         SampledFunction(grid, fhat), SampledFunction(grid, taus), problem.order

@@ -195,11 +195,9 @@ def objective_value(problem: VariationalProblem, q: SampledFunction) -> float:
 
 def _field_gradients_along(
     problem: VariationalProblem, field_: PointField, q: SampledFunction
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(d_q field, d_v field, filled velocity) sampled along the trajectory."""
-    v = _velocity_filled(problem, q)
-    a, b = field_.grad_along(problem.grid.nodes, q.values, v)
-    return a, b, v
+) -> tuple[np.ndarray, np.ndarray]:
+    """(d_q field, d_v field) sampled along the trajectory."""
+    return field_.grad_along(problem.grid.nodes, q.values, _velocity_filled(problem, q))
 
 
 def _el_type_residual(
@@ -208,7 +206,7 @@ def _el_type_residual(
     q: SampledFunction,
     band: int,
 ) -> ResidualReport:
-    a, b, _ = _field_gradients_along(problem, field_, q)
+    a, b = _field_gradients_along(problem, field_, q)
     rd = fk.right_rl_derivative(SampledFunction(problem.grid, b), problem.order)
     return make_report(problem.grid, a + rd.values, band=band)
 

@@ -35,8 +35,8 @@ _MAX_ITERATIONS = 50
 # scaled-gradient stopping test; the floor for fields with finite-difference
 # gradients is about 1e-7, so do not tighten much
 _NEWTON_TOL = 1e-6
-# At alpha < 1 a Newton system is solved by GMRES to this relative residual;
-# a solve that misses it within the iteration cap falls back to dense LU.
+# A Newton system is solved by GMRES to this relative residual at every
+# order; a solve that misses it within the iteration cap falls back to dense LU.
 _KRYLOV_TOL = 1e-13
 _KRYLOV_MAX_ITERATIONS = 60
 
@@ -79,11 +79,12 @@ class _Discretization:
     solutions nodally exact.
 
     P is never formed: at alpha < 1 it is implicit, and at alpha = 1 both P
-    and D are two-point stencils.  At alpha < 1 a Newton step is a
-    preconditioned Krylov solve (_NewtonOperator) that never forms the
-    Newton matrix.  ``assemble`` builds that matrix per component pair from
-    its structure, for alpha = 1 and for the Krylov fallback; at alpha < 1
-    its one dense product is D^T W D.
+    and D are two-point stencils.  A Newton step is a preconditioned Krylov
+    solve (_NewtonOperator) that never forms the Newton matrix; of its
+    preconditioner only the Toeplitz section T (``t_rows``, ``t_inv``)
+    depends on the order.  ``assemble`` builds that matrix per component
+    pair from its structure for the dense fallback; at alpha < 1 its one
+    dense product is D^T W D.
     """
 
     def __init__(self, problem: VariationalProblem, alpha: float):
@@ -92,16 +93,22 @@ class _Discretization:
         self.n = problem.dim
         self.k = problem.k
         self.midpoint = alpha == 1.0
-        nodes = self.grid.nodes
+        m, nodes = self.grid.m, self.grid.nodes
         if self.midpoint:
             self.theta = 0.5 * (nodes[:-1] + nodes[1:])
-            self.w = np.full(self.grid.m, self.grid.h)
+            self.w = np.full(m, self.grid.h)
+            self.t_rows = slice(0, m - 1)
         else:
             self.theta = nodes
             self.w = _trapezoid_weights(self.grid)
-            self.D = fill_endpoints(fk.left_derivative_matrix(self.grid, FracOrder(alpha)))
-            # T = D[1:m, 1:m] is lower-triangular Toeplitz, and so is T^-1
-            self.t_inv = _toeplitz_inverse(self.D[1 : self.grid.m, 1])
+            self.D = fk.left_derivative_matrix(self.grid, FracOrder(alpha))
+            self.D[:3] = fill_endpoints(self.D[:3])  # in place, so D is held once
+            self.t_rows = slice(1, m)
+        # T, the rows t_rows of v = D q on the interior nodes, is lower-
+        # triangular Toeplitz, and so is T^-1; its first column is D e_1
+        unit = np.zeros((m + 1, 1))
+        unit[1] = 1.0
+        self.t_inv = _toeplitz_inverse(self._points(unit)[1][self.t_rows, 0])
 
     def _points(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if self.midpoint:
@@ -182,11 +189,6 @@ class _Discretization:
         for r, g in enumerate(self.problem.constraints):
             cols[:, r] = self._pullback(*g.grad_along(self.theta, x, v)).ravel()[n:-n]
         return hessians, cols
-
-    def jacobian(self, q: np.ndarray, lam: np.ndarray) -> np.ndarray:
-        """Exact Jacobian of ``gradient`` up to the finite-difference second
-        partials of F."""
-        return self.assemble(*self.newton_partials(q, lam))
 
     def assemble(self, hessians, cols: np.ndarray) -> np.ndarray:
         """The dense Newton matrix from ``newton_partials``.  Unknowns are
@@ -270,22 +272,24 @@ def _gmres(apply, precondition, b: np.ndarray) -> np.ndarray | None:
 
 
 class _NewtonOperator:
-    """The Newton matrix at alpha < 1, applied without forming it.
+    """The Newton matrix at any order, applied without forming it.
 
     Its interior block is P^T Cqq P + P^T Cqv D + D^T Cvq P + D^T Cvv D over
-    h, with P = I.  Writing T = D[1:m, 1:m], the leading term is
-    T^T C_vv T / h, where C_vv holds the blocks w_s Hvv[s] at the interior
-    nodes; h T^-1 C_vv^-1 T^-T is its exact inverse and preconditions GMRES.
-    Raises LinAlgError when C_vv is singular at an interior node.
+    h.  T is D on rows ``t_rows`` and the interior nodes: D[1:m, 1:m] at
+    alpha < 1, where P = I, and the slopes of intervals 0..m-2 at alpha = 1.
+    With C_vv the blocks w_s Hvv[s] on those rows, T^T C_vv T / h is the
+    leading term at alpha < 1 and all of D^T Cvv D but interval m-1 at
+    alpha = 1; h T^-1 C_vv^-1 T^-T is its exact inverse and preconditions
+    GMRES.  Raises LinAlgError when C_vv is singular on a row of T.
     """
 
     def __init__(self, disc: _Discretization, hessians, cols: np.ndarray):
-        m = disc.grid.m
         self.disc, self.cols = disc, cols
         self.Hqq, self.Hqv, self.Hvv = hessians
-        self.cvv_inv = np.linalg.inv(disc.w[1:m, None, None] * self.Hvv[1:m])
+        rows = disc.t_rows
+        self.cvv_inv = np.linalg.inv(disc.w[rows, None, None] * self.Hvv[rows])
         if not np.isfinite(self.cvv_inv).all():
-            raise np.linalg.LinAlgError("C_vv is singular at an interior node")
+            raise np.linalg.LinAlgError("C_vv is singular on a row of T")
 
     def interior(self, y: np.ndarray) -> np.ndarray:
         """The interior block times y, node-major like the unknowns."""
@@ -340,16 +344,15 @@ def _initial_state(problem: VariationalProblem, guess: Solution | None):
 def _newton_step(
     disc: _Discretization, q: np.ndarray, lam: np.ndarray, G: np.ndarray
 ) -> np.ndarray:
-    """-J^-1 G: by the Krylov solve at alpha < 1, else (alpha = 1, C_vv
-    singular, or GMRES short of its tolerance) by dense LU of J."""
+    """-J^-1 G: by the Krylov solve, or by dense LU of J when C_vv is
+    singular or GMRES falls short of its tolerance."""
     partials = disc.newton_partials(q, lam)
-    if not disc.midpoint:
-        try:
-            step = _NewtonOperator(disc, *partials).step(G)
-        except np.linalg.LinAlgError:
-            step = None
-        if step is not None:
-            return step
+    try:
+        step = _NewtonOperator(disc, *partials).step(G)
+    except np.linalg.LinAlgError:
+        step = None
+    if step is not None:
+        return step
     try:
         return np.linalg.solve(disc.assemble(*partials), -G)
     except np.linalg.LinAlgError as exc:

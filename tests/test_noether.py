@@ -4,6 +4,7 @@ import pytest
 from fracnoether import (
     FracOrder,
     Grid,
+    PointField,
     SampledFunction,
     SymmetryGenerator,
     certification_tolerance,
@@ -130,3 +131,27 @@ def test_first_order_probe_samples_generator_once():
     rep = invariance_first_order_check(problem, np.array([2.0]), q, gen)
     assert len(calls) == problem.grid.m + 1
     assert rep.sup_norm <= 1e-2
+
+
+def test_conservation_laws_sample_only_the_velocity_partial():
+    """The Noether and momentum laws read d_v F alone, so a Lagrangian whose
+    grad_x counts its calls sees none."""
+    from dataclasses import replace
+
+    from conftest import benchmark_extremal, benchmark_problem
+
+    problem = benchmark_problem(100)
+    q = benchmark_extremal(problem.grid)
+    L, calls = problem.lagrangian, []
+
+    def grad_x(t, x, v):
+        calls.append(t)
+        return L.d_x(t, x, v)
+
+    counting = replace(problem, lagrangian=PointField(L.evaluator, grad_x, L.grad_y))
+    lam = np.array([2.0])
+    noether = noether_law_residual(counting, lam, q, SHIFT_BOTH)
+    momentum = momentum_law_residual(counting, lam, q, STATE_SHIFT)
+    assert calls == []
+    assert noether.sup_norm == noether_law_residual(problem, lam, q, SHIFT_BOTH).sup_norm
+    assert momentum.sup_norm == momentum_law_residual(problem, lam, q, STATE_SHIFT).sup_norm
