@@ -13,7 +13,6 @@ profiles into the output directory.  Exit codes: 0 all checks passed,
 from __future__ import annotations
 
 import argparse
-import csv
 import importlib.resources
 import json
 import math
@@ -84,8 +83,8 @@ def _generator(spec: ProblemSpec) -> SymmetryGenerator:
     if spec.tau is None and spec.xi is None:
         raise SpecError("this check needs symmetry generators: add 'tau' and/or 'xi1..'")
     return SymmetryGenerator(
-        tau=spec.compile("tau", spec.tau) if spec.tau is not None else lambda t, q: 0.0,
-        xi=spec.compile("xi", spec.xi) if spec.xi else lambda t, q: np.zeros(spec.dim),
+        tau=spec.compile("tau", spec.tau or "0"),
+        xi=spec.compile("xi", spec.xi or ["0"] * spec.dim),
     )
 
 
@@ -145,15 +144,21 @@ def _write_json(path: str, doc: dict) -> None:
         fh.write("\n")
 
 
+def _write_csv(path: str, header: list[str], columns: list[np.ndarray]) -> None:
+    """CSV of the columns side by side, each number as its float repr (so
+    NaN is written as nan); no field needs quoting."""
+    rows = np.column_stack(columns).tolist()
+    text = "".join([",".join(header) + "\n", *(",".join(map(repr, row)) + "\n" for row in rows)])
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+
+
 def _write_profile(path: str, report: ResidualReport) -> None:
     """CSV with columns t, r1..rn, abs_r; endpoint NaN markers written as nan."""
     values = report.pointwise.values
     mag = np.sqrt(np.sum(values * values, axis=1))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t"] + [f"r{i + 1}" for i in range(values.shape[1])] + ["abs_r"])
-        for t, row, m in zip(report.grid.nodes, values, mag):
-            writer.writerow([repr(float(t))] + [repr(float(v)) for v in row] + [repr(float(m))])
+    header = ["t"] + [f"r{i + 1}" for i in range(values.shape[1])] + ["abs_r"]
+    _write_csv(path, header, [report.grid.nodes, values, mag])
 
 
 def _report_entry(name: str, report: ResidualReport, tol: float, profile: str | None) -> dict:
@@ -217,8 +222,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         elif which == "momentum":
             # the momentum law is the tau == 0 specialization; ignore any
             # declared time component of the generator
-            gen = _generator(spec)
-            gen = SymmetryGenerator(tau=lambda t, x: 0.0, xi=gen.xi)
+            gen = SymmetryGenerator(tau=spec.compile("tau", "0"), xi=_generator(spec).xi)
             rep = momentum_law_residual(problem, lam, q, gen, band=band)
             tol = args.tol if args.tol is not None else default_tol
         elif which == "invariance":
@@ -252,17 +256,12 @@ def cmd_check(args: argparse.Namespace) -> int:
 def _write_trajectory(
     path: str, q: SampledFunction, reference: SampledFunction | None
 ) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        header = ["t"] + [f"q{i + 1}" for i in range(q.dim)]
-        if reference is not None:
-            header += [f"deviation{i + 1}" for i in range(q.dim)]
-        writer.writerow(header)
-        for j, t in enumerate(q.grid.nodes):
-            row = [repr(float(t))] + [repr(float(v)) for v in q.values[j]]
-            if reference is not None:
-                row += [repr(float(v)) for v in (q.values[j] - reference.values[j])]
-            writer.writerow(row)
+    header = ["t"] + [f"q{i + 1}" for i in range(q.dim)]
+    columns = [q.grid.nodes, q.values]
+    if reference is not None:
+        header += [f"deviation{i + 1}" for i in range(q.dim)]
+        columns.append(q.values - reference.values)
+    _write_csv(path, header, columns)
 
 
 def cmd_solve(args: argparse.Namespace) -> int:

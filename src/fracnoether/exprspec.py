@@ -251,16 +251,31 @@ class ProblemSpec:
     def compile(self, key: str, text: str | list[str]) -> Callable:
         """Bind the expression under `key` to a callable of the key's
         arguments: (t, q, y) for L, g and phi; (t, q) for tau and xi; (t) for
-        trajectory, control and costate.  It returns a float, or for a list
-        of expressions an array with one entry per expression."""
+        trajectory, control and costate.
+
+        At one point (scalar t, q and y of shape (n,)) it returns a float, or
+        for a list of expressions an array of shape (k,).  Over M points at
+        once (t of shape (M,), q and y of shape (n, M)) it returns an array
+        of shape (M,), or (k, M) for a list; constants broadcast to M.  The
+        callable carries ``whole_array = True``, which tells the field
+        classes and samplers that it takes the second form."""
         variables = self.variables(key)
         if isinstance(text, str):
             fn = _compile(text, variables)
-            value = lambda env: float(fn(env))
+            value = lambda env: _filled(env[0], fn(env))
         else:
             fns = [_compile(s, variables) for s in text]
-            value = lambda env: np.array([float(f(env)) for f in fns])
-        return _BINDERS[_ARITY[key]](value)
+            value = lambda env: np.array([_filled(env[0], f(env)) for f in fns])
+        bound = _BINDERS[_ARITY[key]](value)
+        bound.whole_array = True
+        return bound
+
+
+def _filled(t, value) -> float | np.ndarray:
+    """``value`` as a float at one point, or broadcast to t's shape (M,)."""
+    if np.ndim(t) == 0:
+        return float(value)
+    return np.full(np.shape(t), value, dtype=float)
 
 
 def _read_pairs(path: str) -> dict[str, tuple[str, int]]:

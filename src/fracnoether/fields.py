@@ -5,7 +5,12 @@ differences with a relative step.  A self-check compares supplied gradients
 against the finite-difference ones on random probes.
 
 The ``*_along`` methods sample a field at the M points (t_s, X_s, Y_s) of a
-trajectory; they are the library's only loop over points calling a field.
+trajectory.  A field is ``whole_array`` when its evaluator and every given
+partial carry ``whole_array = True``, the mark of the callables that
+``ProblemSpec.compile`` returns: they take t of shape (M,) and x, y of shape
+(n, M), so each ``*_along`` method makes one call over all the points.  For
+any other callable, ``_nodewise`` is the fallback: the library's only loop
+over points calling a field.
 """
 
 from __future__ import annotations
@@ -41,24 +46,51 @@ def _central(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray
     return np.array(cols).T
 
 
+def _whole_array(*fns: Optional[Callable]) -> bool:
+    """Whether every given callable is marked as taking whole arrays."""
+    return all(getattr(f, "whole_array", False) for f in fns if f is not None)
+
+
 def _nodewise(fn: Callable, t: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Stack fn(t_s, X_s, Y_s) over the points s = 0..M-1."""
     return np.array([fn(t[s], X[s], Y[s]) for s in range(len(t))])
+
+
+def _sweep(
+    whole_array: bool, fn: Callable, t: np.ndarray, X: np.ndarray, Y: np.ndarray
+) -> np.ndarray:
+    """fn at the points (t_s, X_s, Y_s), points on the first axis: one call
+    with x, y of shape (n, M) for a whole-array field, else one per point.
+    The whole-array result of ``fn`` must have the points first already, as
+    a PointField's values (M,) and the partials from ``_central`` do."""
+    if whole_array:
+        return fn(t, np.asarray(X, float).T, np.asarray(Y, float).T)
+    return _nodewise(fn, t, X, Y)
 
 
 @dataclass(frozen=True)
 class PointField:
     """Scalar field (t, x, y) -> R with x, y in R^n (e.g. L(t, q, D^alpha q)).
 
-    grad_x / grad_y, when given, must return arrays of shape (n,).
+    grad_x / grad_y, when given, must return arrays of shape (n,).  A
+    whole-array field also takes t of shape (M,) and x, y of shape (n, M);
+    then the value has shape (M,) and d_x, d_y have shape (M, n).
     """
 
     evaluator: Callable[[float, np.ndarray, np.ndarray], float]
     grad_x: Optional[Callable[[float, np.ndarray, np.ndarray], np.ndarray]] = None
     grad_y: Optional[Callable[[float, np.ndarray, np.ndarray], np.ndarray]] = None
 
-    def __call__(self, t: float, x: np.ndarray, y: np.ndarray) -> float:
-        return float(self.evaluator(t, np.asarray(x, float), np.asarray(y, float)))
+    @property
+    def whole_array(self) -> bool:
+        return _whole_array(self.evaluator, self.grad_x, self.grad_y)
+
+    def __call__(self, t: float, x: np.ndarray, y: np.ndarray) -> float | np.ndarray:
+        value = self.evaluator(t, np.asarray(x, float), np.asarray(y, float))
+        # isinstance, not np.ndim: this runs once per point for opaque fields
+        if isinstance(t, np.ndarray) and t.ndim > 0:
+            return np.asarray(value, float)
+        return float(value)
 
     def d_x(self, t: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         x = np.asarray(x, float)
@@ -76,17 +108,17 @@ class PointField:
 
     def along(self, t: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """Values at the points (t_s, X_s, Y_s); shape (M,)."""
-        return _nodewise(self, t, X, Y)
+        return _sweep(self.whole_array, self, t, X, Y)
 
     def grad_along(
         self, t: np.ndarray, X: np.ndarray, Y: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """(d_x, d_y) at the points (t_s, X_s, Y_s); each of shape (M, n)."""
-        return _nodewise(self.d_x, t, X, Y), self.d_y_along(t, X, Y)
+        return _sweep(self.whole_array, self.d_x, t, X, Y), self.d_y_along(t, X, Y)
 
     def d_y_along(self, t: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """d_y alone at the points (t_s, X_s, Y_s); shape (M, n)."""
-        return _nodewise(self.d_y, t, X, Y)
+        return _sweep(self.whole_array, self.d_y, t, X, Y)
 
     def hessian_along(
         self, t: np.ndarray, X: np.ndarray, Y: np.ndarray
@@ -97,7 +129,7 @@ class PointField:
         X = np.asarray(X, float)
         Y = np.asarray(Y, float)
         n = X.shape[1]
-        Hxx = _central(lambda XT: _nodewise(self.d_x, t, XT.T, Y).T, X.T)
+        Hxx = _central(lambda XT: _sweep(self.whole_array, self.d_x, t, XT.T, Y).T, X.T)
         H = _central(lambda YT: np.hstack(self.grad_along(t, X, YT.T)).T, Y.T)
         return Hxx, H[:, :n], H[:, n:]
 
@@ -127,11 +159,18 @@ class VectorField:
     """Vector field (t, x, y) -> R^n (e.g. control dynamics phi(t, q, u)).
 
     jac_x / jac_y, when given, return Jacobians of shape (n, dim_x/dim_y).
+    A whole-array field also takes t of shape (M,) and x, y of shape
+    (dim_x, M) and (dim_y, M); then the value has shape (n, M) and d_x, d_y
+    have shapes (M, n, dim_x) and (M, n, dim_y).
     """
 
     evaluator: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
     jac_x: Optional[Callable[[float, np.ndarray, np.ndarray], np.ndarray]] = None
     jac_y: Optional[Callable[[float, np.ndarray, np.ndarray], np.ndarray]] = None
+
+    @property
+    def whole_array(self) -> bool:
+        return _whole_array(self.evaluator, self.jac_x, self.jac_y)
 
     def __call__(self, t: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         out = np.atleast_1d(np.asarray(self.evaluator(t, np.asarray(x, float), np.asarray(y, float)), float))
@@ -149,10 +188,13 @@ class VectorField:
 
     def along(self, t: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """Values at the points (t_s, X_s, Y_s); shape (M, n)."""
+        if self.whole_array:
+            return self(t, np.asarray(X, float).T, np.asarray(Y, float).T).T
         return _nodewise(self, t, X, Y)
 
     def jac_along(
         self, t: np.ndarray, X: np.ndarray, Y: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """(d_x, d_y) at the points; shapes (M, n, dim_x) and (M, n, dim_y)."""
-        return _nodewise(self.d_x, t, X, Y), _nodewise(self.d_y, t, X, Y)
+        whole = self.whole_array
+        return _sweep(whole, self.d_x, t, X, Y), _sweep(whole, self.d_y, t, X, Y)

@@ -127,6 +127,10 @@ def fill_endpoints(values: np.ndarray) -> np.ndarray:
 
 
 def sample(grid: Grid, fn: Callable[[float], float | np.ndarray]) -> SampledFunction:
-    """Sample a callable t -> scalar or t -> R^dim on the grid nodes."""
+    """Sample a callable t -> scalar or t -> R^dim on the grid nodes: in one
+    call on all nodes when ``fn`` is marked ``whole_array`` (it then returns
+    (M,) or (dim, M)), else one call per node."""
+    if getattr(fn, "whole_array", False):
+        return SampledFunction(grid, np.asarray(fn(grid.nodes), dtype=float).T)
     rows = [np.atleast_1d(np.asarray(fn(t), dtype=float)) for t in grid.nodes]
     return SampledFunction(grid, np.vstack(rows))

@@ -51,11 +51,19 @@ class SymmetryGenerator:
     def sampled_along(
         self, grid: Grid, q: SampledFunction
     ) -> tuple[np.ndarray, np.ndarray]:
-        t = grid.nodes
-        taus = np.array([float(self.tau(t[j], q.values[j])) for j in range(t.size)])
-        xis = np.vstack(
-            [np.atleast_1d(np.asarray(self.xi(t[j], q.values[j]), float)) for j in range(t.size)]
-        )
+        """(tau, xi) at the nodes, shapes (M,) and (M, dim): one call on all
+        nodes for a callable marked ``whole_array``, else one per node."""
+        t, Q = grid.nodes, q.values
+        if getattr(self.tau, "whole_array", False):
+            taus = np.asarray(self.tau(t, Q.T), float)
+        else:
+            taus = np.array([float(self.tau(t[j], Q[j])) for j in range(t.size)])
+        if getattr(self.xi, "whole_array", False):
+            xis = np.asarray(self.xi(t, Q.T), float).reshape(-1, t.size).T
+        else:
+            xis = np.vstack(
+                [np.atleast_1d(np.asarray(self.xi(t[j], Q[j]), float)) for j in range(t.size)]
+            )
         return taus, xis
 
 

@@ -1,9 +1,11 @@
+import csv
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from fracnoether import cli, gammafn
+from fracnoether import Grid, SampledFunction, cli, gammafn, make_report
 from fracnoether.cli import _bundled_spec, main
 
 EX1 = _bundled_spec("example1.spec")
@@ -151,6 +153,35 @@ def test_check_csv_determinism(tmp_path):
     run("check", "--which", "el", "--out", str(out1), EX1)
     run("check", "--which", "el", "--out", str(out2), EX1)
     assert (out1 / "el_profile.csv").read_bytes() == (out2 / "el_profile.csv").read_bytes()
+
+
+def _csv_reference(path, header, rows):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(float(v)) for v in row])
+
+
+def test_csv_writers_match_csv_module(tmp_path):
+    """Profiles and trajectories are byte-identical to csv.writer output
+    of each value's repr, NaN endpoint markers and signed zeros included."""
+    grid = Grid(0.0, 1.0, 8)
+    r = np.column_stack([np.sin(7.0 * grid.nodes), -np.cos(3.0 * grid.nodes) / 3.0])
+    r[0], r[-1, 1], r[4, 0] = np.nan, np.nan, -0.0
+    report = make_report(grid, r)
+    cli._write_profile(str(tmp_path / "profile.csv"), report)
+    mag = np.sqrt(np.sum(r * r, axis=1))
+    rows = [(t, *row, m) for t, row, m in zip(grid.nodes, r, mag)]
+    _csv_reference(tmp_path / "reference.csv", ["t", "r1", "r2", "abs_r"], rows)
+    assert (tmp_path / "profile.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+    q = SampledFunction(grid, np.column_stack([grid.nodes**1.5, 1e-300 * grid.nodes]))
+    ref = SampledFunction(grid, q.values * (1.0 + 1e-9))
+    cli._write_trajectory(str(tmp_path / "trajectory.csv"), q, ref)
+    rows = [(t, *qj, *(qj - rj)) for t, qj, rj in zip(grid.nodes, q.values, ref.values)]
+    _csv_reference(tmp_path / "reference.csv", ["t", "q1", "q2", "deviation1", "deviation2"], rows)
+    assert (tmp_path / "trajectory.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 # dim = 2 benchmark: two copies of the order-1/2 extremal q_i = t^2.5 / gamma(3.5)
