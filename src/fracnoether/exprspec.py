@@ -257,8 +257,8 @@ class ProblemSpec:
         for a list of expressions an array of shape (k,).  Over M points at
         once (t of shape (M,), q and y of shape (n, M)) it returns an array
         of shape (M,), or (k, M) for a list; constants broadcast to M.  The
-        callable carries ``whole_array = True``, which tells the field
-        classes and samplers that it takes the second form."""
+        callable carries ``whole_array = True``, which tells the library
+        not to wrap it in a per-point loop (``fields._pointwise``)."""
         variables = self.variables(key)
         if isinstance(text, str):
             fn = _compile(text, variables)

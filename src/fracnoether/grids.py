@@ -14,6 +14,8 @@ from typing import Callable
 
 import numpy as np
 
+from .fields import _pointwise
+
 __all__ = ["FracOrder", "Grid", "SampledFunction", "sample"]
 
 
@@ -127,10 +129,6 @@ def fill_endpoints(values: np.ndarray) -> np.ndarray:
 
 
 def sample(grid: Grid, fn: Callable[[float], float | np.ndarray]) -> SampledFunction:
-    """Sample a callable t -> scalar or t -> R^dim on the grid nodes: in one
-    call on all nodes when ``fn`` is marked ``whole_array`` (it then returns
-    (M,) or (dim, M)), else one call per node."""
-    if getattr(fn, "whole_array", False):
-        return SampledFunction(grid, np.asarray(fn(grid.nodes), dtype=float).T)
-    rows = [np.atleast_1d(np.asarray(fn(t), dtype=float)) for t in grid.nodes]
-    return SampledFunction(grid, np.vstack(rows))
+    """Sample a callable t -> scalar or t -> R^dim on the grid nodes, in one
+    call on all nodes that returns (M,) or (dim, M)."""
+    return SampledFunction(grid, np.asarray(_pointwise(fn, ndim=1)(grid.nodes), dtype=float).T)

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from . import frac_kernels as fk
-from .fields import PointField
+from .fields import PointField, _pointwise
 from .grids import FracOrder, Grid, SampledFunction, fill_endpoints
 from .problems import (
     DEFAULT_BAND,
@@ -48,22 +48,18 @@ class SymmetryGenerator:
     tau: Callable[[float, np.ndarray], float]
     xi: Callable[[float, np.ndarray], np.ndarray]
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "tau", _pointwise(self.tau))
+        object.__setattr__(self, "xi", _pointwise(self.xi, ndim=1))
+
     def sampled_along(
         self, grid: Grid, q: SampledFunction
     ) -> tuple[np.ndarray, np.ndarray]:
-        """(tau, xi) at the nodes, shapes (M,) and (M, dim): one call on all
-        nodes for a callable marked ``whole_array``, else one per node."""
+        """(tau, xi) at the nodes, shapes (M,) and (M, dim), each from one
+        call on all nodes."""
         t, Q = grid.nodes, q.values
-        if getattr(self.tau, "whole_array", False):
-            taus = np.asarray(self.tau(t, Q.T), float)
-        else:
-            taus = np.array([float(self.tau(t[j], Q[j])) for j in range(t.size)])
-        if getattr(self.xi, "whole_array", False):
-            xis = np.asarray(self.xi(t, Q.T), float).reshape(-1, t.size).T
-        else:
-            xis = np.vstack(
-                [np.atleast_1d(np.asarray(self.xi(t[j], Q[j]), float)) for j in range(t.size)]
-            )
+        taus = np.asarray(self.tau(t, Q.T), float)
+        xis = np.asarray(self.xi(t, Q.T), float).reshape(-1, t.size).T
         return taus, xis
 
 

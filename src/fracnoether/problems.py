@@ -146,7 +146,7 @@ def augmented_lagrangian(problem, lam: np.ndarray) -> PointField:
     The library's only composition of F: ``problem`` is any object with
     ``lagrangian``, ``constraints`` and ``check_multipliers`` (a
     VariationalProblem, or a ControlProblem where v is the control u).
-    F is whole-array when L and every g_j are.
+    F takes M points at once, as L and every g_j do.
     """
     lam = problem.check_multipliers(lam)
     L = problem.lagrangian
@@ -170,8 +170,7 @@ def augmented_lagrangian(problem, lam: np.ndarray) -> PointField:
             out -= lj * gj.d_y(t, x, y)
         return out
 
-    if all(f.whole_array for f in (L, *gs)):
-        ev.whole_array = dx.whole_array = dy.whole_array = True
+    ev.whole_array = dx.whole_array = dy.whole_array = True
     return PointField(ev, grad_x=dx, grad_y=dy)
 
 

@@ -98,7 +98,7 @@ def test_partials_and_hessians_agree_with_points():
     X, Y = q.T, y.T
     L = spec.compile("L", "t^4 + v1^2 * q2 + q1^3 * v2^2 + gamma(1.5 + t * v1)")
     batch, nodewise = PointField(L), PointField(opaque(L))
-    assert batch.whole_array and not nodewise.whole_array
+    assert batch.evaluator is L
     fmax = 2.0 * np.max(np.abs(nodewise.along(t, X, Y)))
     step = 1e-6
     for a, b in zip(batch.grad_along(t, X, Y), nodewise.grad_along(t, X, Y)):
