@@ -6,8 +6,9 @@
 
 Every run writes a JSON report plus per-node CSV residual/trajectory
 profiles into the output directory.  Exit codes: 0 all checks passed,
-1 a residual exceeded its tolerance, 2 the computation failed,
-3 the spec file is invalid.  Formats are documented in docs/formats.md.
+1 a residual exceeded its tolerance, 2 the computation failed or the
+output directory cannot be written, 3 the spec file is invalid.  Formats
+are documented in docs/formats.md.
 """
 
 from __future__ import annotations
@@ -138,10 +139,28 @@ def _multipliers(spec: ProblemSpec) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 
+class _OutputError(Exception):
+    """The output directory cannot be created, or a file in it written."""
+
+
+def _output_dir(path: str) -> str:
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise _OutputError(exc) from exc
+    return path
+
+
+def _write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _OutputError(exc) from exc
+
+
 def _write_json(path: str, doc: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _write_csv(path: str, header: list[str], columns: list[np.ndarray]) -> None:
@@ -149,8 +168,7 @@ def _write_csv(path: str, header: list[str], columns: list[np.ndarray]) -> None:
     NaN is written as nan); no field needs quoting."""
     rows = np.column_stack(columns).tolist()
     text = "".join([",".join(header) + "\n", *(",".join(map(repr, row)) + "\n" for row in rows)])
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    _write_text(path, text)
 
 
 def _write_profile(path: str, report: ResidualReport) -> None:
@@ -186,13 +204,15 @@ def _grid_meta(spec: ProblemSpec) -> dict:
 
 def cmd_check(args: argparse.Namespace) -> int:
     spec = _apply_overrides(parse_spec(args.spec), args)
-    out = args.out
-    os.makedirs(out, exist_ok=True)
+    out = _output_dir(args.out)
     which = args.which
+    problem = build_control(spec) if which == "hamiltonian" else build_variational(spec)
+    default = INVARIANCE_TOLERANCE if which == "invariance" else certification_tolerance(problem)
+    tol = args.tol if args.tol is not None else default
+    band = endpoint_band(spec.m)
 
     entries = []
     if which == "hamiltonian":
-        cp = build_control(spec)
         if spec.control is None or spec.costate is None:
             raise SpecError("hamiltonian checks need 'control1..' and 'costate1..'")
         ext = PontryaginExtremal(
@@ -201,33 +221,25 @@ def cmd_check(args: argparse.Namespace) -> int:
             p=_time_curve(spec, "costate", spec.costate),
             lam=_multipliers(spec),
         )
-        tol = args.tol if args.tol is not None else certification_tolerance(cp)
         names = ("state", "costate", "stationarity")
-        for name, rep in zip(names, pontryagin_residuals(cp, ext, band=endpoint_band(spec.m))):
+        for name, rep in zip(names, pontryagin_residuals(problem, ext, band=band)):
             profile = os.path.join(out, f"hamiltonian_{name}_profile.csv")
             _write_profile(profile, rep)
             entries.append(_report_entry(f"hamiltonian_{name}", rep, tol, profile))
     else:
-        problem = build_variational(spec)
         q = _candidate(spec)
         lam = _multipliers(spec)
-        default_tol = certification_tolerance(problem)
-        band = endpoint_band(spec.m)
         if which == "el":
             rep = euler_lagrange_residual(problem, lam, q, band=band)
-            tol = args.tol if args.tol is not None else default_tol
         elif which == "noether":
             rep = noether_law_residual(problem, lam, q, _generator(spec), band=band)
-            tol = args.tol if args.tol is not None else default_tol
         elif which == "momentum":
             # the momentum law is the tau == 0 specialization; ignore any
             # declared time component of the generator
             gen = SymmetryGenerator(tau=spec.compile("tau", "0"), xi=_generator(spec).xi)
             rep = momentum_law_residual(problem, lam, q, gen, band=band)
-            tol = args.tol if args.tol is not None else default_tol
         elif which == "invariance":
             rep = invariance_first_order_check(problem, lam, q, _generator(spec))
-            tol = args.tol if args.tol is not None else INVARIANCE_TOLERANCE
         else:
             raise SpecError(f"unknown check kind {which!r}")
         profile = os.path.join(out, f"{which}_profile.csv")
@@ -266,9 +278,7 @@ def _write_trajectory(
 
 def cmd_solve(args: argparse.Namespace) -> int:
     spec = _apply_overrides(parse_spec(args.spec), args)
-    out = args.out
-    os.makedirs(out, exist_ok=True)
-
+    out = _output_dir(args.out)
     problem = build_variational(spec)
     sol = solver.solve(problem)
 
@@ -427,8 +437,7 @@ def _selftest_cases() -> list[tuple[str, float, float]]:
 
 
 def cmd_selftest(args: argparse.Namespace) -> int:
-    out = args.out
-    os.makedirs(out, exist_ok=True)
+    out = _output_dir(args.out)
     cases = _selftest_cases()
     entries = []
     for name, value, threshold in cases:
@@ -491,6 +500,9 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return EXIT_SPEC
+    except _OutputError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_COMPUTE
     except (
         gammafn.GammaPoleError,
         fk.UnsupportedOrderError,

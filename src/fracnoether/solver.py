@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -39,6 +40,8 @@ _NEWTON_TOL = 1e-6
 # order; a solve that misses it within the iteration cap falls back to dense LU.
 _KRYLOV_TOL = 1e-13
 _KRYLOV_MAX_ITERATIONS = 60
+# unit columns per product when the fallback forms the Newton matrix
+_MATRIX_SLAB = 64
 
 
 class SolverError(RuntimeError):
@@ -64,7 +67,7 @@ def _trapezoid_weights(grid: Grid) -> np.ndarray:
 
 
 class _Discretization:
-    """Discrete augmented objective, its gradient, and a structured Jacobian.
+    """Discrete augmented objective, its gradient, and the Newton partials.
 
     The objective is a quadrature sum over M points,
 
@@ -82,9 +85,7 @@ class _Discretization:
     and D are two-point stencils.  A Newton step is a preconditioned Krylov
     solve (_NewtonOperator) that never forms the Newton matrix; of its
     preconditioner only the Toeplitz section T (``t_rows``, ``t_inv``)
-    depends on the order.  ``assemble`` builds that matrix per component
-    pair from its structure for the dense fallback; at alpha < 1 its one
-    dense product is D^T W D.
+    depends on the order.
     """
 
     def __init__(self, problem: VariationalProblem, alpha: float):
@@ -111,56 +112,25 @@ class _Discretization:
         self.t_inv = _toeplitz_inverse(self._points(unit)[1][self.t_rows, 0])
 
     def _points(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """x = P q and v = D q for q of shape (m + 1, n) or (m + 1, n, c)."""
         if self.midpoint:
             return 0.5 * (q[:-1] + q[1:]), np.diff(q, axis=0) / self.grid.h
-        return q, self.D @ q
+        return q, (self.D @ q.reshape(len(q), -1)).reshape(q.shape)
 
     def _pullback(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """P^T W a + D^T W b: node-space gradient of sum_s w_s f(x_s, v_s)
-        from the point-space partials a = d_x f, b = d_v f."""
-        wa = self.w[:, None] * a
-        wb = self.w[:, None] * b
+        from the point-space partials a = d_x f, b = d_v f, with the same
+        trailing axes as ``_points``."""
+        w = self.w.reshape((-1,) + (1,) * (a.ndim - 1))
+        wa, wb = w * a, w * b
         if not self.midpoint:
-            return wa + self.D.T @ wb
+            return wa + (self.D.T @ wb.reshape(len(wb), -1)).reshape(wb.shape)
         # each interval sends 0.5 w a -+ w b / h to its left/right node
         half, slope = 0.5 * wa, wb / self.grid.h
         out = np.zeros((self.grid.m + 1,) + a.shape[1:])
         out[:-1] += half - slope
         out[1:] += half + slope
         return out
-
-    def _interior_block(
-        self, cqq: np.ndarray, cqv: np.ndarray, cvq: np.ndarray, cvv: np.ndarray
-    ) -> np.ndarray:
-        """Interior rows/columns of P^T Cqq P + P^T Cqv D + D^T Cvq P + D^T Cvv D
-        for one component pair, where C = diag(c) holds weighted second
-        partials at the M points."""
-        m, h = self.grid.m, self.grid.h
-        if self.midpoint:
-            # tridiagonal: interval s couples nodes s and s+1 through the
-            # element matrix [p; d]^T [[cqq, cqv], [cvq, cvv]] [p; d],
-            # p = (1/2, 1/2), d = (-1/h, 1/h)
-            quarter, curv = 0.25 * cqq, cvv / (h * h)
-            cross, skew = 0.5 * (cqv + cvq) / h, 0.5 * (cqv - cvq) / h
-            B = np.zeros((m - 1, m - 1))
-            # node s is the right end of interval s-1 and the left end of s
-            np.fill_diagonal(B, (quarter + cross + curv)[:-1] + (quarter - cross + curv)[1:])
-            np.fill_diagonal(B[:, 1:], (quarter + skew - curv)[1 : m - 1])
-            np.fill_diagonal(B[1:], (quarter - skew - curv)[1 : m - 1])
-            return B
-        # P = I and D is lower triangular, so below the diagonal only Cqv D
-        # meets D^T Cvv D and above it only D^T Cvq; the diagonal sums all
-        # four terms in the order of the definition.  D^T Cvv D is formed
-        # whole and then sliced, since BLAS may round a product of another
-        # shape differently.
-        D, Di = self.D, self.D[1:m, 1:m]
-        B = (D.T @ (cvv[:, None] * D))[1:m, 1:m]
-        d = np.diagonal(Di)
-        diag = cqq[1:m] + cqv[1:m] * d + d * cvq[1:m] + np.diagonal(B)
-        B += cqv[1:m, None] * Di
-        B += Di.T * cvq[1:m]
-        np.fill_diagonal(B, diag)
-        return B
 
     def gradient(self, q: np.ndarray, lam: np.ndarray) -> np.ndarray:
         """Stacked [dJd/dq_interior ; constraint defects]."""
@@ -189,30 +159,6 @@ class _Discretization:
         for r, g in enumerate(self.problem.constraints):
             cols[:, r] = self._pullback(*g.grad_along(self.theta, x, v)).ravel()[n:-n]
         return hessians, cols
-
-    def assemble(self, hessians, cols: np.ndarray) -> np.ndarray:
-        """The dense Newton matrix from ``newton_partials``.  Unknowns are
-        ordered node-major, so component i of the state sits at rows/columns
-        i::n of the interior block."""
-        n, k, h = self.n, self.k, self.grid.h
-        w = self.w[:, None, None]
-        Hqq, Hqv, Hvv = (w * H for H in hessians)
-        # d(d_v F)_i / dq_j = d2F / dv_i dq_j = Hqv[:, j, i]
-        blocks = {
-            (i, j): self._interior_block(Hqq[:, i, j], Hqv[:, i, j], Hqv[:, j, i], Hvv[:, i, j])
-            for i in range(n)
-            for j in range(n)
-        }
-        # J is allocated after the blocks so one call holds at most two
-        # matrices of its size
-        ni = (self.grid.m - 1) * n
-        J = np.zeros((ni + k, ni + k))
-        for (i, j), B in blocks.items():
-            np.divide(B, h, out=J[i:ni:n, j:ni:n])
-        # multiplier coupling: d(gel)/d(lambda_r) = -(P^T W g_q + D^T W g_v)
-        J[:ni, ni:] = -cols / h
-        J[ni:, :ni] = cols.T
-        return J
 
 
 def _toeplitz_inverse(col: np.ndarray) -> np.ndarray:
@@ -272,7 +218,8 @@ def _gmres(apply, precondition, b: np.ndarray) -> np.ndarray | None:
 
 
 class _NewtonOperator:
-    """The Newton matrix at any order, applied without forming it.
+    """The Newton matrix at any order, applied without forming it; only the
+    dense fallback forms it, by ``matrix``.
 
     Its interior block is P^T Cqq P + P^T Cqv D + D^T Cvq P + D^T Cvv D over
     h.  T is D on rows ``t_rows`` and the interior nodes: D[1:m, 1:m] at
@@ -280,27 +227,47 @@ class _NewtonOperator:
     With C_vv the blocks w_s Hvv[s] on those rows, T^T C_vv T / h is the
     leading term at alpha < 1 and all of D^T Cvv D but interval m-1 at
     alpha = 1; h T^-1 C_vv^-1 T^-T is its exact inverse and preconditions
-    GMRES.  Raises LinAlgError when C_vv is singular on a row of T.
+    GMRES.
     """
 
     def __init__(self, disc: _Discretization, hessians, cols: np.ndarray):
         self.disc, self.cols = disc, cols
         self.Hqq, self.Hqv, self.Hvv = hessians
-        rows = disc.t_rows
-        self.cvv_inv = np.linalg.inv(disc.w[rows, None, None] * self.Hvv[rows])
-        if not np.isfinite(self.cvv_inv).all():
-            raise np.linalg.LinAlgError("C_vv is singular on a row of T")
+
+    @cached_property
+    def cvv_inv(self) -> np.ndarray | None:
+        """C_vv^-1 on the rows of T, or None if C_vv is singular on one."""
+        rows = self.disc.t_rows
+        try:
+            inv = np.linalg.inv(self.disc.w[rows, None, None] * self.Hvv[rows])
+        except np.linalg.LinAlgError:
+            return None
+        return inv if np.isfinite(inv).all() else None
 
     def interior(self, y: np.ndarray) -> np.ndarray:
-        """The interior block times y, node-major like the unknowns."""
+        """The interior block times y, node-major like the unknowns, or times
+        each column of y."""
         disc = self.disc
         m, n = disc.grid.m, disc.n
-        z = np.zeros((m + 1, n))
-        z[1:m] = y.reshape(m - 1, n)
+        z = np.zeros((m + 1, n) + y.shape[1:])
+        z[1:m] = y.reshape(z[1:m].shape)
         x, v = disc._points(z)
-        a = np.einsum("sij,sj->si", self.Hqq, x) + np.einsum("sij,sj->si", self.Hqv, v)
-        b = np.einsum("sji,sj->si", self.Hqv, x) + np.einsum("sij,sj->si", self.Hvv, v)
-        return disc._pullback(a, b)[1:m].ravel() / disc.grid.h
+        a = np.einsum("sij,sj...->si...", self.Hqq, x) + np.einsum("sij,sj...->si...", self.Hqv, v)
+        b = np.einsum("sji,sj...->si...", self.Hqv, x) + np.einsum("sij,sj...->si...", self.Hvv, v)
+        return disc._pullback(a, b)[1:m].reshape(y.shape) / disc.grid.h
+
+    def matrix(self) -> np.ndarray:
+        """The Newton matrix for the dense fallback: the interior block applied
+        to slabs of unit columns, bordered by the multiplier columns."""
+        (ni, k), h = self.cols.shape, self.disc.grid.h
+        J = np.zeros((ni + k, ni + k))
+        for start in range(0, ni, _MATRIX_SLAB):
+            width = min(_MATRIX_SLAB, ni - start)
+            J[:ni, start : start + width] = self.interior(np.eye(ni, width, -start))
+        # J = [[A, -cols/h], [cols^T, 0]] with A the interior block
+        J[:ni, ni:] = -self.cols / h
+        J[ni:, :ni] = self.cols.T
+        return J
 
     def precondition(self, r: np.ndarray) -> np.ndarray:
         """h T^-1 C_vv^-1 T^-T r; T^T is T conjugated by the reversal."""
@@ -311,11 +278,12 @@ class _NewtonOperator:
         return disc.grid.h * _toeplitz_apply(t_inv, y).ravel()
 
     def step(self, G: np.ndarray) -> np.ndarray | None:
-        """The Newton step -J^-1 G, or None if a Krylov solve misses its
-        tolerance.  The k multiplier rows go by a Schur complement: k + 1
-        Krylov solves with the interior block, then one k x k solve."""
+        """The Newton step -J^-1 G, or None if C_vv is singular or a Krylov
+        solve misses its tolerance.  The k multiplier rows go by a Schur
+        complement: k + 1 Krylov solves with the interior block, then one k x k solve."""
+        if self.cvv_inv is None:
+            return None
         ni, h = self.cols.shape[0], self.disc.grid.h
-        # J = [[A, -cols/h], [cols^T, 0]] with A the interior block
         solves = []
         for b in [-G[:ni], *(-self.cols.T / h)]:
             x = _gmres(self.interior, self.precondition, b)
@@ -346,15 +314,12 @@ def _newton_step(
 ) -> np.ndarray:
     """-J^-1 G: by the Krylov solve, or by dense LU of J when C_vv is
     singular or GMRES falls short of its tolerance."""
-    partials = disc.newton_partials(q, lam)
-    try:
-        step = _NewtonOperator(disc, *partials).step(G)
-    except np.linalg.LinAlgError:
-        step = None
+    op = _NewtonOperator(disc, *disc.newton_partials(q, lam))
+    step = op.step(G)
     if step is not None:
         return step
     try:
-        return np.linalg.solve(disc.assemble(*partials), -G)
+        return np.linalg.solve(op.matrix(), -G)
     except np.linalg.LinAlgError as exc:
         raise SolverError("singular Jacobian") from exc
 

@@ -88,6 +88,27 @@ def test_missing_trajectory_exits_3(tmp_path):
     assert run("check", "--which", "el", "--out", str(tmp_path / "o"), str(spec)) == 3
 
 
+@pytest.mark.parametrize("where", ["under a file", "empty", "over a directory"])
+def test_unusable_out_exits_2(tmp_path, capsys, where):
+    """An output directory that cannot be created, or a file in it that
+    cannot be written, is a one-line output error with exit 2."""
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    taken = tmp_path / "o"
+    (taken / "el_profile.csv").mkdir(parents=True)
+    out = {"under a file": str(blocker / "sub"), "empty": "", "over a directory": str(taken)}[where]
+    assert run("check", "--which", "el", "--out", out, EX1) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("output error: ") and err.count("\n") == 1
+
+
+def test_missing_spec_exits_3_before_output(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert run("check", "--out", str(blocker / "sub"), str(tmp_path / "missing.spec")) == 3
+    assert capsys.readouterr().err.startswith("spec error: ")
+
+
 def test_solve_benchmark(tmp_path):
     out = tmp_path / "o"
     assert run("solve", "--grid", "500", "--out", str(out), EX1) == 0

@@ -162,6 +162,19 @@ def linear_problem() -> VariationalProblem:
     return VariationalProblem(FracOrder(0.5), L, Grid(0.0, 1.0, 50), [0.0], [0.0])
 
 
+def spy_on_matrix(monkeypatch) -> list[int]:
+    """The grid size m of each Newton matrix the dense fallback forms."""
+    formed = []
+    real = _NewtonOperator.matrix
+
+    def spy(self):
+        formed.append(self.disc.grid.m)
+        return real(self)
+
+    monkeypatch.setattr(_NewtonOperator, "matrix", spy)
+    return formed
+
+
 def test_singular_jacobian_raises_with_suggestion():
     with pytest.raises(SolverError, match="singular"):
         solve(linear_problem())
@@ -201,7 +214,7 @@ def test_jacobian_matches_central_differences_of_gradient(alpha):
         qz[1:m] = z[: (m - 1) * n].reshape(m - 1, n)
         return disc.gradient(qz, z[(m - 1) * n :])
 
-    J = disc.assemble(*disc.newton_partials(q, z[(m - 1) * n :]))
+    J = _NewtonOperator(disc, *disc.newton_partials(q, z[(m - 1) * n :])).matrix()
     step = 1e-5
     fd = np.column_stack(
         [(gradient(z + step * e) - gradient(z - step * e)) / (2.0 * step) for e in np.eye(z.size)]
@@ -240,8 +253,8 @@ def test_two_state_solve_matches_closed_form():
 
 
 def dense_reference(disc, q, lam):
-    """The dense P-product assembly of J and the gradient, with P and D as
-    full matrices: P = I and D = the L1 matrix at alpha < 1, the two-point
+    """The Newton matrix J and the gradient from dense products, with P and D
+    as full matrices: P = I and D = the L1 matrix at alpha < 1, the two-point
     endpoint average and slope at alpha = 1.  Partials are taken at
     ``disc``'s own points so that the comparison isolates the assembly."""
     p, w, h = disc.problem, disc.w, disc.grid.h
@@ -311,12 +324,15 @@ def test_structured_assembly_matches_dense_reference(make, alpha):
     lam = np.array([0.7])
     (x_ref, v_ref), J_ref, G_ref = dense_reference(disc, q, lam)
     x, v = disc._points(q)
-    J, G = disc.assemble(*disc.newton_partials(q, lam)), disc.gradient(q, lam)
-    for got, ref in [(x, x_ref), (v, v_ref), (J, J_ref), (G, G_ref)]:
+    J = _NewtonOperator(disc, *disc.newton_partials(q, lam)).matrix()
+    G = disc.gradient(q, lam)
+    for got, ref in [(x, x_ref), (v, v_ref), (G, G_ref)]:
         if alpha < 1.0:
             assert np.array_equal(got, ref)
         else:
             assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+    # J is formed from the matrix-free product, which sums in another order
+    assert np.max(np.abs(J - J_ref)) <= 1e-15 * np.max(np.abs(J_ref))
 
 
 @pytest.mark.parametrize("make, alpha", [(benchmark_problem, 0.5), (classical_problem, 1.0)])
@@ -328,7 +344,7 @@ def test_jacobian_peak_memory(make, alpha):
     q = np.linspace(0.0, 0.3, p.grid.m + 1)[:, None]
     tracemalloc.start()
     try:
-        J = disc.assemble(*disc.newton_partials(q, np.array([0.7])))
+        J = _NewtonOperator(disc, *disc.newton_partials(q, np.array([0.7]))).matrix()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -340,15 +356,15 @@ def test_jacobian_peak_memory(make, alpha):
 
 def krylov_case(make, alpha):
     """A problem's discretization at a random state, its Newton operator,
-    and the assembled Newton matrix and gradient as the oracle."""
+    and ``dense_reference``'s Newton matrix and gradient as the oracle."""
     p = make(alpha)
     disc = _Discretization(p, alpha)
     m, n = p.grid.m, p.dim
     q = np.random.default_rng(3).uniform(-1.0, 1.0, (m + 1, n))
     q[0], q[-1] = p.boundary_a, p.boundary_b
     lam = np.array([0.7])
-    partials = disc.newton_partials(q, lam)
-    return disc, _NewtonOperator(disc, *partials), disc.assemble(*partials), disc.gradient(q, lam)
+    _, J, G = dense_reference(disc, q, lam)
+    return disc, _NewtonOperator(disc, *disc.newton_partials(q, lam)), J, G
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0])
@@ -364,8 +380,8 @@ def test_krylov_product_matches_assembled_jacobian(make, alpha):
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0])
 @pytest.mark.parametrize("make", [coupled_problem, benchmark_at_order, self_coupled_problem])
 def test_krylov_step_matches_dense_solve(make, alpha):
-    _, op, J, G = krylov_case(make, alpha)
-    dense = np.linalg.solve(J, -G)
+    _, op, _, G = krylov_case(make, alpha)
+    dense = np.linalg.solve(op.matrix(), -G)
     step = op.step(G)
     assert step is not None
     # at alpha = 1 these J are 7-260 times worse conditioned than at alpha =
@@ -400,32 +416,47 @@ def test_toeplitz_inverse_and_preconditioner(alpha):
 
 
 def test_dense_fallback_only_where_krylov_cannot_solve(monkeypatch):
-    """At every order the Newton matrix is assembled only when C_vv is
+    """At every order the Newton matrix is formed only when C_vv is
     singular (a linear Lagrangian) or GMRES misses its tolerance within the
     iteration cap (lowered here below what the coupled problem needs), never
     on the benchmark or the classical problem; the fallback reaches the
     Krylov solve's solution."""
-    assembled = []
-    real = _Discretization.assemble
-
-    def spy(self, *partials):
-        assembled.append(self.grid.m)
-        return real(self, *partials)
-
-    monkeypatch.setattr(_Discretization, "assemble", spy)
+    formed = spy_on_matrix(monkeypatch)
     assert solve(benchmark_problem(500)).converged
     assert solve(classical_problem(500)).converged
-    assert assembled == []
+    assert formed == []
     with pytest.raises(SolverError, match="singular"):
         solve(linear_problem())
-    assert assembled == [50]
+    assert formed == [50]
     krylov = solve(coupled_problem(0.5))
-    assert krylov.converged and assembled == [50]
+    assert krylov.converged and formed == [50]
     monkeypatch.setattr(solver, "_KRYLOV_MAX_ITERATIONS", 2)
     dense = solve(coupled_problem(0.5))
-    assert dense.converged and len(assembled) == 1 + dense.iterations
+    assert dense.converged and len(formed) == 1 + dense.iterations
     assert dense.lam[0] == pytest.approx(krylov.lam[0], rel=1e-10)
     assert np.max(np.abs(dense.q.values - krylov.q.values)) <= 1e-10
+
+
+def test_dense_fallback_solves_singular_cvv(monkeypatch):
+    """L = (q - t)^2 has no v-dependence, so C_vv = 0 and the Krylov
+    preconditioner does not exist, while J is nonsingular.  With g = q at
+    level l and q = t at both ends, the discrete extremal is q = t + lambda/2
+    at the interior nodes, lambda = 2 (l - 1/2) / (1 - h)."""
+    L = PointField(lambda t, q, v: float((q[0] - t) ** 2))
+    g = PointField(lambda t, q, v: float(q[0]))
+    level, grid = 0.7, Grid(0.0, 1.0, 50)
+    p = VariationalProblem(
+        FracOrder(0.5), L, grid, [0.0], [1.0], constraints=[g], constraint_levels=[level]
+    )
+    formed = spy_on_matrix(monkeypatch)
+    sol = solve(p)
+    assert sol.converged and sol.iterations == 1 and formed == [50]
+    lam = 2.0 * (level - 0.5) / (1.0 - grid.h)
+    assert sol.lam[0] == pytest.approx(lam, rel=1e-12, abs=0.0)
+    # the one Newton step carries the finite-difference Hessian's relative
+    # error, about eps / 1e-6, into q - t = lambda / H_qq
+    deviation = sol.q.scalar[1:-1] - (grid.nodes[1:-1] + lam / 2.0)
+    assert np.max(np.abs(deviation)) <= 1e-10
 
 
 @pytest.mark.parametrize("make", [benchmark_problem, classical_problem])
