@@ -64,7 +64,14 @@ _CHECK_KINDS = ("el", "noether", "momentum", "hamiltonian", "invariance")
 # --------------------------------------------------------------------------
 
 
-def _apply_overrides(spec: ProblemSpec, args: argparse.Namespace) -> ProblemSpec:
+def _load_spec(args: argparse.Namespace) -> ProblemSpec:
+    """The spec file ``args.spec`` with the command-line overrides applied; a
+    path that cannot be read as UTF-8 text (missing, a directory, unreadable,
+    binary) is a SpecError."""
+    try:
+        spec = parse_spec(args.spec)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SpecError(str(exc)) from exc
     if getattr(args, "grid", None) is not None:
         spec.m = int(args.grid)
         if spec.m < 2:
@@ -203,7 +210,7 @@ def _grid_meta(spec: ProblemSpec) -> dict:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    spec = _apply_overrides(parse_spec(args.spec), args)
+    spec = _load_spec(args)
     out = _output_dir(args.out)
     which = args.which
     problem = build_control(spec) if which == "hamiltonian" else build_variational(spec)
@@ -277,7 +284,7 @@ def _write_trajectory(
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    spec = _apply_overrides(parse_spec(args.spec), args)
+    spec = _load_spec(args)
     out = _output_dir(args.out)
     problem = build_variational(spec)
     sol = solver.solve(problem)
@@ -495,9 +502,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except SpecError as exc:
-        print(f"spec error: {exc}", file=sys.stderr)
-        return EXIT_SPEC
-    except FileNotFoundError as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return EXIT_SPEC
     except _OutputError as exc:

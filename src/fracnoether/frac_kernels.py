@@ -7,6 +7,17 @@ out in closed form.  The scheme is linear in the samples and converges with
 empirical order 2 - alpha for smooth data.  A shifted Grunwald-Letnikov
 scheme is available as an independent cross-check.
 
+Every L1 and integral rule is a causal convolution of the samples with a
+weight sequence (_causal_convolve).  Once both operands have at least
+_FFT_MIN_SIZE terms it goes by np.fft.rfft/irfft at a power-of-two length,
+O(m log m) instead of O(m^2), and differs from direct convolution by a few
+ulps of the largest output.  Below that size, and whenever an operand holds
+a NaN or inf, it is np.convolve: direct convolution keeps a NaN endpoint
+marker at its own node and the ones after it, where an FFT would spread it
+to all.  The Grunwald-Letnikov scheme always convolves directly, so that it
+stays an independent check, and left_derivative_matrix writes its columns
+out from the L1 weights, so that D carries no FFT rounding.
+
 Left derivatives are undefined (singular) at the first node, right
 derivatives at the last one; those entries are returned as NaN markers.
 Right operators are the left ones conjugated by the reflection
@@ -89,12 +100,47 @@ def closed_form_left_derivative(
 
 
 # --------------------------------------------------------------------------
+# causal convolution
+# --------------------------------------------------------------------------
+
+#: Both operands need at least this many terms before a convolution goes by
+#: rfft; below it np.convolve is as fast (crossover near 512 on a 2-core Xeon).
+_FFT_MIN_SIZE = 512
+
+
+def _direct_convolve(kernel: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
+    """First n terms of kernel * x along axis 0 by np.convolve, x of shape
+    (M,) or (M, k)."""
+    if x.ndim == 1:
+        return np.convolve(kernel, x)[:n]
+    return np.column_stack([np.convolve(kernel, col)[:n] for col in x.T])
+
+
+def _causal_convolve(kernel: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
+    """First n terms of kernel * x along axis 0, x of shape (M,) or (M, k).
+
+    With at least _FFT_MIN_SIZE terms in both operands this is an rfft
+    product at a power-of-two length, O(n log n); otherwise, and whenever an
+    operand is not finite, it is np.convolve.  Direct convolution keeps a NaN
+    marker at node j in outputs j and later; an FFT would spread it to all.
+    """
+    if min(len(kernel), len(x)) < _FFT_MIN_SIZE or not (
+        np.isfinite(kernel).all() and np.isfinite(x).all()
+    ):
+        return _direct_convolve(kernel, x, n)
+    size = 1 << (len(kernel) + len(x) - 2).bit_length()
+    spectrum = np.fft.rfft(kernel, size).reshape((-1,) + (1,) * (x.ndim - 1))
+    return np.fft.irfft(spectrum * np.fft.rfft(x, size, axis=0), size, axis=0)[:n]
+
+
+# --------------------------------------------------------------------------
 # fractional integrals (product trapezoid, exact for piecewise-linear data)
 # --------------------------------------------------------------------------
 
-def _pl_integral_1d(f: np.ndarray, h: float, alpha: float) -> np.ndarray:
-    """Left RL integral of the piecewise-linear interpolant, all nodes."""
-    m = f.size - 1
+def _pl_integral(f: np.ndarray, h: float, alpha: float) -> np.ndarray:
+    """Left RL integral of the piecewise-linear interpolant, all nodes, along
+    axis 0 of f."""
+    m = len(f) - 1
     r = np.arange(m, dtype=float)
     # Kernel moments over one interval at history distance r*h:
     #   m0_r = int_{rh}^{(r+1)h} u^(alpha-1) du
@@ -104,18 +150,10 @@ def _pl_integral_1d(f: np.ndarray, h: float, alpha: float) -> np.ndarray:
         (r + 1.0) * ((r + 1.0) ** alpha - r**alpha) / alpha
         - ((r + 1.0) ** (alpha + 1.0) - r ** (alpha + 1.0)) / (alpha + 1.0)
     )
-    d = np.diff(f) / h
-    left_vals = f[:-1]
-    out = np.zeros(m + 1)
-    conv0 = np.convolve(left_vals, m0)[:m]
-    conv1 = np.convolve(d, m1)[:m]
-    out[1:] = (conv0 + conv1) / gamma(alpha)
+    d = np.diff(f, axis=0) / h
+    out = np.zeros(f.shape)
+    out[1:] = (_causal_convolve(m0, f[:-1], m) + _causal_convolve(m1, d, m)) / gamma(alpha)
     return out
-
-
-def _columns(fn, values: np.ndarray, *args) -> np.ndarray:
-    """Apply the 1-D rule fn(column, *args) to each column of (m+1, dim) values."""
-    return np.column_stack([fn(values[:, i], *args) for i in range(values.shape[1])])
 
 
 def _reflected(f: SampledFunction) -> SampledFunction:
@@ -125,7 +163,7 @@ def _reflected(f: SampledFunction) -> SampledFunction:
 
 def left_rl_integral(f: SampledFunction, order: FracOrder) -> SampledFunction:
     """Node-wise left RL integral of order alpha > 0; zero at the left end."""
-    return SampledFunction(f.grid, _columns(_pl_integral_1d, f.values, f.grid.h, order.alpha))
+    return SampledFunction(f.grid, _pl_integral(f.values, f.grid.h, order.alpha))
 
 
 def right_rl_integral(f: SampledFunction, order: FracOrder) -> SampledFunction:
@@ -137,33 +175,39 @@ def right_rl_integral(f: SampledFunction, order: FracOrder) -> SampledFunction:
 # fractional derivatives
 # --------------------------------------------------------------------------
 
-def _l1_left_1d(f: np.ndarray, h: float, alpha: float) -> np.ndarray:
-    """L1 left RL derivative of the piecewise-linear interpolant.
+def _l1_weights(m: int, alpha: float) -> np.ndarray:
+    """b_r = (r+1)^(1-alpha) - r^(1-alpha), r = 0..m-1: the L1 kernel integrated
+    over the interval at history distance r (in units of h)."""
+    r = np.arange(m, dtype=float)
+    return (r + 1.0) ** (1.0 - alpha) - r ** (1.0 - alpha)
+
+
+def _l1_left(f: np.ndarray, h: float, alpha: float) -> np.ndarray:
+    """L1 left RL derivative of the piecewise-linear interpolant, along axis 0.
 
     Splits off the boundary term f(a) (t-a)^(-alpha) / Gamma(1-alpha), then
     integrates the kernel exactly against the interpolant's slope.  NaN at
     the first node.
     """
-    m = f.size - 1
-    out = np.empty(m + 1)
+    m = len(f) - 1
+    out = np.empty(f.shape)
     out[0] = np.nan
-    j = np.arange(1, m + 1, dtype=float)
-    out[1:] = f[0] * reciprocal_gamma(1.0 - alpha) * (j * h) ** (-alpha)
-    r = np.arange(m, dtype=float)
-    b = (r + 1.0) ** (1.0 - alpha) - r ** (1.0 - alpha)
-    d = np.diff(f)
-    out[1:] += (h ** (-alpha) / gamma(2.0 - alpha)) * np.convolve(d, b)[:m]
+    decay = (np.arange(1, m + 1, dtype=float) * h) ** (-alpha)
+    out[1:] = f[0] * reciprocal_gamma(1.0 - alpha) * decay.reshape((m,) + (1,) * (f.ndim - 1))
+    d = np.diff(f, axis=0)
+    out[1:] += (h ** (-alpha) / gamma(2.0 - alpha)) * _causal_convolve(_l1_weights(m, alpha), d, m)
     return out
 
 
-def _gl_left_1d(f: np.ndarray, h: float, alpha: float) -> np.ndarray:
-    """Shifted Grunwald-Letnikov left derivative; independent cross-check."""
-    m = f.size - 1
+def _gl_left(f: np.ndarray, h: float, alpha: float) -> np.ndarray:
+    """Shifted Grunwald-Letnikov left derivative along axis 0; the independent
+    cross-check of the L1 scheme, so it convolves directly and shares no
+    FFT rounding with it."""
+    m = len(f) - 1
     w = np.cumprod(np.concatenate([[1.0], 1.0 - (alpha + 1.0) / np.arange(1, m + 1)]))
-    out = np.empty(m + 1)
+    out = np.empty(f.shape)
     out[0] = np.nan
-    conv = np.convolve(w, f)[: m + 1]
-    out[1:] = h ** (-alpha) * conv[1:]
+    out[1:] = h ** (-alpha) * _direct_convolve(w, f, m + 1)[1:]
     return out
 
 
@@ -192,9 +236,9 @@ def left_rl_derivative(
     if order.is_classical:
         vals = _classical_derivative(f.values, h)
     elif scheme == "l1":
-        vals = _columns(_l1_left_1d, f.values, h, order.alpha)
+        vals = _l1_left(f.values, h, order.alpha)
     elif scheme == "gl":
-        vals = _columns(_gl_left_1d, f.values, h, order.alpha)
+        vals = _gl_left(f.values, h, order.alpha)
     else:
         raise ValueError(f"unknown scheme {scheme!r}; expected 'l1' or 'gl'")
     return SampledFunction(f.grid, vals)
@@ -217,12 +261,16 @@ def left_derivative_matrix(grid: Grid, order: FracOrder) -> np.ndarray:
     m, h = grid.m, grid.h
     if order.is_classical:
         return _classical_derivative(np.eye(m + 1), h)
-    e = np.zeros(m + 1)
-    e[0] = 1.0
+    alpha = order.alpha
+    # the columns are the responses to unit vectors, written out from the L1
+    # weights rather than convolved, so that no FFT rounding enters D
+    b = _l1_weights(m, alpha)
+    c = h ** (-alpha) / gamma(2.0 - alpha)
     A = np.empty((m + 1, m + 1))
-    A[:, 0] = _l1_left_1d(e, h, order.alpha)
-    # columns 1..m are the unit-vector response at node 1 shifted down (Toeplitz)
-    col1 = _l1_left_1d(np.roll(e, 1), h, order.alpha)
-    A[0, 1:] = col1[0]
-    A[1:, 1:] = sliding_window_view(np.concatenate([np.zeros(m - 1), col1[1:]]), m)[:, ::-1]
+    A[0] = np.nan
+    A[1:, 0] = reciprocal_gamma(1.0 - alpha) * (np.arange(1, m + 1) * h) ** (-alpha) - c * b
+    # columns 1..m are the response at node 1, c (b_k - b_(k-1)), shifted down
+    # (Toeplitz)
+    col1 = c * np.diff(b, prepend=0.0)
+    A[1:, 1:] = sliding_window_view(np.concatenate([np.zeros(m - 1), col1]), m)[:, ::-1]
     return A

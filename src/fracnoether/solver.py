@@ -164,7 +164,9 @@ class _Discretization:
 def _toeplitz_inverse(col: np.ndarray) -> np.ndarray:
     """First column of T^-1 for the lower-triangular Toeplitz T with first
     column ``col``, by the Newton iteration u <- u + u (e_1 - T u) on leading
-    sections of doubling size."""
+    sections of doubling size.  The products are direct convolutions: with
+    rfft products the alpha = 1 inverse, h times ones, comes out 86 ulps of
+    h off at m = 2000, and the error compounds with each doubling."""
     inv = np.array([1.0 / col[0]])
     while inv.size < col.size:
         size = min(2 * inv.size, col.size)
@@ -172,12 +174,6 @@ def _toeplitz_inverse(col: np.ndarray) -> np.ndarray:
         defect[0] -= 1.0
         inv = np.pad(inv, (0, size - inv.size)) - np.convolve(inv, defect)[:size]
     return inv
-
-
-def _toeplitz_apply(col: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """T x for the lower-triangular Toeplitz T with first column ``col``,
-    applied to each column of x."""
-    return np.column_stack([np.convolve(col, x[:, i])[: len(col)] for i in range(x.shape[1])])
 
 
 def _gmres(apply, precondition, b: np.ndarray) -> np.ndarray | None:
@@ -270,12 +266,13 @@ class _NewtonOperator:
         return J
 
     def precondition(self, r: np.ndarray) -> np.ndarray:
-        """h T^-1 C_vv^-1 T^-T r; T^T is T conjugated by the reversal."""
+        """h T^-1 C_vv^-1 T^-T r; T^-1 y is the causal convolution of its
+        first column with y, and T^T is T conjugated by the reversal."""
         disc = self.disc
-        t_inv = disc.t_inv
-        y = _toeplitz_apply(t_inv, r.reshape(-1, disc.n)[::-1])[::-1]
+        t_inv, size = disc.t_inv, len(disc.t_inv)
+        y = fk._causal_convolve(t_inv, r.reshape(-1, disc.n)[::-1], size)[::-1]
         y = np.einsum("sij,sj->si", self.cvv_inv, y)
-        return disc.grid.h * _toeplitz_apply(t_inv, y).ravel()
+        return disc.grid.h * fk._causal_convolve(t_inv, y, size).ravel()
 
     def step(self, G: np.ndarray) -> np.ndarray | None:
         """The Newton step -J^-1 G, or None if C_vv is singular or a Krylov

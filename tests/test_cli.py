@@ -109,6 +109,20 @@ def test_missing_spec_exits_3_before_output(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("spec error: ")
 
 
+@pytest.mark.parametrize("what", ["directory", "binary"])
+@pytest.mark.parametrize("command", ["check", "solve"])
+def test_unreadable_spec_exits_3(tmp_path, capsys, command, what):
+    """A spec path that exists but cannot be read as UTF-8 text is a spec
+    error, not a traceback with exit 1 (a residual failed) or a computation
+    failure with exit 2."""
+    spec = tmp_path / "spec"
+    spec.mkdir() if what == "directory" else spec.write_bytes(b"\xff\xfe alpha = 0.5\n")
+    assert run(command, "--out", str(tmp_path / "o"), str(spec)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("spec error: ") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
 def test_solve_benchmark(tmp_path):
     out = tmp_path / "o"
     assert run("solve", "--grid", "500", "--out", str(out), EX1) == 0

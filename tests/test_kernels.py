@@ -19,7 +19,7 @@ from fracnoether import (
     right_rl_integral,
     sample,
 )
-from fracnoether.frac_kernels import _gl_left_1d
+from fracnoether.frac_kernels import _FFT_MIN_SIZE, _causal_convolve, _gl_left, _l1_weights
 
 HALF = FracOrder(0.5)
 
@@ -98,7 +98,7 @@ def test_gl_weights_bitwise_equal_recurrence(alpha):
         w[k] = w[k - 1] * (1.0 - (alpha + 1.0) / k)
     impulse = np.zeros(m + 1)
     impulse[0] = 1.0
-    out = _gl_left_1d(impulse, 1.0, alpha)
+    out = _gl_left(impulse, 1.0, alpha)
     assert np.isnan(out[0])
     assert np.array_equal(out[1:], w[1:])
 
@@ -232,3 +232,95 @@ def test_vector_samples_componentwise():
     d1 = left_rl_derivative(sample(grid, lambda s: s * s), HALF).scalar
     assert np.allclose(d.component(0)[1:], d0[1:])
     assert np.allclose(d.component(1)[1:], d1[1:])
+
+
+# --------------------------------------------------------------------------
+# causal convolution: rfft above _FFT_MIN_SIZE, np.convolve below
+# --------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("columns", [None, 3])
+@pytest.mark.parametrize("n", [511, 512, 513, 4097, 16001])
+def test_causal_convolve_matches_np_convolve(n, columns):
+    """Against np.convolve, the FFT path is off by a few ulps of the largest
+    output per doubling of the transform length; below the threshold the
+    helper is np.convolve itself."""
+    rng = np.random.default_rng(n)
+    kernel = _l1_weights(n, 0.7)
+    x = rng.standard_normal(n if columns is None else (n, columns))
+    got = _causal_convolve(kernel, x, n)
+    ref = np.convolve(kernel, x)[:n] if columns is None else np.column_stack(
+        [np.convolve(kernel, col)[:n] for col in x.T]
+    )
+    assert got.shape == ref.shape
+    if n < _FFT_MIN_SIZE:
+        assert np.array_equal(got, ref)
+    size = 1 << (2 * n - 2).bit_length()
+    tol = 2.0 * np.finfo(float).eps * np.log2(size) * np.max(np.abs(ref))
+    assert np.max(np.abs(got - ref)) <= tol
+
+
+def test_nan_marker_stays_at_its_node_above_fft_threshold():
+    """A NaN sample poisons only the outputs that depend on it, as under
+    direct convolution; an FFT product would spread it to every node."""
+    m = 2 * _FFT_MIN_SIZE
+    grid = Grid(0.0, 1.0, m)
+    clean = sample(grid, lambda s: np.cos(3.0 * s) + s)
+    last = clean.values.copy()
+    last[-1] = np.nan
+    for op in (left_rl_derivative, left_rl_integral):
+        got, ref = op(SampledFunction(grid, last), HALF).scalar, op(clean, HALF).scalar
+        assert np.all(np.isfinite(got[1:m])) and np.isnan(got[m])
+        assert np.max(np.abs(got[1:m] - ref[1:m])) <= 1e-13 * np.max(np.abs(ref[1:m]))
+    first = clean.values.copy()
+    first[0] = np.nan
+    got = right_rl_derivative(SampledFunction(grid, first), HALF).scalar
+    ref = right_rl_derivative(clean, HALF).scalar
+    assert np.all(np.isfinite(got[1:m])) and np.isnan(got[0])
+    assert np.max(np.abs(got[1:m] - ref[1:m])) <= 1e-13 * np.max(np.abs(ref[1:m]))
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.999])
+def test_derivative_matrix_columns_are_closed_form_weights(alpha):
+    """Above the FFT threshold the first two columns of D are still exactly
+    the L1 weights: c (b_k - b_(k-1)) below the diagonal of column 1, and
+    the boundary term minus c b_k in column 0."""
+    m = 2000
+    grid = Grid(0.0, 1.0, m)
+    h = grid.h
+    A = left_derivative_matrix(grid, FracOrder(alpha))
+    r = np.arange(m, dtype=float)
+    b = (r + 1.0) ** (1.0 - alpha) - r ** (1.0 - alpha)
+    c = h ** (-alpha) / gamma(2.0 - alpha)
+    assert np.array_equal(A[1:, 1], c * np.concatenate([[b[0]], b[1:] - b[:-1]]))
+    boundary = grid.nodes[1:] ** (-alpha) / gamma(1.0 - alpha)
+    assert np.all(np.abs(A[1:, 0] - (boundary - c * b)) <= 1e-14 * (boundary + c * b))
+
+
+@pytest.fixture(scope="module")
+def differint_oracle():
+    """mpmath's quadrature RL derivative of sin and exp at nodes shared by
+    every grid below; it shares no code with the kernels."""
+    mpmath = pytest.importorskip("mpmath")
+    nodes = np.array([0.25, 0.375, 0.5, 0.75, 1.0])
+    return nodes, {
+        (name, alpha): np.array([float(mpmath.differint(mf, x, alpha)) for x in nodes])
+        for name, mf in (("sin", mpmath.sin), ("exp", mpmath.exp))
+        for alpha in (0.3, 0.5)
+    }
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5])
+@pytest.mark.parametrize("name", ["sin", "exp"])
+def test_l1_matches_mpmath_differint(differint_oracle, name, alpha):
+    """On grids above the FFT threshold the L1 derivative converges to
+    mpmath's with empirical order 2 - alpha."""
+    nodes, exact = differint_oracle
+    f = {"sin": np.sin, "exp": np.exp}[name]
+    errs = []
+    for m in (1024, 2048):
+        grid = Grid(0.0, 1.0, m)
+        d = left_rl_derivative(sample(grid, f), FracOrder(alpha)).scalar
+        errs.append(np.max(np.abs(d[np.rint(nodes * m).astype(int)] - exact[name, alpha])))
+    assert errs[1] <= 10.0 * (1.0 / 2048) ** (2.0 - alpha)
+    assert np.log2(errs[0] / errs[1]) >= 2.0 - alpha - 0.1

@@ -19,12 +19,12 @@ from fracnoether import (
     solve,
 )
 from fracnoether import solver
+from fracnoether.frac_kernels import _causal_convolve
 from fracnoether.solver import (
     _Discretization,
     _NewtonOperator,
     _initial_state,
     _newton,
-    _toeplitz_apply,
 )
 
 from conftest import benchmark_extremal, benchmark_fields, benchmark_problem, classical_problem
@@ -412,7 +412,7 @@ def test_toeplitz_inverse_and_preconditioner(alpha):
     leading = T.T @ (cvv[:, None] * (T @ x)) / disc.grid.h
     assert np.max(np.abs(op.precondition(leading) - x.ravel())) <= 1e-10 * np.max(np.abs(x))
     product = T @ x
-    assert np.max(np.abs(_toeplitz_apply(T[:, 0], x) - product)) <= 1e-12 * np.max(np.abs(product))
+    assert np.max(np.abs(_causal_convolve(T[:, 0], x, m - 1) - product)) <= 1e-12 * np.max(np.abs(product))
 
 
 def test_dense_fallback_only_where_krylov_cannot_solve(monkeypatch):
