@@ -154,7 +154,7 @@ class _Parser:
             self.reads += 1
             if index is None:
                 return lambda env: env[slot]
-            return lambda env: env[slot][index]
+            return lambda env: env[slot].T[index]
         if tok == "(":
             node = self.expr()
             self.expect(")")
@@ -255,17 +255,20 @@ class ProblemSpec:
 
         At one point (scalar t, q and y of shape (n,)) it returns a float, or
         for a list of expressions an array of shape (k,).  Over M points at
-        once (t of shape (M,), q and y of shape (n, M)) it returns an array
-        of shape (M,), or (k, M) for a list; constants broadcast to M.  The
-        callable carries ``whole_array = True``, which tells the library
-        not to wrap it in a per-point loop (``fields._pointwise``)."""
+        once, points first (t of shape (M,), q and y of shape (M, n)), it
+        returns an array of shape (M,), or (M, k) for a list; constants
+        broadcast to M.  A variable reads its component as ``q.T[i]``, which
+        at one point is a numpy scalar, so that ``^`` rounds as the scalar
+        ``pow`` does.  The callable carries ``whole_array = True``, which
+        tells the library not to wrap it in a per-point loop
+        (``fields._pointwise``)."""
         variables = self.variables(key)
         if isinstance(text, str):
             fn = _compile(text, variables)
             value = lambda env: _filled(env[0], fn(env))
         else:
             fns = [_compile(s, variables) for s in text]
-            value = lambda env: np.array([_filled(env[0], f(env)) for f in fns])
+            value = lambda env: np.stack([_filled(env[0], f(env)) for f in fns], axis=-1)
         bound = _BINDERS[_ARITY[key]](value)
         bound.whole_array = True
         return bound

@@ -4,12 +4,13 @@ Analytic gradients are used when supplied; otherwise central finite
 differences with a relative step.  A self-check compares supplied gradients
 against the finite-difference ones on random probes.
 
-The ``*_along`` methods sample a field at the M points (t_s, X_s, Y_s) of a
-trajectory in one call, with t of shape (M,) and x, y of shape (n, M).
-Every callable that enters the library takes that form: ``_pointwise``
-passes through the callables that ``ProblemSpec.compile`` returns, marked
-``whole_array``, and wraps any other one once, at construction, in the
-library's only loop over points calling user code.
+A field takes one point (scalar t, x and y of shape (n,)) or M points at
+once, points first as in ``SampledFunction``: t of shape (M,) and x, y of
+shape (M, n), so a trajectory's samples go in as they are.  Every callable
+that enters the library takes that form: ``_pointwise`` passes through the
+callables that ``ProblemSpec.compile`` returns, marked ``whole_array``, and
+wraps any other one once, at construction, in the library's only loop over
+points calling user code.
 """
 
 from __future__ import annotations
@@ -28,29 +29,31 @@ _PARTIALS_TOL = 1e-4
 
 
 def _central(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
-    """Central differences of f in each component x_i along x's first axis,
+    """Central differences of f in each component x_i along x's last axis,
     with step _FD_STEP * (1 + |x_i|); the i axis is last in the result.
 
     x is one point (n,) with f scalar or (k,)-valued, giving (n,) or (k, n),
-    or a batch (n, M) with f returning (k, M), giving (M, k, n).
+    or M points (M, n) with f returning (M,) or (M, k), giving (M, n) or
+    (M, k, n).
     """
     cols = []
-    for i in range(len(x)):
-        step = _FD_STEP * (1.0 + abs(x[i]))
+    for i in range(x.shape[-1]):
+        step = _FD_STEP * (1.0 + np.abs(x[..., i]))
         xp = x.copy()
         xm = x.copy()
-        xp[i] += step
-        xm[i] -= step
-        cols.append((f(xp) - f(xm)) / (2.0 * step))
-    return np.array(cols).T
+        xp[..., i] += step
+        xm[..., i] -= step
+        # transposed, the point axis is last and the (M,) step broadcasts on it
+        cols.append((np.transpose(f(xp) - f(xm)) / (2.0 * step)).T)
+    return np.stack(cols, axis=-1)
 
 
-def _pointwise(fn: Optional[Callable], axis: int = -1, ndim: int = 0) -> Optional[Callable]:
-    """fn taking t of shape (M,) and further arguments of shape (n, M):
+def _pointwise(fn: Optional[Callable], ndim: int = 0) -> Optional[Callable]:
+    """fn taking t of shape (M,) and further arguments of shape (M, n):
     unchanged when marked ``whole_array``, else wrapped to call fn once per
-    point and stack the results, each promoted to ``ndim`` dimensions as
-    ``np.atleast_1d``/``atleast_2d`` do, with the points on ``axis``.  At a
-    scalar t the wrapper calls fn once."""
+    point and stack the results, points first, each promoted to ``ndim``
+    dimensions as ``np.atleast_1d``/``atleast_2d`` do.  At a scalar t the
+    wrapper calls fn once."""
     if fn is None or getattr(fn, "whole_array", False):
         return fn
 
@@ -59,11 +62,11 @@ def _pointwise(fn: Optional[Callable], axis: int = -1, ndim: int = 0) -> Optiona
             return fn(t, *xs)
         # the library's only loop over points calling user code, so its body is
         # the call alone; rows are contiguous, as a per-point caller passes them
-        rows = [np.ascontiguousarray(np.transpose(x)) for x in xs]
+        rows = [np.ascontiguousarray(x) for x in xs]
         out = np.array([fn(*point) for point in zip(t, *rows)], dtype=float)
         while out.ndim <= ndim:
             out = out[:, None]
-        return np.moveaxis(out, 0, axis)
+        return out
 
     lifted.whole_array = True
     return lifted
@@ -73,9 +76,10 @@ def _pointwise(fn: Optional[Callable], axis: int = -1, ndim: int = 0) -> Optiona
 class PointField:
     """Scalar field (t, x, y) -> R with x, y in R^n (e.g. L(t, q, D^alpha q)).
 
-    grad_x / grad_y, when given, must return arrays of shape (n,).  At M
-    points (t of shape (M,), x and y of shape (n, M)) the value has shape
-    (M,) and d_x, d_y have shape (M, n).
+    grad_x / grad_y, when given, must return arrays of shape (n,).  At one
+    point the value is a float and d_x, d_y have shape (n,); at M points
+    (t of shape (M,), x and y of shape (M, n)) the value has shape (M,) and
+    d_x, d_y have shape (M, n).
     """
 
     evaluator: Callable[[float, np.ndarray, np.ndarray], float]
@@ -84,8 +88,8 @@ class PointField:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "evaluator", _pointwise(self.evaluator))
-        object.__setattr__(self, "grad_x", _pointwise(self.grad_x, axis=0, ndim=1))
-        object.__setattr__(self, "grad_y", _pointwise(self.grad_y, axis=0, ndim=1))
+        object.__setattr__(self, "grad_x", _pointwise(self.grad_x, ndim=1))
+        object.__setattr__(self, "grad_y", _pointwise(self.grad_y, ndim=1))
 
     def __call__(self, t: float, x: np.ndarray, y: np.ndarray) -> float | np.ndarray:
         value = self.evaluator(t, np.asarray(x, float), np.asarray(y, float))
@@ -107,33 +111,19 @@ class PointField:
             return np.atleast_1d(np.asarray(self.grad_y(t, x, y), float))
         return _central(lambda yy: self.evaluator(t, x, yy), y)
 
-    def along(self, t: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        """Values at the points (t_s, X_s, Y_s); shape (M,)."""
-        return self(t, np.asarray(X, float).T, np.asarray(Y, float).T)
-
-    def grad_along(
-        self, t: np.ndarray, X: np.ndarray, Y: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(d_x, d_y) at the points (t_s, X_s, Y_s); each of shape (M, n)."""
-        x, y = np.asarray(X, float).T, np.asarray(Y, float).T
-        return self.d_x(t, x, y), self.d_y(t, x, y)
-
-    def d_y_along(self, t: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        """d_y alone at the points (t_s, X_s, Y_s); shape (M, n)."""
-        return self.d_y(t, np.asarray(X, float).T, np.asarray(Y, float).T)
-
-    def hessian_along(
-        self, t: np.ndarray, X: np.ndarray, Y: np.ndarray
+    def hessian(
+        self, t: float, x: np.ndarray, y: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Second partials at the points by central differences of d_x and
-        d_y, each of shape (M, n, n): Hxx[s, k, i] = d(d_x)_k / dx_i,
-        Hxy[s, k, i] = d(d_x)_k / dy_i and Hyy[s, k, i] = d(d_y)_k / dy_i."""
-        X = np.asarray(X, float)
-        Y = np.asarray(Y, float)
-        n = X.shape[1]
-        Hxx = _central(lambda XT: self.d_x(t, XT, Y.T).T, X.T)
-        H = _central(lambda YT: np.hstack(self.grad_along(t, X, YT.T)).T, Y.T)
-        return Hxx, H[:, :n], H[:, n:]
+        """Second partials by central differences of d_x and d_y, each of
+        shape (n, n) at one point or (M, n, n) at M points:
+        Hxx[..., k, i] = d(d_x)_k / dx_i, Hxy[..., k, i] = d(d_x)_k / dy_i and
+        Hyy[..., k, i] = d(d_y)_k / dy_i."""
+        x = np.asarray(x, float)
+        y = np.asarray(y, float)
+        n = x.shape[-1]
+        Hxx = _central(lambda xx: self.d_x(t, xx, y), x)
+        H = _central(lambda yy: np.concatenate([self.d_x(t, x, yy), self.d_y(t, x, yy)], axis=-1), y)
+        return Hxx, H[..., :n, :], H[..., n:, :]
 
     def check_partials(
         self, t_range: tuple[float, float], dim: int, rng: np.random.Generator
@@ -161,8 +151,8 @@ class VectorField:
     """Vector field (t, x, y) -> R^n (e.g. control dynamics phi(t, q, u)).
 
     jac_x / jac_y, when given, return Jacobians of shape (n, dim_x/dim_y).
-    At M points (t of shape (M,), x and y of shapes (dim_x, M) and
-    (dim_y, M)) the value has shape (n, M) and d_x, d_y have shapes
+    At M points (t of shape (M,), x and y of shapes (M, dim_x) and
+    (M, dim_y)) the value has shape (M, n) and d_x, d_y have shapes
     (M, n, dim_x) and (M, n, dim_y).
     """
 
@@ -172,8 +162,8 @@ class VectorField:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "evaluator", _pointwise(self.evaluator, ndim=1))
-        object.__setattr__(self, "jac_x", _pointwise(self.jac_x, axis=0, ndim=2))
-        object.__setattr__(self, "jac_y", _pointwise(self.jac_y, axis=0, ndim=2))
+        object.__setattr__(self, "jac_x", _pointwise(self.jac_x, ndim=2))
+        object.__setattr__(self, "jac_y", _pointwise(self.jac_y, ndim=2))
 
     def __call__(self, t: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return np.atleast_1d(np.asarray(self.evaluator(t, np.asarray(x, float), np.asarray(y, float)), float))
@@ -187,14 +177,3 @@ class VectorField:
         if self.jac_y is not None:
             return np.atleast_2d(np.asarray(self.jac_y(t, x, y), float))
         return _central(lambda yy: self(t, x, yy), np.asarray(y, float))
-
-    def along(self, t: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        """Values at the points (t_s, X_s, Y_s); shape (M, n)."""
-        return self(t, np.asarray(X, float).T, np.asarray(Y, float).T).T
-
-    def jac_along(
-        self, t: np.ndarray, X: np.ndarray, Y: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(d_x, d_y) at the points; shapes (M, n, dim_x) and (M, n, dim_y)."""
-        x, y = np.asarray(X, float).T, np.asarray(Y, float).T
-        return self.d_x(t, x, y), self.d_y(t, x, y)

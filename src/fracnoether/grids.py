@@ -45,6 +45,8 @@ class Grid:
     def __post_init__(self) -> None:
         if not self.a < self.b:
             raise ValueError(f"need a < b, got [{self.a}, {self.b}]")
+        if not isinstance(self.m, (int, np.integer)):
+            raise ValueError(f"need an integer number of intervals, got m = {self.m!r}")
         if self.m < 2:
             raise ValueError(f"need at least 2 intervals, got m = {self.m}")
 
@@ -130,5 +132,5 @@ def fill_endpoints(values: np.ndarray) -> np.ndarray:
 
 def sample(grid: Grid, fn: Callable[[float], float | np.ndarray]) -> SampledFunction:
     """Sample a callable t -> scalar or t -> R^dim on the grid nodes, in one
-    call on all nodes that returns (M,) or (dim, M)."""
-    return SampledFunction(grid, np.asarray(_pointwise(fn, ndim=1)(grid.nodes), dtype=float).T)
+    call on all nodes that returns (M,) or (M, dim)."""
+    return SampledFunction(grid, _pointwise(fn, ndim=1)(grid.nodes))

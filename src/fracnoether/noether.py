@@ -25,7 +25,6 @@ from .problems import (
     DEFAULT_BAND,
     ResidualReport,
     VariationalProblem,
-    _field_gradients_along,
     _velocity_filled,
     augmented_lagrangian,
     make_report,
@@ -58,8 +57,8 @@ class SymmetryGenerator:
         """(tau, xi) at the nodes, shapes (M,) and (M, dim), each from one
         call on all nodes."""
         t, Q = grid.nodes, q.values
-        taus = np.asarray(self.tau(t, Q.T), float)
-        xis = np.asarray(self.xi(t, Q.T), float).reshape(-1, t.size).T
+        taus = np.asarray(self.tau(t, Q), float)
+        xis = np.asarray(self.xi(t, Q), float).reshape(t.size, -1)
         return taus, xis
 
 
@@ -97,7 +96,8 @@ def invariance_necessary_condition(
     if np.max(np.abs(taus)) > 0.0:
         raise ValueError("necessary condition of invariance requires tau == 0")
     F = augmented_lagrangian(problem, lam)
-    a, b = _field_gradients_along(problem, F, q)
+    t, v = problem.grid.nodes, _velocity_filled(problem, q)
+    a, b = F.d_x(t, q.values, v), F.d_y(t, q.values, v)
     dxi = fk.left_rl_derivative(SampledFunction(problem.grid, xis), problem.order)
     r = np.sum(a * xis, axis=1) + np.sum(b * fill_endpoints(dxi.values), axis=1)
     return make_report(problem.grid, r, band=band)
@@ -115,7 +115,7 @@ def momentum_law_residual(
     if np.max(np.abs(taus)) > 0.0:
         raise ValueError("momentum law applies to generators with tau == 0")
     F = augmented_lagrangian(problem, lam)
-    b = F.d_y_along(problem.grid.nodes, q.values, _velocity_filled(problem, q))
+    b = F.d_y(problem.grid.nodes, q.values, _velocity_filled(problem, q))
     r = frac_pair_operator(
         SampledFunction(problem.grid, b),
         SampledFunction(problem.grid, xis),
@@ -139,8 +139,8 @@ def noether_law_residual(
     taus, xis = gen.sampled_along(grid, q)
     F = augmented_lagrangian(problem, lam)
     v = _velocity_filled(problem, q)
-    b = F.d_y_along(grid.nodes, q.values, v)
-    fhat = F.along(grid.nodes, q.values, v) - problem.order.alpha * np.sum(b * v, axis=1)
+    b = F.d_y(grid.nodes, q.values, v)
+    fhat = F(grid.nodes, q.values, v) - problem.order.alpha * np.sum(b * v, axis=1)
     term1 = frac_pair_operator(
         SampledFunction(grid, fhat), SampledFunction(grid, taus), problem.order
     )
@@ -190,7 +190,7 @@ def _transformed_value(
     vres = fill_endpoints(
         fk.left_rl_derivative(SampledFunction(tgrid, qres), problem.order).values
     )
-    fres = F.along(s, qres, vres)
+    fres = F(s, qres, vres)
     fbar = np.interp(tbar, s, fres)
     return fbar * np.gradient(tbar, t)
 

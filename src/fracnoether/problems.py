@@ -182,7 +182,7 @@ def _velocity_filled(problem: VariationalProblem, q: SampledFunction) -> np.ndar
 def _integrals(problem: VariationalProblem, fields_, q: SampledFunction) -> np.ndarray:
     """int f(t, q, D^alpha q) dt by composite trapezoid, one entry per field."""
     t, v = problem.grid.nodes, _velocity_filled(problem, q)
-    return np.array([np.trapezoid(f.along(t, q.values, v), dx=problem.grid.h) for f in fields_])
+    return np.array([np.trapezoid(f(t, q.values, v), dx=problem.grid.h) for f in fields_])
 
 
 def constraint_values(problem: VariationalProblem, q: SampledFunction) -> np.ndarray:
@@ -195,20 +195,14 @@ def objective_value(problem: VariationalProblem, q: SampledFunction) -> float:
     return float(_integrals(problem, [problem.lagrangian], q)[0])
 
 
-def _field_gradients_along(
-    problem: VariationalProblem, field_: PointField, q: SampledFunction
-) -> tuple[np.ndarray, np.ndarray]:
-    """(d_q field, d_v field) sampled along the trajectory."""
-    return field_.grad_along(problem.grid.nodes, q.values, _velocity_filled(problem, q))
-
-
 def _el_type_residual(
     problem: VariationalProblem,
     field_: PointField,
     q: SampledFunction,
     band: int,
 ) -> ResidualReport:
-    a, b = _field_gradients_along(problem, field_, q)
+    t, v = problem.grid.nodes, _velocity_filled(problem, q)
+    a, b = field_.d_x(t, q.values, v), field_.d_y(t, q.values, v)
     rd = fk.right_rl_derivative(SampledFunction(problem.grid, b), problem.order)
     return make_report(problem.grid, a + rd.values, band=band)
 

@@ -136,7 +136,7 @@ class _Discretization:
         """Stacked [dJd/dq_interior ; constraint defects]."""
         x, v = self._points(q)
         F = augmented_lagrangian(self.problem, lam)
-        gel = self._pullback(*F.grad_along(self.theta, x, v))
+        gel = self._pullback(F.d_x(self.theta, x, v), F.d_y(self.theta, x, v))
         defects = self.constraint_defects(x, v)
         # scale the stationarity rows to O(1) so the Newton tolerance is
         # grid-independent
@@ -144,7 +144,7 @@ class _Discretization:
 
     def constraint_defects(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         vals = np.array(
-            [np.dot(self.w, g.along(self.theta, x, v)) for g in self.problem.constraints]
+            [np.dot(self.w, g(self.theta, x, v)) for g in self.problem.constraints]
         )
         return vals - self.problem.constraint_levels
 
@@ -154,10 +154,10 @@ class _Discretization:
         P^T W g_q + D^T W g_v per constraint at the interior unknowns."""
         n = self.n
         x, v = self._points(q)
-        hessians = augmented_lagrangian(self.problem, lam).hessian_along(self.theta, x, v)
+        hessians = augmented_lagrangian(self.problem, lam).hessian(self.theta, x, v)
         cols = np.empty(((self.grid.m - 1) * n, self.k))
         for r, g in enumerate(self.problem.constraints):
-            cols[:, r] = self._pullback(*g.grad_along(self.theta, x, v)).ravel()[n:-n]
+            cols[:, r] = self._pullback(g.d_x(self.theta, x, v), g.d_y(self.theta, x, v)).ravel()[n:-n]
         return hessians, cols
 
 
@@ -404,8 +404,8 @@ def refine(problem: VariationalProblem, solution: Solution, factor: int = 2) -> 
     the result carries an empirical order estimate from the EL residuals."""
     if not solution.converged:
         raise ValueError("refine requires a converged input solution")
-    if factor < 2:
-        raise ValueError("refinement factor must be >= 2")
+    if not isinstance(factor, (int, np.integer)) or factor < 2:
+        raise ValueError(f"refinement factor must be an integer >= 2, got {factor!r}")
     fine_grid = problem.grid.refined(factor)
     fine_problem = replace(problem, grid=fine_grid)
     coarse_t = problem.grid.nodes

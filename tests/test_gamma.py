@@ -34,6 +34,20 @@ def test_functional_equation_random_probes():
         assert gamma(x + 1.0) == pytest.approx(x * gamma(x), rel=1e-11)
 
 
+def test_agrees_with_mpmath_on_both_branches():
+    """Relative error against mpmath at 30 digits, at points at least 1e-3
+    from a pole, on the reflection branch (x < 0.5) and the positive axis."""
+    mpmath = pytest.importorskip("mpmath")
+    xs = np.linspace(-6.95, 25.0, 1200)
+    assert np.all(np.abs(xs - np.minimum(np.round(xs), 0.0)) >= 1e-3)
+    assert np.sum(xs < 0.5) > 200 and np.sum(xs >= 0.5) > 200
+    with mpmath.workdps(30):
+        worst = max(
+            abs((gamma(x) - mpmath.gamma(mpmath.mpf(x))) / mpmath.gamma(mpmath.mpf(x))) for x in xs
+        )
+    assert worst <= 1e-12
+
+
 def test_poles_raise():
     for x in (0.0, -1.0, -2.0, -7.0):
         with pytest.raises(GammaPoleError):

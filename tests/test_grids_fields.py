@@ -26,8 +26,11 @@ def test_grid_nodes_and_refinement():
     assert grid.h == 0.5
     assert np.allclose(grid.nodes, [0.0, 0.5, 1.0, 1.5, 2.0])
     assert grid.refined(3).m == 12
+    assert Grid(0.0, 1.0, np.int64(10)).nodes.size == 11
     with pytest.raises(ValueError):
         Grid(1.0, 0.0, 4)
+    with pytest.raises(ValueError, match="integer"):
+        Grid(0.0, 1.0, 10.0)
 
 
 def test_sampled_function_shapes_and_nan_policy():
@@ -119,7 +122,7 @@ def test_point_field_hessian_evaluation_count():
     t = np.linspace(0.1, 0.9, M)
     X = np.linspace(-0.5, 0.5, M)[:, None]
     Y = np.linspace(0.2, 1.0, M)[:, None]
-    Hxx, Hxy, Hyy = PointField(ev).hessian_along(t, X, Y)
+    Hxx, Hxy, Hyy = PointField(ev).hessian(t, X, Y)
     assert Hxx.shape == Hxy.shape == Hyy.shape == (M, 1, 1)
     assert ev.calls == 12 * M
     assert Hxy[:, 0, 0] == pytest.approx(2.0 * np.sin(t) * X[:, 0], abs=1e-4)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -138,6 +140,17 @@ def test_hamiltonian_noether_law():
 def test_autonomy_check_rejects_time_dependence():
     with pytest.raises(AutonomyError):
         autonomous_energy_residual(lifted_benchmark(), lifted_extremal())
+
+
+def test_autonomy_check_rejects_data_it_cannot_evaluate():
+    """L = t log(q1 - 2) + u1^2 depends on t but is NaN at every probe, whose
+    q lies in [-1, 1]; NaN is no evidence of autonomy."""
+    cp = replace(
+        autonomous_problem(),
+        lagrangian=PointField(lambda t, q, u: t * np.log(q[0] - 2.0) + u[0] ** 2),
+    )
+    with np.errstate(invalid="ignore"), pytest.raises(AutonomyError, match="could not be checked"):
+        autonomous_energy_residual(cp, autonomous_extremal())
 
 
 def test_hamiltonian_alone_is_not_conserved():

@@ -84,26 +84,25 @@ def assert_same(batch, reference):
 def test_point_field_sweeps_equal_per_point_loops(analytic):
     f = scalar_field(analytic)
     t, X, Y = points(2)
-    assert_same(f.along(t, X, Y), stacked(f, t, X, Y))
-    dx, dy = f.grad_along(t, X, Y)
-    assert_same(dx, stacked(f.d_x, t, X, Y))
-    assert_same(dy, stacked(f.d_y, t, X, Y))
-    assert_same(f.d_y_along(t, X, Y), dy)
-    hxx, hxy, hyy = f.hessian_along(t, X, Y)
+    assert_same(f(t, X, Y), stacked(f, t, X, Y))
+    assert_same(f.d_x(t, X, Y), stacked(f.d_x, t, X, Y))
+    assert_same(f.d_y(t, X, Y), stacked(f.d_y, t, X, Y))
+    hxx, hxy, hyy = f.hessian(t, X, Y)
     assert_same(hxx, stacked(lambda ts, x, y: central(lambda xx: f.d_x(ts, xx, y), x), t, X, Y))
     assert_same(hxy, stacked(lambda ts, x, y: central(lambda yy: f.d_x(ts, x, yy), y), t, X, Y))
     assert_same(hyy, stacked(lambda ts, x, y: central(lambda yy: f.d_y(ts, x, yy), y), t, X, Y))
+    for k, batch in enumerate((hxx, hxy, hyy)):
+        assert_same(batch, stacked(lambda *point: f.hessian(*point)[k], t, X, Y))
 
 
 @pytest.mark.parametrize("analytic", [True, False], ids=["analytic", "fd"])
 def test_vector_field_sweeps_equal_per_point_loops(analytic):
     phi = vector_field(analytic)
     t, X, Y = points(2)
-    assert_same(phi.along(t, X, Y), stacked(phi, t, X, Y))
-    jx, jy = phi.jac_along(t, X, Y)
-    assert jx.shape == (M, 2, 2)
-    assert_same(jx, stacked(phi.d_x, t, X, Y))
-    assert_same(jy, stacked(phi.d_y, t, X, Y))
+    assert_same(phi(t, X, Y), stacked(phi, t, X, Y))
+    assert phi.d_x(t, X, Y).shape == (M, 2, 2)
+    assert_same(phi.d_x(t, X, Y), stacked(phi.d_x, t, X, Y))
+    assert_same(phi.d_y(t, X, Y), stacked(phi.d_y, t, X, Y))
 
 
 def test_generator_and_sample_equal_per_point_loops():
@@ -118,6 +117,26 @@ def test_generator_and_sample_equal_per_point_loops():
     assert_same(sample(grid, curve).values, stacked(curve, t))
 
 
+def test_per_point_callable_receives_the_rows_of_a_strided_view():
+    """Points first, the s-th call gets the row X[s] of the (M, n) batch,
+    contiguous, also when X is a strided view such as every other column."""
+    t, Q, _ = points(4)
+    X = Q[:, ::2]
+    assert not X.flags.c_contiguous
+    seen = []
+
+    def record(s, x, y):
+        seen.append((x, y))
+        return 0.0
+
+    PointField(record)(t, X, X[::-1])
+    assert len(seen) == M
+    for s, (x, y) in enumerate(seen):
+        assert_same(x, X[s])
+        assert_same(y, X[M - 1 - s])
+        assert x.flags.c_contiguous and y.flags.c_contiguous
+
+
 def test_scalar_where_a_length_one_vector_is_expected_keeps_its_axis():
     """Per point, np.atleast_1d and np.atleast_2d give a scalar result the
     shape of one component; a sweep keeps that axis."""
@@ -126,15 +145,15 @@ def test_scalar_where_a_length_one_vector_is_expected_keeps_its_axis():
     phi = VectorField(
         lambda s, x, y: x[0] * y[0] - s, jac_x=lambda s, x, y: y[0], jac_y=lambda s, x, y: x[0]
     )
-    assert_same(phi.along(t, X, Y), stacked(phi, t, X, Y))
-    assert phi.along(t, X, Y).shape == (M, 1)
-    for batch, per_point in zip(phi.jac_along(t, X, Y), (phi.d_x, phi.d_y)):
-        assert batch.shape == (M, 1, 1)
-        assert_same(batch, stacked(per_point, t, X, Y))
+    assert_same(phi(t, X, Y), stacked(phi, t, X, Y))
+    assert phi(t, X, Y).shape == (M, 1)
+    for partial in (phi.d_x, phi.d_y):
+        assert partial(t, X, Y).shape == (M, 1, 1)
+        assert_same(partial(t, X, Y), stacked(partial, t, X, Y))
     f = PointField(lambda s, x, y: x[0] * y[0], grad_x=lambda s, x, y: y[0], grad_y=lambda s, x, y: x[0])
-    for batch, per_point in zip(f.grad_along(t, X, Y), (f.d_x, f.d_y)):
-        assert batch.shape == (M, 1)
-        assert_same(batch, stacked(per_point, t, X, Y))
+    for partial in (f.d_x, f.d_y):
+        assert partial(t, X, Y).shape == (M, 1)
+        assert_same(partial(t, X, Y), stacked(partial, t, X, Y))
     gen = SymmetryGenerator(tau=lambda s, q: 0.0, xi=lambda s, q: s * q[0])
     xis = gen.sampled_along(grid, SampledFunction(grid, X))[1]
     assert_same(xis, stacked(lambda s, q: np.atleast_1d(gen.xi(s, q)), t, X))
@@ -154,16 +173,18 @@ def test_opaque_callables_are_called_once_per_point_and_per_difference():
     n = 2
     ev_calls, grad_calls = [0], [0]
     f = PointField(counting(lambda s, x, y: float(x @ y), ev_calls))
-    f.along(t, X, Y)
+    f(t, X, Y)
     assert ev_calls[0] == M
     ev_calls[0] = 0
-    f.grad_along(t, X, Y)
+    f.d_x(t, X, Y)
+    f.d_y(t, X, Y)
     assert ev_calls[0] == 2 * n * M + 2 * n * M  # the d_x half, then the d_y half
     ev_calls[0] = 0
     f = PointField(
         counting(lambda s, x, y: float(x @ y), ev_calls), grad_x=counting(lambda s, x, y: y, grad_calls)
     )
-    f.grad_along(t, X, Y)
+    f.d_x(t, X, Y)
+    f.d_y(t, X, Y)
     assert grad_calls[0] == M and ev_calls[0] == 2 * n * M
 
 
@@ -184,7 +205,8 @@ def test_compiled_callables_pass_through_unwrapped():
 
 def per_probe_autonomous(cp):
     """Whether cp passes the autonomy test, evaluated one probe point at a
-    time with the same random draws."""
+    time with the same random draws: a probe passes only when every change
+    is at most 1e-8, so a NaN fails it."""
     rng = np.random.default_rng(0)
     for _ in range(8):
         q = rng.uniform(-1.0, 1.0, cp.dim)
@@ -193,15 +215,16 @@ def per_probe_autonomous(cp):
         vals_a = [cp.lagrangian(ta, q, u), *[g(ta, q, u) for g in cp.constraints]]
         vals_b = [cp.lagrangian(tb, q, u), *[g(tb, q, u) for g in cp.constraints]]
         phi_a, phi_b = cp.dynamics(ta, q, u), cp.dynamics(tb, q, u)
-        if np.max(np.abs(np.array(vals_a) - np.array(vals_b))) > 1e-8:
+        if not np.all(np.abs(np.array(vals_a) - np.array(vals_b)) <= 1e-8):
             return False
-        if np.max(np.abs(phi_a - phi_b)) > 1e-8:
+        if not np.all(np.abs(phi_a - phi_b) <= 1e-8):
             return False
     return True
 
 
 def nan_below(limit):
-    """q1 * u1, or NaN where q1 < limit: the NaN hides a probe's (L, g) change."""
+    """q1 * u1, or NaN where q1 < limit: a NaN fails its probe, whether or
+    not the probe's other values change."""
     return lambda s, q, u: np.nan if q[0] < limit else q[0] * u[0]
 
 

@@ -47,3 +47,14 @@ def test_benchmark_tracer_targets_exist(monkeypatch):
     assert pairs
     missing = [f"{owner!r}.{name}" for owner, name in pairs if not hasattr(owner, name)]
     assert not missing, missing
+
+
+def test_fields_have_one_method_per_quantity():
+    """One batch layout, points first, so a field's public methods take one
+    point or M points alike; no per-layout twin exists."""
+
+    def public_methods(cls):
+        return {name for name, value in vars(cls).items() if callable(value) and name[0] != "_"}
+
+    assert public_methods(fracnoether.PointField) == {"d_x", "d_y", "hessian", "check_partials"}
+    assert public_methods(fracnoether.VectorField) == {"d_x", "d_y"}

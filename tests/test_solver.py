@@ -140,6 +140,9 @@ def test_refine_requires_convergence_and_sane_factor():
     sol = solve(p)
     with pytest.raises(ValueError):
         refine(p, sol, factor=1)
+    with pytest.raises(ValueError, match="integer"):
+        refine(p, sol, factor=2.5)
+    assert refine(p, sol, factor=np.int64(2)).q.grid.m == 400
 
 
 def test_infeasible_level_reports_non_convergence():
@@ -272,9 +275,9 @@ def dense_reference(disc, q, lam):
     def pullback(a, b):
         return P.T @ (w[:, None] * a) + D.T @ (w[:, None] * b)
 
-    gel = pullback(*F.grad_along(disc.theta, x, v))
+    gel = pullback(F.d_x(disc.theta, x, v), F.d_y(disc.theta, x, v))
     G = np.concatenate([gel[1:m].ravel() / h, disc.constraint_defects(x, v)])
-    Hqq, Hqv, Hvv = F.hessian_along(disc.theta, x, v)
+    Hqq, Hqv, Hvv = F.hessian(disc.theta, x, v)
     N = (m + 1) * n
     K = np.empty((N, N))
     for i in range(n):
@@ -288,7 +291,7 @@ def dense_reference(disc, q, lam):
     J = np.zeros((ni + k, ni + k))
     J[:ni, :ni] = K[n:-n, n:-n] / h
     for r, g in enumerate(p.constraints):
-        col = pullback(*g.grad_along(disc.theta, x, v)).ravel()[n:-n]
+        col = pullback(g.d_x(disc.theta, x, v), g.d_y(disc.theta, x, v)).ravel()[n:-n]
         J[:ni, ni + r] = -col / h
         J[ni + r, :ni] = col
     return (P @ q, D @ q), J, G

@@ -36,13 +36,12 @@ def spec_for(control: bool) -> ProblemSpec:
 def points(rng, count=M):
     """t on the grid nodes of [0, 1]; q positive, so that q^c is real; y signed."""
     t = np.linspace(0.0, 1.0, count)
-    return t, rng.uniform(0.5, 2.0, (2, count)), rng.uniform(-1.0, 1.0, (2, count))
+    return t, rng.uniform(0.5, 2.0, (count, 2)), rng.uniform(-1.0, 1.0, (count, 2))
 
 
 def per_point(fn, arity, t, q, y):
-    """fn at each point, stacked with the points last like the batch result."""
-    args = (t, q.T, y.T)[:arity]
-    return np.array([fn(*row) for row in zip(*args)]).T
+    """fn at each point, stacked with the points first like the batch result."""
+    return np.array([fn(*row) for row in zip(*(t, q, y)[:arity])])
 
 
 # Per arity: expressions over that arity's variables covering constants,
@@ -70,7 +69,7 @@ def test_batch_agrees_with_points_for_every_key(key):
         assert fn.whole_array
         batch = fn(*args)
         reference = per_point(fn, arity, t, q, y)
-        assert batch.shape == ((M,) if isinstance(text, str) else (len(text), M))
+        assert batch.shape == ((M,) if isinstance(text, str) else (M, len(text)))
         assert np.all(np.abs(batch - reference) <= 4 * np.spacing(np.abs(reference))), text
 
 
@@ -78,10 +77,10 @@ def test_constant_broadcasts_to_every_point():
     fn = spec_for(control=False).compile("xi", ["1", "q1"])
     t, q, _ = points(np.random.default_rng(2), count=5)
     out = fn(t, q)
-    assert out.shape == (2, 5)
-    assert np.array_equal(out, np.vstack([np.ones(5), q[0]]))
-    assert isinstance(fn(0.5, q[:, 0]), np.ndarray) and fn(0.5, q[:, 0]).shape == (2,)
-    assert isinstance(spec_for(control=False).compile("tau", "1")(0.5, q[:, 0]), float)
+    assert out.shape == (5, 2)
+    assert np.array_equal(out, np.column_stack([np.ones(5), q[:, 0]]))
+    assert isinstance(fn(0.5, q[0]), np.ndarray) and fn(0.5, q[0]).shape == (2,)
+    assert isinstance(spec_for(control=False).compile("tau", "1")(0.5, q[0]), float)
 
 
 def opaque(fn):
@@ -89,28 +88,31 @@ def opaque(fn):
     return lambda *args: fn(*args)
 
 
+def partials(field, t, X, Y):
+    return field.d_x(t, X, Y), field.d_y(t, X, Y)
+
+
 def test_partials_and_hessians_agree_with_points():
     """Finite differences of values that differ by up to 4 ulp: with step
     s >= 1e-6 and |f| <= fmax near the points, a first partial differs by at
     most 4 eps fmax / s and a second partial by 4 eps fmax / s^2."""
     spec = spec_for(control=False)
-    t, q, y = points(np.random.default_rng(3), count=301)
-    X, Y = q.T, y.T
+    t, X, Y = points(np.random.default_rng(3), count=301)
     L = spec.compile("L", "t^4 + v1^2 * q2 + q1^3 * v2^2 + gamma(1.5 + t * v1)")
     batch, nodewise = PointField(L), PointField(opaque(L))
     assert batch.evaluator is L
-    fmax = 2.0 * np.max(np.abs(nodewise.along(t, X, Y)))
+    fmax = 2.0 * np.max(np.abs(nodewise(t, X, Y)))
     step = 1e-6
-    for a, b in zip(batch.grad_along(t, X, Y), nodewise.grad_along(t, X, Y)):
+    for a, b in zip(partials(batch, t, X, Y), partials(nodewise, t, X, Y)):
         assert np.max(np.abs(a - b)) <= 4 * EPS * fmax / step
-    for a, b in zip(batch.hessian_along(t, X, Y), nodewise.hessian_along(t, X, Y)):
+    for a, b in zip(batch.hessian(t, X, Y), nodewise.hessian(t, X, Y)):
         assert np.max(np.abs(a - b)) <= 4 * EPS * fmax / step**2
 
     phi = spec_for(control=True).compile("phi", ["u1 * q2^2 - t", "q1 * u2^3"])
     batch, nodewise = VectorField(phi), VectorField(opaque(phi))
-    fmax = 2.0 * np.max(np.abs(nodewise.along(t, X, Y)))
-    assert np.max(np.abs(batch.along(t, X, Y) - nodewise.along(t, X, Y))) <= 4 * EPS * fmax
-    for a, b in zip(batch.jac_along(t, X, Y), nodewise.jac_along(t, X, Y)):
+    fmax = 2.0 * np.max(np.abs(nodewise(t, X, Y)))
+    assert np.max(np.abs(batch(t, X, Y) - nodewise(t, X, Y))) <= 4 * EPS * fmax
+    for a, b in zip(partials(batch, t, X, Y), partials(nodewise, t, X, Y)):
         assert a.shape == (301, 2, 2)
         assert np.max(np.abs(a - b)) <= 4 * EPS * fmax / step
 
@@ -179,7 +181,7 @@ def _both_ways(text, t, q, v):
 def test_random_expressions_without_power_agree_bitwise(text, seed):
     rng = np.random.default_rng(seed)
     t = np.linspace(0.0, 1.0, 33)
-    q, v = rng.uniform(-2.0, 2.0, (2, 33)), rng.uniform(-2.0, 2.0, (2, 33))
+    q, v = rng.uniform(-2.0, 2.0, (33, 2)), rng.uniform(-2.0, 2.0, (33, 2))
     with np.errstate(all="ignore"):
         batch, reference = _both_ways(text, t, q, v)
     # batch evaluation fails an operation at every point before the next
@@ -196,7 +198,7 @@ def test_random_expressions_with_power_agree_within_bound(case, seed):
     text, bound = case
     rng = np.random.default_rng(seed)
     t = np.linspace(0.25, 1.0, 33)
-    q, v = rng.uniform(0.5, 2.0, (2, 33)), rng.uniform(0.5, 2.0, (2, 33))
+    q, v = rng.uniform(0.5, 2.0, (33, 2)), rng.uniform(0.5, 2.0, (33, 2))
     with np.errstate(over="ignore", under="ignore"):
         batch, reference = _both_ways(text, t, q, v)
     assert isinstance(batch, type) == isinstance(reference, type), text
