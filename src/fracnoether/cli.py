@@ -304,6 +304,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         "converged": bool(sol.converged),
         "iterations": sol.iterations,
         "stationarity_norm": sol.stationarity_norm,
+        "stop_reason": sol.stop_reason,
         "multipliers": [float(v) for v in sol.lam],
         "constraint_residual": [float(v) for v in sol.constraint_residual],
         "el": _report_entry("el", sol.el_report, tol, profile),
@@ -322,7 +323,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     print(f"el sup = {sol.el_report.sup_norm:.3e}  tol = {tol:.3e}")
     print(f"report: {report_path}")
     if not sol.converged:
-        print("solver did not converge", file=sys.stderr)
+        print(f"solver did not converge: {sol.stop_reason}", file=sys.stderr)
         return EXIT_COMPUTE
     return EXIT_PASS if doc["el"]["pass"] else EXIT_RESIDUAL
 

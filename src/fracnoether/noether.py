@@ -166,6 +166,8 @@ def _transformed_value(
     taus: np.ndarray,
     xis: np.ndarray,
     eps: float,
+    first: int,
+    last: int,
 ) -> np.ndarray:
     """Integrand of the transformed functional, in the original parameter.
 
@@ -173,7 +175,8 @@ def _transformed_value(
     transformed window (the fractional operator's lower limit moves with the
     window, matching the time-translation computation for autonomous data),
     and returns F(t-bar, q-bar, D^alpha q-bar) * dt-bar/dt at the original
-    nodes, ready for quadrature over any fixed subinterval of [a, b].
+    nodes first..last, ready for quadrature over any subinterval there.  F
+    is evaluated only at the resampling nodes that bracket those t-bar.
     """
     grid = problem.grid
     t = grid.nodes
@@ -190,9 +193,13 @@ def _transformed_value(
     vres = fill_endpoints(
         fk.left_rl_derivative(SampledFunction(tgrid, qres), problem.order).values
     )
-    fres = F(s, qres, vres)
-    fbar = np.interp(tbar, s, fres)
-    return fbar * np.gradient(tbar, t)
+    # s[0] = tbar[0] and s[-1] = tbar[-1], so the bracket is inside the grid;
+    # interpolating between the same two nodes keeps np.interp's bits
+    lo = np.searchsorted(s, tbar[first], side="right") - 1
+    hi = np.searchsorted(s, tbar[last], side="left") + 1
+    fres = F(s[lo:hi], qres[lo:hi], vres[lo:hi])
+    fbar = np.interp(tbar[first : last + 1], s[lo:hi], fres)
+    return fbar * np.gradient(tbar, t)[first : last + 1]
 
 
 def invariance_first_order_check(
@@ -211,19 +218,21 @@ def invariance_first_order_check(
     grid = problem.grid
     t = grid.nodes
     taus, xis = gen.sampled_along(grid, q)
+    windows = [(round(lo_f * grid.m), round(hi_f * grid.m)) for lo_f, hi_f in _SUBINTERVALS]
+    first = min(j0 for j0, _ in windows)
+    last = max(j1 for _, j1 in windows)
 
     integrands = {
-        eps: _transformed_value(problem, F, q, taus, xis, eps)
+        eps: _transformed_value(problem, F, q, taus, xis, eps, first, last)
         for eps in (_EPS, -_EPS, _EPS / 2.0, -_EPS / 2.0)
     }
 
     estimates = []
-    for lo_f, hi_f in _SUBINTERVALS:
-        j0 = int(round(lo_f * grid.m))
-        j1 = int(round(hi_f * grid.m))
+    for j0, j1 in windows:
 
         def ival(eps: float) -> float:
-            return float(np.trapezoid(integrands[eps][j0 : j1 + 1], t[j0 : j1 + 1]))
+            values = integrands[eps][j0 - first : j1 - first + 1]
+            return float(np.trapezoid(values, t[j0 : j1 + 1]))
 
         d1 = (ival(_EPS) - ival(-_EPS)) / (2.0 * _EPS)
         d2 = (ival(_EPS / 2.0) - ival(-_EPS / 2.0)) / _EPS

@@ -140,38 +140,70 @@ def frac_velocity(q: SampledFunction, order: FracOrder) -> SampledFunction:
     return fk.left_rl_derivative(q, order)
 
 
+def _compose(lam: np.ndarray, of_L, of_gs) -> np.ndarray:
+    """L's value or partial minus lambda . (each g_j's): F's at the same
+    points.  The library's only composition of F, so F's values keep their
+    bits wherever they are formed."""
+    out = np.array(of_L, dtype=float)
+    for lj, gj in zip(lam, of_gs):
+        out -= lj * gj
+    return out
+
+
 def augmented_lagrangian(problem, lam: np.ndarray) -> PointField:
     """F = L - lambda . g as a single field with composed gradients.
 
-    The library's only composition of F: ``problem`` is any object with
-    ``lagrangian``, ``constraints`` and ``check_multipliers`` (a
-    VariationalProblem, or a ControlProblem where v is the control u).
-    F takes M points at once, as L and every g_j do.
+    ``problem`` is any object with ``lagrangian``, ``constraints`` and
+    ``check_multipliers`` (a VariationalProblem, or a ControlProblem where v
+    is the control u).  F takes M points at once, as L and every g_j do.
     """
     lam = problem.check_multipliers(lam)
     L = problem.lagrangian
     gs = list(problem.constraints)
 
     def ev(t, x, y):
-        val = L(t, x, y)
-        for lj, gj in zip(lam, gs):
-            val -= lj * gj(t, x, y)
-        return val
+        return _compose(lam, L(t, x, y), [gj(t, x, y) for gj in gs])
 
     def dx(t, x, y):
-        out = L.d_x(t, x, y).copy()
-        for lj, gj in zip(lam, gs):
-            out -= lj * gj.d_x(t, x, y)
-        return out
+        return _compose(lam, L.d_x(t, x, y), [gj.d_x(t, x, y) for gj in gs])
 
     def dy(t, x, y):
-        out = L.d_y(t, x, y).copy()
-        for lj, gj in zip(lam, gs):
-            out -= lj * gj.d_y(t, x, y)
-        return out
+        return _compose(lam, L.d_y(t, x, y), [gj.d_y(t, x, y) for gj in gs])
 
     ev.whole_array = dx.whole_array = dy.whole_array = True
     return PointField(ev, grad_x=dx, grad_y=dy)
+
+
+@dataclass(frozen=True)
+class _FieldSamples:
+    """The problem's fields at M points (t, x, v), one sweep each: L's
+    partials, and each constraint's value and partials (tuples over j).
+    F's partials are composed from them, not sampled again."""
+
+    L_dx: np.ndarray
+    L_dy: np.ndarray
+    g: tuple[np.ndarray, ...]
+    g_dx: tuple[np.ndarray, ...]
+    g_dy: tuple[np.ndarray, ...]
+
+    def F_dx(self, lam: np.ndarray) -> np.ndarray:
+        return _compose(lam, self.L_dx, self.g_dx)
+
+    def F_dy(self, lam: np.ndarray) -> np.ndarray:
+        return _compose(lam, self.L_dy, self.g_dy)
+
+
+def _sample_fields(problem: VariationalProblem, t, x, v) -> _FieldSamples:
+    """L and each g_j at the points (t, x, v): what the solver's gradient
+    needs, and at the nodes' points what its certificate folds."""
+    L, gs = problem.lagrangian, problem.constraints
+    return _FieldSamples(
+        L.d_x(t, x, v),
+        L.d_y(t, x, v),
+        tuple(gj(t, x, v) for gj in gs),
+        tuple(gj.d_x(t, x, v) for gj in gs),
+        tuple(gj.d_y(t, x, v) for gj in gs),
+    )
 
 
 def _velocity_filled(problem: VariationalProblem, q: SampledFunction) -> np.ndarray:
@@ -179,10 +211,35 @@ def _velocity_filled(problem: VariationalProblem, q: SampledFunction) -> np.ndar
     return fill_endpoints(frac_velocity(q, problem.order).values)
 
 
+# Each check below is a sample step, the fields at the nodes' points
+# (_node_points), then a fold of those samples into a report or integral.
+# The solver certifies its solution with the same folds, on the samples its
+# last gradient took at the same points.
+
+
+def _node_points(problem: VariationalProblem, q: SampledFunction):
+    """(t, x, v) at the nodes: t, q and its filled fractional velocity."""
+    return problem.grid.nodes, q.values, _velocity_filled(problem, q)
+
+
+def _trapezoid(problem: VariationalProblem, values: np.ndarray) -> float:
+    """Fold: composite trapezoid of one field's node samples."""
+    return np.trapezoid(values, dx=problem.grid.h)
+
+
+def _el_fold(
+    problem: VariationalProblem, a: np.ndarray, b: np.ndarray, band: int = DEFAULT_BAND
+) -> ResidualReport:
+    """Fold: report of a + D_b^alpha b from a field's node partials
+    a = d_x f, b = d_v f."""
+    rd = fk.right_rl_derivative(SampledFunction(problem.grid, b), problem.order)
+    return make_report(problem.grid, a + rd.values, band=band)
+
+
 def _integrals(problem: VariationalProblem, fields_, q: SampledFunction) -> np.ndarray:
     """int f(t, q, D^alpha q) dt by composite trapezoid, one entry per field."""
-    t, v = problem.grid.nodes, _velocity_filled(problem, q)
-    return np.array([np.trapezoid(f(t, q.values, v), dx=problem.grid.h) for f in fields_])
+    t, x, v = _node_points(problem, q)
+    return np.array([_trapezoid(problem, f(t, x, v)) for f in fields_])
 
 
 def constraint_values(problem: VariationalProblem, q: SampledFunction) -> np.ndarray:
@@ -201,10 +258,8 @@ def _el_type_residual(
     q: SampledFunction,
     band: int,
 ) -> ResidualReport:
-    t, v = problem.grid.nodes, _velocity_filled(problem, q)
-    a, b = field_.d_x(t, q.values, v), field_.d_y(t, q.values, v)
-    rd = fk.right_rl_derivative(SampledFunction(problem.grid, b), problem.order)
-    return make_report(problem.grid, a + rd.values, band=band)
+    t, x, v = _node_points(problem, q)
+    return _el_fold(problem, field_.d_x(t, x, v), field_.d_y(t, x, v), band)
 
 
 def euler_lagrange_residual(

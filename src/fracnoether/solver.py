@@ -14,6 +14,7 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,10 +23,13 @@ from .grids import FracOrder, Grid, SampledFunction, fill_endpoints
 from .problems import (
     ResidualReport,
     VariationalProblem,
+    _el_fold,
+    _FieldSamples,
+    _node_points,
+    _sample_fields,
+    _trapezoid,
+    _velocity_filled,
     augmented_lagrangian,
-    constraint_values,
-    euler_lagrange_residual,
-    normality_check,
 )
 
 __all__ = ["Solution", "SolverError", "solve", "refine"]
@@ -50,6 +54,14 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class Solution:
+    """A solve's result and its certificate.
+
+    ``stop_reason`` says why Newton stopped: ``"tolerance"`` (converged),
+    ``"line search stalled"`` (no step scale decreased the gradient),
+    ``"iteration cap"``, or ``"constraint defect"`` (stationary, but an
+    isoperimetric defect exceeds _CONSTRAINT_TOL).
+    """
+
     q: SampledFunction
     lam: np.ndarray
     el_report: ResidualReport
@@ -57,6 +69,7 @@ class Solution:
     converged: bool
     iterations: int
     stationarity_norm: float
+    stop_reason: str
     empirical_order: float | None = None
 
 
@@ -86,10 +99,16 @@ class _Discretization:
     solve (_NewtonOperator) that never forms the Newton matrix; of its
     preconditioner only the Toeplitz section T (``t_rows``, ``t_inv``)
     depends on the order.
+
+    D stays the Newton operator (``_points``, ``_pullback``).  The gradient
+    samples the fields at alpha < 1 at v from the L1 kernel
+    (``problems._velocity_filled``), which D q equals up to rounding; those
+    are the points of the public checks, so ``solve`` certifies its result
+    from the last gradient's samples.  ``problem`` is held at order alpha.
     """
 
     def __init__(self, problem: VariationalProblem, alpha: float):
-        self.problem = problem
+        self.problem = replace(problem, order=FracOrder(alpha))
         self.grid = problem.grid
         self.n = problem.dim
         self.k = problem.k
@@ -132,32 +151,32 @@ class _Discretization:
         out[1:] += half + slope
         return out
 
-    def gradient(self, q: np.ndarray, lam: np.ndarray) -> np.ndarray:
-        """Stacked [dJd/dq_interior ; constraint defects]."""
-        x, v = self._points(q)
-        F = augmented_lagrangian(self.problem, lam)
-        gel = self._pullback(F.d_x(self.theta, x, v), F.d_y(self.theta, x, v))
-        defects = self.constraint_defects(x, v)
+    def gradient(self, q: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, _FieldSamples]:
+        """Stacked [dJd/dq_interior ; constraint defects], and the samples of
+        L and each g_j it is composed from: one sweep of each per iterate.
+        At alpha < 1 the points are the nodes, q and the kernel's v."""
+        if self.midpoint:
+            x, v = self._points(q)
+        else:
+            x, v = q, _velocity_filled(self.problem, SampledFunction(self.grid, q))
+        s = _sample_fields(self.problem, self.theta, x, v)
+        gel = self._pullback(s.F_dx(lam), s.F_dy(lam))
+        defects = np.array([np.dot(self.w, g) for g in s.g]) - self.problem.constraint_levels
         # scale the stationarity rows to O(1) so the Newton tolerance is
         # grid-independent
-        return np.concatenate([gel[1 : self.grid.m].ravel() / self.grid.h, defects])
+        return np.concatenate([gel[1 : self.grid.m].ravel() / self.grid.h, defects]), s
 
-    def constraint_defects(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        vals = np.array(
-            [np.dot(self.w, g(self.theta, x, v)) for g in self.problem.constraints]
-        )
-        return vals - self.problem.constraint_levels
-
-    def newton_partials(self, q: np.ndarray, lam: np.ndarray):
+    def newton_partials(self, q: np.ndarray, lam: np.ndarray, samples: _FieldSamples):
         """What the Newton matrix at (q, lambda) is built from: F's second
-        partials (Hqq, Hqv, Hvv) at the points, and one column
-        P^T W g_q + D^T W g_v per constraint at the interior unknowns."""
+        partials (Hqq, Hqv, Hvv) at the points P q, D q, and one column
+        P^T W g_q + D^T W g_v per constraint at the interior unknowns, from
+        the gradient's ``samples`` at (q, lambda)."""
         n = self.n
         x, v = self._points(q)
         hessians = augmented_lagrangian(self.problem, lam).hessian(self.theta, x, v)
         cols = np.empty(((self.grid.m - 1) * n, self.k))
-        for r, g in enumerate(self.problem.constraints):
-            cols[:, r] = self._pullback(g.d_x(self.theta, x, v), g.d_y(self.theta, x, v)).ravel()[n:-n]
+        for r, (g_dx, g_dy) in enumerate(zip(samples.g_dx, samples.g_dy)):
+            cols[:, r] = self._pullback(g_dx, g_dy).ravel()[n:-n]
         return hessians, cols
 
 
@@ -275,9 +294,10 @@ class _NewtonOperator:
         return disc.grid.h * fk._causal_convolve(t_inv, y, size).ravel()
 
     def step(self, G: np.ndarray) -> np.ndarray | None:
-        """The Newton step -J^-1 G, or None if C_vv is singular or a Krylov
-        solve misses its tolerance.  The k multiplier rows go by a Schur
-        complement: k + 1 Krylov solves with the interior block, then one k x k solve."""
+        """The Newton step -J^-1 G, or None if C_vv or the Schur complement
+        is singular or a Krylov solve misses its tolerance.  The k multiplier
+        rows go by a Schur complement: k + 1 Krylov solves with the interior
+        block, then one k x k solve."""
         if self.cvv_inv is None:
             return None
         ni, h = self.cols.shape[0], self.disc.grid.h
@@ -288,7 +308,10 @@ class _NewtonOperator:
                 return None
             solves.append(x)
         base, coupled = solves[0], np.array(solves[1:]).reshape(-1, ni).T
-        lam_step = np.linalg.solve(self.cols.T @ coupled, self.cols.T @ base + G[ni:])
+        try:
+            lam_step = np.linalg.solve(self.cols.T @ coupled, self.cols.T @ base + G[ni:])
+        except np.linalg.LinAlgError:  # the Schur complement is singular
+            return None
         return np.concatenate([base - coupled @ lam_step, lam_step])
 
 
@@ -307,11 +330,15 @@ def _initial_state(problem: VariationalProblem, guess: Solution | None):
 
 
 def _newton_step(
-    disc: _Discretization, q: np.ndarray, lam: np.ndarray, G: np.ndarray
+    disc: _Discretization,
+    q: np.ndarray,
+    lam: np.ndarray,
+    G: np.ndarray,
+    samples: _FieldSamples,
 ) -> np.ndarray:
-    """-J^-1 G: by the Krylov solve, or by dense LU of J when C_vv is
-    singular or GMRES falls short of its tolerance."""
-    op = _NewtonOperator(disc, *disc.newton_partials(q, lam))
+    """-J^-1 G: by the Krylov solve, or by dense LU of J when C_vv or the
+    Schur complement is singular or GMRES falls short of its tolerance."""
+    op = _NewtonOperator(disc, *disc.newton_partials(q, lam, samples))
     step = op.step(G)
     if step is not None:
         return step
@@ -321,32 +348,42 @@ def _newton_step(
         raise SolverError("singular Jacobian") from exc
 
 
-def _newton(
-    disc: _Discretization, q: np.ndarray, lam: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, bool, int, float]:
+class _NewtonResult(NamedTuple):
+    """The last accepted iterate, why Newton stopped there, and the field
+    samples its gradient took."""
+
+    q: np.ndarray
+    lam: np.ndarray
+    iterations: int
+    stationarity_norm: float
+    stop_reason: str
+    samples: _FieldSamples
+
+
+def _newton(disc: _Discretization, q: np.ndarray, lam: np.ndarray) -> _NewtonResult:
     m, n = disc.grid.m, disc.n
-    G = disc.gradient(q, lam)
-    iterations = 0
-    for iterations in range(1, _MAX_ITERATIONS + 1):
-        if np.max(np.abs(G)) <= _NEWTON_TOL:
-            return q, lam, True, iterations - 1, float(np.max(np.abs(G)))
-        step = _newton_step(disc, q, lam, G)
+    G, samples = disc.gradient(q, lam)
+    for iterations in range(_MAX_ITERATIONS + 1):
+        gnorm = float(np.max(np.abs(G)))
+        if gnorm <= _NEWTON_TOL:
+            return _NewtonResult(q, lam, iterations, gnorm, "tolerance", samples)
+        if iterations == _MAX_ITERATIONS:
+            return _NewtonResult(q, lam, iterations, gnorm, "iteration cap", samples)
+        step = _newton_step(disc, q, lam, G, samples)
         base_norm = np.linalg.norm(G)
         scale = 1.0
         for _ in range(30):
             q_try = q.copy()
             q_try[1:m] += scale * step[: (m - 1) * n].reshape(m - 1, n)
             lam_try = lam + scale * step[(m - 1) * n :]
-            G_try = disc.gradient(q_try, lam_try)
+            G_try, samples_try = disc.gradient(q_try, lam_try)
             if np.linalg.norm(G_try) < base_norm:
-                q, lam, G = q_try, lam_try, G_try
+                q, lam, G, samples = q_try, lam_try, G_try, samples_try
                 break
             scale *= 0.5
         else:
             # no residual decrease found: report the best iterate
-            return q, lam, False, iterations, float(np.max(np.abs(G)))
-    converged = np.max(np.abs(G)) <= _NEWTON_TOL
-    return q, lam, converged, iterations, float(np.max(np.abs(G)))
+            return _NewtonResult(q, lam, iterations + 1, gnorm, "line search stalled", samples)
 
 
 def solve(
@@ -358,6 +395,14 @@ def solve(
     and the isoperimetric defects.  Optional homotopy in the order: with
     continuation_steps > 0 the classical problem (alpha = 1) is solved first
     and the order stepped down, warm-starting each stage.
+
+    The result is certified by the EL residual, the constraint defects and,
+    once converged, the normality check: the folds of
+    ``euler_lagrange_residual``, ``constraint_values`` and
+    ``normality_check``.  At alpha < 1 they fold the samples the last
+    gradient took, which are those checks' samples; at alpha = 1 the
+    gradient sampled at interval midpoints, so the fields are sampled once
+    more, at the nodes.
     """
     q, lam = _initial_state(problem, initial_guess)
     target = problem.order.alpha
@@ -366,21 +411,27 @@ def solve(
     else:
         alphas = np.array([target])
 
-    converged, iterations, gnorm = False, 0, np.inf
+    iterations = 0
     for alpha in alphas:
         disc = _Discretization(problem, float(alpha))
-        q, lam, converged, its, gnorm = _newton(disc, q, lam)
-        iterations += its
+        result = _newton(disc, q, lam)
+        q, lam = result.q, result.lam
+        iterations += result.iterations
 
     qs = SampledFunction(problem.grid, q)
-    el = euler_lagrange_residual(problem, lam, qs)
-    defects = constraint_values(problem, qs) - problem.constraint_levels
-    converged = converged and (
-        problem.k == 0 or np.max(np.abs(defects)) <= _CONSTRAINT_TOL
-    )
+    samples = result.samples
+    if disc.midpoint:
+        samples = _sample_fields(problem, *_node_points(problem, qs))
+    el = _el_fold(problem, samples.F_dx(lam), samples.F_dy(lam))
+    defects = np.array([_trapezoid(problem, g) for g in samples.g]) - problem.constraint_levels
+    stop_reason = result.stop_reason
+    if stop_reason == "tolerance" and not np.all(np.abs(defects) <= _CONSTRAINT_TOL):
+        stop_reason = "constraint defect"
+    converged = stop_reason == "tolerance"
     if converged and problem.k > 0:
         abnormal = all(
-            normality_check(problem, qs, j).sup_norm < 1e-8 for j in range(problem.k)
+            _el_fold(problem, g_dx, g_dy).sup_norm < 1e-8
+            for g_dx, g_dy in zip(samples.g_dx, samples.g_dy)
         )
         if abnormal:
             warnings.warn(
@@ -395,7 +446,8 @@ def solve(
         constraint_residual=defects,
         converged=converged,
         iterations=iterations,
-        stationarity_norm=gnorm,
+        stationarity_norm=result.stationarity_norm,
+        stop_reason=stop_reason,
     )
 
 

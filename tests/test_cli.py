@@ -127,7 +127,7 @@ def test_solve_benchmark(tmp_path):
     out = tmp_path / "o"
     assert run("solve", "--grid", "500", "--out", str(out), EX1) == 0
     doc = read_report(out)
-    assert doc["converged"]
+    assert doc["converged"] and doc["stop_reason"] == "tolerance"
     assert doc["multipliers"][0] == pytest.approx(2.0, abs=0.05)
     assert doc["scaled_max_deviation"] <= 5e-3
     traj = (out / "trajectory.csv").read_text().splitlines()
@@ -148,6 +148,7 @@ def test_solve_infeasible_exits_2(tmp_path):
     text = Path(EX1).read_text(encoding="utf-8").replace("l1 = 1/5", "l1 = 1e9")
     spec.write_text(text)
     assert run("solve", "--grid", "200", "--out", str(tmp_path / "o"), str(spec)) == 2
+    assert read_report(tmp_path / "o")["stop_reason"] == "line search stalled"
 
 
 def test_solve_control_spec_exits_3(tmp_path, capsys):

@@ -133,6 +133,37 @@ def test_first_order_probe_samples_generator_once():
     assert rep.sup_norm <= 1e-2
 
 
+@pytest.mark.parametrize(
+    "gen",
+    [
+        TIME_SHIFT,
+        SymmetryGenerator(tau=lambda t, q: t, xi=lambda t, q: 0.5 * q),
+        STATE_SHIFT,
+    ],
+    ids=["translation", "scaling", "state-shift"],
+)
+def test_first_order_probe_evaluates_f_only_inside_its_window(gen):
+    """Per eps value, F is called at the transformed nodes that bracket the
+    outermost subinterval, nodes round(0.05 m)..round(0.95 m), not at all
+    m + 1."""
+    from dataclasses import replace
+
+    from conftest import benchmark_extremal, benchmark_problem
+
+    problem = benchmark_problem(100)
+    q = benchmark_extremal(problem.grid)
+    L, calls = problem.lagrangian, []
+
+    def evaluator(t, x, v):
+        calls.append(t)
+        return L(t, x, v)
+
+    counting = replace(problem, lagrangian=PointField(evaluator, L.grad_x, L.grad_y))
+    invariance_first_order_check(counting, np.array([2.0]), q, gen)
+    j0, j1 = round(0.05 * problem.grid.m), round(0.95 * problem.grid.m)
+    assert 4 * (j1 - j0 + 1) <= len(calls) <= 4 * (j1 - j0 + 3)
+
+
 def test_conservation_laws_sample_only_the_velocity_partial():
     """The Noether and momentum laws read d_v F alone, so a Lagrangian whose
     grad_x counts its calls sees none."""

@@ -14,6 +14,7 @@ from fracnoether import (
     constraint_values,
     euler_lagrange_residual,
     gamma,
+    normality_check,
     refine,
     sample,
     solve,
@@ -215,9 +216,9 @@ def test_jacobian_matches_central_differences_of_gradient(alpha):
     def gradient(z):
         qz = q.copy()
         qz[1:m] = z[: (m - 1) * n].reshape(m - 1, n)
-        return disc.gradient(qz, z[(m - 1) * n :])
+        return disc.gradient(qz, z[(m - 1) * n :])[0]
 
-    J = _NewtonOperator(disc, *disc.newton_partials(q, z[(m - 1) * n :])).matrix()
+    J = _NewtonOperator(disc, *newton_partials(disc, q, z[(m - 1) * n :])).matrix()
     step = 1e-5
     fd = np.column_stack(
         [(gradient(z + step * e) - gradient(z - step * e)) / (2.0 * step) for e in np.eye(z.size)]
@@ -255,6 +256,11 @@ def test_two_state_solve_matches_closed_form():
     assert np.max(np.abs(sol.q.component(0) - sol.q.component(1))) <= 1e-12
 
 
+def newton_partials(disc, q, lam):
+    """``disc.newton_partials`` at (q, lam), from the gradient's samples there."""
+    return disc.newton_partials(q, lam, disc.gradient(q, lam)[1])
+
+
 def dense_reference(disc, q, lam):
     """The Newton matrix J and the gradient from dense products, with P and D
     as full matrices: P = I and D = the L1 matrix at alpha < 1, the two-point
@@ -276,7 +282,8 @@ def dense_reference(disc, q, lam):
         return P.T @ (w[:, None] * a) + D.T @ (w[:, None] * b)
 
     gel = pullback(F.d_x(disc.theta, x, v), F.d_y(disc.theta, x, v))
-    G = np.concatenate([gel[1:m].ravel() / h, disc.constraint_defects(x, v)])
+    defects = [np.dot(w, g(disc.theta, x, v)) for g in p.constraints] - p.constraint_levels
+    G = np.concatenate([gel[1:m].ravel() / h, defects])
     Hqq, Hqv, Hvv = F.hessian(disc.theta, x, v)
     N = (m + 1) * n
     K = np.empty((N, N))
@@ -327,13 +334,16 @@ def test_structured_assembly_matches_dense_reference(make, alpha):
     lam = np.array([0.7])
     (x_ref, v_ref), J_ref, G_ref = dense_reference(disc, q, lam)
     x, v = disc._points(q)
-    J = _NewtonOperator(disc, *disc.newton_partials(q, lam)).matrix()
-    G = disc.gradient(q, lam)
-    for got, ref in [(x, x_ref), (v, v_ref), (G, G_ref)]:
+    J = _NewtonOperator(disc, *newton_partials(disc, q, lam)).matrix()
+    G = disc.gradient(q, lam)[0]
+    for got, ref in [(x, x_ref), (v, v_ref)]:
         if alpha < 1.0:
             assert np.array_equal(got, ref)
         else:
             assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+    # at alpha < 1 the gradient samples the fields at the L1 kernel's v, which
+    # D q equals up to rounding
+    assert np.max(np.abs(G - G_ref)) <= 1e-15 * np.max(np.abs(G_ref))
     # J is formed from the matrix-free product, which sums in another order
     assert np.max(np.abs(J - J_ref)) <= 1e-15 * np.max(np.abs(J_ref))
 
@@ -347,7 +357,7 @@ def test_jacobian_peak_memory(make, alpha):
     q = np.linspace(0.0, 0.3, p.grid.m + 1)[:, None]
     tracemalloc.start()
     try:
-        J = _NewtonOperator(disc, *disc.newton_partials(q, np.array([0.7]))).matrix()
+        J = _NewtonOperator(disc, *newton_partials(disc, q, np.array([0.7]))).matrix()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -367,7 +377,7 @@ def krylov_case(make, alpha):
     q[0], q[-1] = p.boundary_a, p.boundary_b
     lam = np.array([0.7])
     _, J, G = dense_reference(disc, q, lam)
-    return disc, _NewtonOperator(disc, *disc.newton_partials(q, lam)), J, G
+    return disc, _NewtonOperator(disc, *newton_partials(disc, q, lam)), J, G
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0])
@@ -410,7 +420,7 @@ def test_toeplitz_inverse_and_preconditioner(alpha):
     # on the benchmark the preconditioner inverts T^T C_vv T / h exactly
     x = np.random.default_rng(7).standard_normal((m - 1, 1))
     q = np.zeros((m + 1, 1))
-    op = _NewtonOperator(disc, *disc.newton_partials(q, np.array([0.7])))
+    op = _NewtonOperator(disc, *newton_partials(disc, q, np.array([0.7])))
     cvv = disc.w[disc.t_rows] * op.Hvv[disc.t_rows, 0, 0]
     leading = T.T @ (cvv[:, None] * (T @ x)) / disc.grid.h
     assert np.max(np.abs(op.precondition(leading) - x.ravel())) <= 1e-10 * np.max(np.abs(x))
@@ -472,11 +482,11 @@ def test_krylov_newton_peak_memory(make):
     q, lam = _initial_state(p, None)
     tracemalloc.start()
     try:
-        _, _, converged, iterations, _ = _newton(disc, q, lam)
+        result = _newton(disc, q, lam)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert converged and iterations == 1
+    assert result.stop_reason == "tolerance" and result.iterations == 1
     assert peak <= 0.1 * 8.0 * (p.grid.m - 1) ** 2
 
 
@@ -490,3 +500,201 @@ def test_discretization_holds_one_dense_derivative_matrix():
     finally:
         tracemalloc.stop()
     assert peak <= 1.2 * 8.0 * (m + 1) ** 2
+
+
+# -- one field sweep per Newton iterate ----------------------------------------
+
+
+class SweepCounter:
+    """Wraps per-point callables and counts their sweeps: a sweep is a run of
+    calls at increasing t, which is how the library evaluates a field at M
+    points."""
+
+    def __init__(self):
+        self.sweeps = 0
+
+    def wrap(self, fn):
+        last = [np.inf]
+
+        def counted(t, x, v):
+            if t <= last[0]:
+                self.sweeps += 1
+            last[0] = t
+            return fn(t, x, v)
+
+        return counted
+
+
+def counted_problem(alpha: float, dim: int, counter: SweepCounter) -> VariationalProblem:
+    """At alpha < 1 the benchmark in ``dim`` decoupled copies, L = t^4 + v.v and
+    g = t^2 sum v; at alpha = 1 the classical problem, L = v^2 and g = q.  Every
+    callable is per point and counted."""
+    c, zeros = counter.wrap, np.zeros(dim)
+    if alpha < 1.0:
+        L = PointField(
+            c(lambda t, q, v: t**4 + float(v @ v)),
+            grad_x=c(lambda t, q, v: zeros),
+            grad_y=c(lambda t, q, v: 2.0 * v),
+        )
+        g = PointField(
+            c(lambda t, q, v: t * t * float(np.sum(v))),
+            grad_x=c(lambda t, q, v: zeros),
+            grad_y=c(lambda t, q, v: np.full(dim, t * t)),
+        )
+        return VariationalProblem(
+            FracOrder(alpha), L, Grid(0.0, 1.0, 100), zeros, np.full(dim, 0.3),
+            constraints=[g], constraint_levels=[0.2],
+        )
+    L = PointField(
+        c(lambda t, q, v: float(v[0] ** 2)),
+        grad_x=c(lambda t, q, v: np.zeros(1)),
+        grad_y=c(lambda t, q, v: 2.0 * v),
+    )
+    g = PointField(
+        c(lambda t, q, v: float(q[0])),
+        grad_x=c(lambda t, q, v: np.ones(1)),
+        grad_y=c(lambda t, q, v: np.zeros(1)),
+    )
+    return VariationalProblem(
+        FracOrder(1.0), L, Grid(0.0, 1.0, 100), [0.0], [0.0],
+        constraints=[g], constraint_levels=[0.3],
+    )
+
+
+@pytest.mark.parametrize("alpha, dim, budget", [(0.5, 1, 22), (0.5, 2, 34), (1.0, 1, 27)])
+def test_field_sweeps_per_solve(alpha, dim, budget):
+    """A one-iteration solve sweeps L and g once per gradient, plus F's
+    finite-difference Hessian; its certificate folds the last gradient's
+    samples at alpha < 1 and samples once at the nodes at alpha = 1 (31, 43
+    and 31 sweeps when every check and the constraint columns swept anew)."""
+    counter = SweepCounter()
+    sol = solve(counted_problem(alpha, dim, counter))
+    assert sol.converged and sol.iterations == 1
+    assert counter.sweeps == budget
+
+
+def certificate_problem(alpha: float, dim: int) -> VariationalProblem:
+    """L = t^4 + v.v + q1^2 v1 and g = sum q, in ``dim`` states: a nonlinear
+    L, so that a solve takes more than one Newton step, and a g linear in q,
+    whose midpoint and trapezoid integrals agree at alpha = 1."""
+    L = PointField(
+        lambda t, q, v: t**4 + float(v @ v) + q[0] ** 2 * v[0],
+        grad_x=lambda t, q, v: np.concatenate([[2.0 * q[0] * v[0]], np.zeros(dim - 1)]),
+        grad_y=lambda t, q, v: 2.0 * v + np.concatenate([[q[0] ** 2], np.zeros(dim - 1)]),
+    )
+    g = PointField(
+        lambda t, q, v: float(np.sum(q)),
+        grad_x=lambda t, q, v: np.ones(dim),
+        grad_y=lambda t, q, v: np.zeros(dim),
+    )
+    return VariationalProblem(
+        FracOrder(alpha), L, Grid(0.0, 1.0, 60), np.zeros(dim), np.linspace(0.3, 0.1, dim),
+        constraints=[g], constraint_levels=[0.4],
+    )
+
+
+def assert_certificate_is_public_checks(p: VariationalProblem, sol) -> None:
+    el = euler_lagrange_residual(p, sol.lam, sol.q)
+    assert np.array_equal(el.pointwise.values, sol.el_report.pointwise.values, equal_nan=True)
+    assert el.sup_norm == sol.el_report.sup_norm and el.l2_norm == sol.el_report.l2_norm
+    defects = constraint_values(p, sol.q) - p.constraint_levels
+    assert np.array_equal(sol.constraint_residual, defects)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0])
+def test_certificate_equals_public_checks_bitwise(alpha, dim):
+    """The solution's EL report and constraint residual are bitwise the public
+    checks' along it, after a direct solve, after continuation in the order,
+    and from a converged initial guess (no Newton step)."""
+    p = certificate_problem(alpha, dim)
+    direct = solve(p)
+    assert direct.converged and direct.iterations >= 2
+    assert_certificate_is_public_checks(p, direct)
+    continued = solve(p, continuation_steps=2)
+    assert continued.converged
+    assert_certificate_is_public_checks(p, continued)
+    warm = solve(p, initial_guess=direct)
+    assert warm.converged and warm.iterations == 0
+    assert_certificate_is_public_checks(p, warm)
+
+
+# -- why a solve stops ---------------------------------------------------------
+
+
+def test_stop_reason_names_why_newton_stopped(monkeypatch):
+    sol = solve(benchmark_problem(200))
+    assert sol.converged and sol.stop_reason == "tolerance"
+    sol = solve(stalling_problem())
+    assert not sol.converged and sol.stop_reason == "line search stalled"
+    # at alpha = 1 the gradient integrates g = q^2 by the midpoint rule, the
+    # certificate by the trapezoid rule: they differ by O(h^2), above the
+    # defect tolerance
+    L = PointField(
+        lambda t, q, v: float(v[0] ** 2),
+        grad_x=lambda t, q, v: np.zeros(1),
+        grad_y=lambda t, q, v: 2.0 * v,
+    )
+    g = PointField(
+        lambda t, q, v: float(q[0] ** 2),
+        grad_x=lambda t, q, v: 2.0 * q,
+        grad_y=lambda t, q, v: np.zeros(1),
+    )
+    p = VariationalProblem(
+        FracOrder(1.0), L, Grid(0.0, 1.0, 50), [0.0], [1.0],
+        constraints=[g], constraint_levels=[0.5],
+    )
+    sol = solve(p)
+    assert sol.stationarity_norm <= solver._NEWTON_TOL
+    assert not sol.converged and sol.stop_reason == "constraint defect"
+    monkeypatch.setattr(solver, "_MAX_ITERATIONS", 2)
+    sol = solve(coupled_problem(0.5))
+    assert not sol.converged and sol.iterations == 2 and sol.stop_reason == "iteration cap"
+
+
+@pytest.mark.parametrize("alpha, level", [(0.5, 1.0), (0.5, 0.3), (1.0, 2.0)])
+def test_singular_schur_complement_raises_solver_error(alpha, level):
+    """A constant constraint has zero partials, so the multiplier rows of the
+    Newton matrix vanish: the k x k Schur solve and the dense fallback are
+    both singular."""
+    L = PointField(
+        lambda t, q, v: float(v[0] ** 2),
+        grad_x=lambda t, q, v: np.zeros(1),
+        grad_y=lambda t, q, v: 2.0 * v,
+    )
+    g = PointField(
+        lambda t, q, v: 1.0,
+        grad_x=lambda t, q, v: np.zeros(1),
+        grad_y=lambda t, q, v: np.zeros(1),
+    )
+    p = VariationalProblem(
+        FracOrder(alpha), L, Grid(0.0, 1.0, 50), [0.0], [1.0],
+        constraints=[g], constraint_levels=[level],
+    )
+    with pytest.raises(SolverError, match="singular Jacobian"):
+        solve(p)
+
+
+def test_abnormal_problem_warns():
+    """g = v integrates to q(1) - q(0) = 1 whatever q is: the constraint holds
+    at the straight-line start, which is L = v^2's extremal, and g satisfies
+    the Euler-Lagrange-type equation (d_v g = 1, so D_b^1 d_v g = 0)."""
+    L = PointField(
+        lambda t, q, v: float(v[0] ** 2),
+        grad_x=lambda t, q, v: np.zeros(1),
+        grad_y=lambda t, q, v: 2.0 * v,
+    )
+    g = PointField(
+        lambda t, q, v: float(v[0]),
+        grad_x=lambda t, q, v: np.zeros(1),
+        grad_y=lambda t, q, v: np.ones(1),
+    )
+    p = VariationalProblem(
+        FracOrder(1.0), L, Grid(0.0, 1.0, 50), [0.0], [1.0],
+        constraints=[g], constraint_levels=[1.0],
+    )
+    with pytest.warns(UserWarning, match="abnormal problem"):
+        sol = solve(p)
+    assert sol.converged and sol.iterations == 0 and sol.lam[0] == 0.0
+    assert normality_check(p, sol.q, 0).sup_norm < 1e-8
+    assert_certificate_is_public_checks(p, sol)
