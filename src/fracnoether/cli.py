@@ -173,9 +173,12 @@ def _write_json(path: str, doc: dict) -> None:
 def _write_csv(path: str, header: list[str], columns: list[np.ndarray]) -> None:
     """CSV of the columns side by side, each number as its float repr (so
     NaN is written as nan); no field needs quoting."""
-    rows = np.column_stack(columns).tolist()
-    text = "".join([",".join(header) + "\n", *(",".join(map(repr, row)) + "\n" for row in rows)])
-    _write_text(path, text)
+    table = np.column_stack(columns)
+    # %r formats a float by its repr; one join sizes the text exactly, where
+    # one format over the whole table grows its buffer and fragments the heap
+    row = ",".join(["%r"] * table.shape[1]) + "\n"
+    lines = map(row.__mod__, map(tuple, table.tolist()))
+    _write_text(path, "".join([",".join(header) + "\n", *lines]))
 
 
 def _write_profile(path: str, report: ResidualReport) -> None:

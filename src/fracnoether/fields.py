@@ -8,9 +8,10 @@ A field takes one point (scalar t, x and y of shape (n,)) or M points at
 once, points first as in ``SampledFunction``: t of shape (M,) and x, y of
 shape (M, n), so a trajectory's samples go in as they are.  Every callable
 that enters the library takes that form: ``_pointwise`` passes through the
-callables that ``ProblemSpec.compile`` returns, marked ``whole_array``, and
-wraps any other one once, at construction, in the library's only loop over
-points calling user code.
+callables marked ``whole_array`` (those that ``ProblemSpec.compile`` returns,
+and any user callable so marked), and wraps any other one once, at
+construction, in the library's only loop over points calling user code,
+which keeps each callable's last sweep.
 """
 
 from __future__ import annotations
@@ -48,24 +49,56 @@ def _central(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray
     return np.stack(cols, axis=-1)
 
 
+def _sweep_key(arrays: list[np.ndarray]) -> tuple:
+    """The content of contiguous arrays: each one's dtype and shape, and one
+    sha256 digest of their bytes in order."""
+    # imported at the first sweep, not with the package: loading OpenSSL's
+    # hashes adds about 14 ms to a fresh process (2-core Xeon VM), which a
+    # program that only evaluates whole-array fields never needs
+    import hashlib
+
+    digest = hashlib.sha256()
+    for a in arrays:
+        digest.update(a)
+    return tuple((a.dtype.str, a.shape) for a in arrays), digest.digest()
+
+
 def _pointwise(fn: Optional[Callable], ndim: int = 0) -> Optional[Callable]:
     """fn taking t of shape (M,) and further arguments of shape (M, n):
     unchanged when marked ``whole_array``, else wrapped to call fn once per
     point and stack the results, points first, each promoted to ``ndim``
     dimensions as ``np.atleast_1d``/``atleast_2d`` do.  At a scalar t the
-    wrapper calls fn once."""
+    wrapper calls fn once.
+
+    fn must be a function of its arguments alone.  The wrapper keeps its last
+    sweep: a sweep at points bitwise equal to the previous one (same dtypes,
+    shapes and bytes, compared by a sha256 digest) returns a copy of the
+    previous values and does not call fn.  A sweep at any other points calls
+    fn once per point and replaces the kept one.  Callers and fn never see
+    the kept array itself.
+    """
     if fn is None or getattr(fn, "whole_array", False):
         return fn
+    # (key, values) of the last sweep, replaced by one assignment, so a
+    # concurrent sweep reads a consistent pair; at worst both sweeps miss
+    last = (None, None)
 
     def lifted(t, *xs):
+        nonlocal last
         if np.ndim(t) == 0:
             return fn(t, *xs)
+        # rows are contiguous, as a per-point caller passes them, and hashable
+        t, *rows = [np.ascontiguousarray(a) for a in (t, *xs)]
+        key = _sweep_key([t, *rows])
+        kept_key, kept = last
+        if key == kept_key:
+            return kept.copy()
         # the library's only loop over points calling user code, so its body is
-        # the call alone; rows are contiguous, as a per-point caller passes them
-        rows = [np.ascontiguousarray(x) for x in xs]
+        # the call alone
         out = np.array([fn(*point) for point in zip(t, *rows)], dtype=float)
         while out.ndim <= ndim:
             out = out[:, None]
+        last = (key, out.copy())
         return out
 
     lifted.whole_array = True
@@ -80,6 +113,15 @@ class PointField:
     point the value is a float and d_x, d_y have shape (n,); at M points
     (t of shape (M,), x and y of shape (M, n)) the value has shape (M,) and
     d_x, d_y have shape (M, n).
+
+    Each callable is called once per point, unless it has the attribute
+    ``whole_array = True``: it then receives the M points of a sweep in one
+    call, t of shape (M,) and x, y of shape (M, n), returns the M results
+    points first, and still takes one point as a per-point callable does.
+    Per-point callables must be functions of their arguments: a sweep at
+    points bitwise equal to the same callable's previous sweep returns the
+    previous values without calling it, so after changing a parameter that
+    a callable reads, build a new field.
     """
 
     evaluator: Callable[[float, np.ndarray, np.ndarray], float]
@@ -153,7 +195,9 @@ class VectorField:
     jac_x / jac_y, when given, return Jacobians of shape (n, dim_x/dim_y).
     At M points (t of shape (M,), x and y of shapes (M, dim_x) and
     (M, dim_y)) the value has shape (M, n) and d_x, d_y have shapes
-    (M, n, dim_x) and (M, n, dim_y).
+    (M, n, dim_x) and (M, n, dim_y).  Callables are per point or marked
+    ``whole_array``, and per-point ones must be functions of their
+    arguments, as for ``PointField``.
     """
 
     evaluator: Callable[[float, np.ndarray, np.ndarray], np.ndarray]

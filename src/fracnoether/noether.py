@@ -42,7 +42,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SymmetryGenerator:
-    """Infinitesimal fields of t -> t + eps*tau(t,q), q -> q + eps*xi(t,q)."""
+    """Infinitesimal fields of t -> t + eps*tau(t,q), q -> q + eps*xi(t,q).
+
+    tau and xi are called once per point, or once per sweep when marked
+    ``whole_array``, as a ``PointField``'s callables are.  Per-point ones
+    must be functions of their arguments: a sweep at the nodes and a
+    trajectory bitwise equal to the previous sweep's returns the previous
+    values without calling them, so after changing a parameter that tau or
+    xi reads, build a new generator.
+    """
 
     tau: Callable[[float, np.ndarray], float]
     xi: Callable[[float, np.ndarray], np.ndarray]

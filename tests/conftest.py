@@ -72,6 +72,26 @@ def classical_problem(m: int = 500, level: float = 1.0) -> VariationalProblem:
     )
 
 
+class SweepCounter:
+    """Wraps per-point callables and counts their sweeps: a sweep is a run of
+    calls at increasing t, which is how the library evaluates a field at M
+    points."""
+
+    def __init__(self):
+        self.sweeps = 0
+
+    def wrap(self, fn):
+        last = [np.inf]
+
+        def counted(t, *args):
+            if t <= last[0]:
+                self.sweeps += 1
+            last[0] = t
+            return fn(t, *args)
+
+        return counted
+
+
 @pytest.fixture(scope="session")
 def bench2000():
     return benchmark_problem(2000)

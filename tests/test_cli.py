@@ -201,7 +201,9 @@ def _csv_reference(path, header, rows):
 
 def test_csv_writers_match_csv_module(tmp_path):
     """Profiles and trajectories are byte-identical to csv.writer output
-    of each value's repr, NaN endpoint markers and signed zeros included."""
+    of each value's repr, NaN endpoint markers and signed zeros included,
+    and any table to a per-row join of reprs, on NaN, infinities, -0.0, the
+    smallest subnormal, 1e16 and 0.1 too."""
     grid = Grid(0.0, 1.0, 8)
     r = np.column_stack([np.sin(7.0 * grid.nodes), -np.cos(3.0 * grid.nodes) / 3.0])
     r[0], r[-1, 1], r[4, 0] = np.nan, np.nan, -0.0
@@ -218,6 +220,13 @@ def test_csv_writers_match_csv_module(tmp_path):
     rows = [(t, *qj, *(qj - rj)) for t, qj, rj in zip(grid.nodes, q.values, ref.values)]
     _csv_reference(tmp_path / "reference.csv", ["t", "q1", "q2", "deviation1", "deviation2"], rows)
     assert (tmp_path / "trajectory.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+    special = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e16, 0.1])
+    columns = [special, np.column_stack([special[::-1], -special]), np.arange(7.0)]
+    cli._write_csv(str(tmp_path / "special.csv"), ["a", "b1", "b2", "c"], columns)
+    rows = np.column_stack(columns).tolist()
+    joined = "a,b1,b2,c\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows)
+    assert (tmp_path / "special.csv").read_bytes() == joined.encode()
 
 
 # dim = 2 benchmark: two copies of the order-1/2 extremal q_i = t^2.5 / gamma(3.5)

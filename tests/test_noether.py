@@ -7,14 +7,20 @@ from fracnoether import (
     PointField,
     SampledFunction,
     SymmetryGenerator,
+    VariationalProblem,
     certification_tolerance,
+    constraint_values,
+    euler_lagrange_residual,
     frac_pair_operator,
+    gamma,
     invariance_first_order_check,
     invariance_necessary_condition,
     momentum_law_residual,
     noether_law_residual,
     sample,
 )
+
+from conftest import SweepCounter, benchmark_extremal
 
 HALF = FracOrder(0.5)
 
@@ -186,3 +192,81 @@ def test_conservation_laws_sample_only_the_velocity_partial():
     assert calls == []
     assert noether.sup_norm == noether_law_residual(problem, lam, q, SHIFT_BOTH).sup_norm
     assert momentum.sup_norm == momentum_law_residual(problem, lam, q, STATE_SHIFT).sup_norm
+
+
+def counted_certification(counter: SweepCounter):
+    """The benchmark problem on 200 intervals, L = t^4 + v^2 and g = t^2 v with
+    analytic partials, and the shift (tau = xi = 1) and state shift (tau = 0,
+    xi = 1) generators: every callable per point and counted."""
+    c = counter.wrap
+    L = PointField(
+        c(lambda t, q, v: t**4 + float(v[0] ** 2)),
+        grad_x=c(lambda t, q, v: np.zeros(1)),
+        grad_y=c(lambda t, q, v: 2.0 * v),
+    )
+    g = PointField(
+        c(lambda t, q, v: t * t * float(v[0])),
+        grad_x=c(lambda t, q, v: np.zeros(1)),
+        grad_y=c(lambda t, q, v: np.array([t * t])),
+    )
+    problem = VariationalProblem(
+        HALF, L, Grid(0.0, 1.0, 200), [0.0], [2.0 / gamma(3.5)],
+        constraints=[g], constraint_levels=[0.2],
+    )
+    shift = SymmetryGenerator(tau=c(lambda t, q: 1.0), xi=c(lambda t, q: np.ones(1)))
+    state_shift = SymmetryGenerator(tau=c(lambda t, q: 0.0), xi=c(lambda t, q: np.ones(1)))
+    return problem, shift, state_shift
+
+
+def certification(problem, shift, state_shift, q, bad):
+    """The checks of the benchmark's certify-fine op, in its order: EL,
+    constraint, Noether, momentum, invariance, and EL on a refuted candidate."""
+    lam = np.array([2.0])
+    return [
+        lambda: euler_lagrange_residual(problem, lam, q),
+        lambda: constraint_values(problem, q),
+        lambda: noether_law_residual(problem, lam, q, shift),
+        lambda: momentum_law_residual(problem, lam, q, state_shift),
+        lambda: invariance_first_order_check(problem, lam, q, shift),
+        lambda: euler_lagrange_residual(problem, lam, bad),
+    ]
+
+
+def assert_same_result(result, reference):
+    if isinstance(reference, np.ndarray):
+        assert np.array_equal(result, reference)
+        return
+    assert np.array_equal(result.pointwise.values, reference.pointwise.values, equal_nan=True)
+    assert (result.sup_norm, result.l2_norm) == (reference.sup_norm, reference.l2_norm)
+
+
+def test_certification_sweeps_each_callable_once_per_set_of_points():
+    """A callable swept again at its previous points is not called: Noether
+    reuses the EL's L.d_y and g.d_y and the constraint's g, momentum reuses
+    Noether's L.d_y and g.d_y, and the invariance probe reuses Noether's tau
+    and xi.  22 sweeps (29 when every check swept afresh), and every result
+    is bitwise that of the same check on fresh fields."""
+    counter = SweepCounter()
+    problem, shift, state_shift = counted_certification(counter)
+    q = benchmark_extremal(problem.grid)
+    bad = q + sample(problem.grid, lambda t: 0.005 * np.sin(3.0 * np.pi * t))
+    results = [check() for check in certification(problem, shift, state_shift, q, bad)]
+    assert counter.sweeps == 22
+    for k, result in enumerate(results):
+        fresh = certification(*counted_certification(SweepCounter()), q, bad)[k]()
+        assert_same_result(result, fresh)
+
+
+def test_el_at_a_second_multiplier_reuses_the_partials():
+    """The EL check at lambda = 2 and then at lambda = 0 along one q, as the
+    certification demo runs it: with analytic partials the second check
+    calls no user code and equals the check on fresh fields."""
+    counter = SweepCounter()
+    problem = counted_certification(counter)[0]
+    q = benchmark_extremal(problem.grid)
+    euler_lagrange_residual(problem, np.array([2.0]), q)
+    assert counter.sweeps == 4
+    second = euler_lagrange_residual(problem, np.array([0.0]), q)
+    assert counter.sweeps == 4
+    fresh = counted_certification(SweepCounter())[0]
+    assert_same_result(second, euler_lagrange_residual(fresh, np.array([0.0]), q))

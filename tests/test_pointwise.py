@@ -257,3 +257,119 @@ def test_autonomy_decision_equals_the_per_probe_loop(L, g, phi):
     else:
         with pytest.raises(AutonomyError):
             _check_autonomous(cp)
+
+
+def test_a_repeated_sweep_calls_no_user_code_but_differences_always_do():
+    """A sweep at the points of the callable's previous sweep is not run
+    again; each +-step sweep of a finite difference is at new points, so a
+    second d_x costs what the first did."""
+    t, X, Y = points(2)
+    n, calls = 2, [0]
+    f = PointField(counting(lambda s, x, y: float(x @ y), calls))
+    first = f(t, X, Y)
+    assert_same(f(t, X, Y), first)
+    assert calls[0] == M
+    d_x = f.d_x(t, X, Y)
+    assert_same(f.d_x(t, X, Y), d_x)
+    assert calls[0] == M + 2 * (2 * n * M)
+    assert_same(f(t, X, Y), first)  # the last sweep was at a shifted x
+    assert calls[0] == M + 4 * n * M + M
+
+
+def test_a_sweep_after_the_points_change_in_place_calls_the_callables_again():
+    """The kept sweep is keyed on the points' content, not on the arrays'
+    identity: after q.values changes in place, a check sweeps again and
+    equals the check with fresh fields, as does a field swept at a batch
+    that changed in place."""
+    from conftest import benchmark_extremal, benchmark_problem
+    from fracnoether import euler_lagrange_residual
+
+    problem = benchmark_problem(100)
+    q = benchmark_extremal(problem.grid)
+    lam = np.array([2.0])
+    euler_lagrange_residual(problem, lam, q)
+    q.values[40:60] += 1e-3
+    again = euler_lagrange_residual(problem, lam, q)
+    fresh = euler_lagrange_residual(benchmark_problem(100), lam, q)
+    assert np.array_equal(again.pointwise.values, fresh.pointwise.values, equal_nan=True)
+    assert (again.sup_norm, again.l2_norm) == (fresh.sup_norm, fresh.l2_norm)
+
+    f = scalar_field(analytic=True)
+    t, X, Y = points(2)
+    for sweep in (f, f.d_x, f.d_y):
+        sweep(t, X, Y)
+    X[7, 1] += 0.5
+    Y[3, 0] = -Y[3, 0]
+    fresh = scalar_field(analytic=True)
+    for sweep, reference in ((f, fresh), (f.d_x, fresh.d_x), (f.d_y, fresh.d_y)):
+        assert_same(sweep(t, X, Y), reference(t, X, Y))
+
+
+def test_mutating_a_returned_sweep_leaves_the_next_sweep_intact():
+    """Neither the array a sweep returns nor the copy a repeated sweep
+    returns is the kept one."""
+    f, phi = scalar_field(analytic=True), vector_field(analytic=True)
+    t, X, Y = points(2)
+    for sweep in (f, f.d_x, f.d_y, phi, phi.d_x, phi.d_y):
+        first = sweep(t, X, Y)
+        expected = first.copy()
+        first[...] = 7.0
+        again = sweep(t, X, Y)
+        assert_same(again, expected)
+        again[...] = 9.0
+        assert_same(sweep(t, X, Y), expected)
+
+
+def test_a_field_rebuilt_after_a_parameter_change_sees_the_new_value():
+    """Each field keeps the sweeps of its own callables: a field built
+    around the same callable after a parameter it reads has changed calls
+    it again."""
+    params = {"c": 1.0}
+
+    def ev(s, x, y):
+        return params["c"] * float(x @ y)
+
+    def tau(s, q):
+        return params["c"] * s
+
+    def taus():
+        gen = SymmetryGenerator(tau, lambda s, q: q)
+        return gen.sampled_along(grid, SampledFunction(grid, X))[0]
+
+    t, X, Y = points(2)
+    grid = Grid(0.0, 1.0, M - 1)
+    before, taus_before = PointField(ev)(t, X, Y), taus()
+    params["c"] = 2.0
+    assert_same(PointField(ev)(t, X, Y), 2.0 * before)
+    assert_same(taus(), 2.0 * taus_before)
+
+
+def test_a_callable_marked_whole_array_gets_each_sweep_in_one_call():
+    """``whole_array = True`` on a user callable: it receives t of shape (M,)
+    and x, y of shape (M, n) in one call per sweep, and it is called on
+    every sweep, repeated or not."""
+    seen = []
+
+    def ev(s, x, y):
+        seen.append((np.shape(s), np.shape(x), np.shape(y)))
+        return s * np.sum(x * y, axis=-1)
+
+    def grad_x(s, x, y):
+        seen.append((np.shape(s), np.shape(x), np.shape(y)))
+        return np.asarray(s)[..., None] * y
+
+    ev.whole_array = grad_x.whole_array = True
+    f = PointField(ev, grad_x=grad_x)
+    assert f.evaluator is ev and f.grad_x is grad_x
+    t, X, Y = points(2)
+    shapes = ((M,), (M, 2), (M, 2))
+    assert_same(f(t, X, Y), stacked(f, t, X, Y))
+    assert_same(f.d_x(t, X, Y), stacked(f.d_x, t, X, Y))
+    seen.clear()
+    f(t, X, Y)
+    f(t, X, Y)
+    f.d_x(t, X, Y)
+    assert seen == [shapes] * 3
+    seen.clear()
+    f.d_y(t, X, Y)
+    assert seen == [shapes] * 4  # one call per +-step sweep of each y_i

@@ -4,6 +4,7 @@ fracnoether exists."""
 import ast
 import importlib
 import re
+import sys
 from pathlib import Path
 
 import fracnoether
@@ -58,3 +59,22 @@ def test_fields_have_one_method_per_quantity():
 
     assert public_methods(fracnoether.PointField) == {"d_x", "d_y", "hessian", "check_partials"}
     assert public_methods(fracnoether.VectorField) == {"d_x", "d_y"}
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    """Every import in the package is numpy, the standard library, or the
+    package itself."""
+    outside = []
+    for path in sorted((ROOT / "src" / "fracnoether").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            for module in modules:
+                top = module.split(".")[0]
+                if top != "numpy" and top not in sys.stdlib_module_names:
+                    outside.append(f"{path.name}: {module}")
+    assert not outside, outside

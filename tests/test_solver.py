@@ -28,7 +28,13 @@ from fracnoether.solver import (
     _newton,
 )
 
-from conftest import benchmark_extremal, benchmark_fields, benchmark_problem, classical_problem
+from conftest import (
+    SweepCounter,
+    benchmark_extremal,
+    benchmark_fields,
+    benchmark_problem,
+    classical_problem,
+)
 
 
 def test_unconstrained_quadratic_gives_zero():
@@ -503,26 +509,6 @@ def test_discretization_holds_one_dense_derivative_matrix():
 
 
 # -- one field sweep per Newton iterate ----------------------------------------
-
-
-class SweepCounter:
-    """Wraps per-point callables and counts their sweeps: a sweep is a run of
-    calls at increasing t, which is how the library evaluates a field at M
-    points."""
-
-    def __init__(self):
-        self.sweeps = 0
-
-    def wrap(self, fn):
-        last = [np.inf]
-
-        def counted(t, x, v):
-            if t <= last[0]:
-                self.sweeps += 1
-            last[0] = t
-            return fn(t, x, v)
-
-        return counted
 
 
 def counted_problem(alpha: float, dim: int, counter: SweepCounter) -> VariationalProblem:
