@@ -67,7 +67,7 @@ _CHECK_KINDS = ("el", "noether", "momentum", "hamiltonian", "invariance")
 def _load_spec(args: argparse.Namespace) -> ProblemSpec:
     """The spec file ``args.spec`` with the command-line overrides applied; a
     path that cannot be read as UTF-8 text (missing, a directory, unreadable,
-    binary) is a SpecError."""
+    binary) or an override out of range is a SpecError."""
     try:
         spec = parse_spec(args.spec)
     except (OSError, UnicodeDecodeError) as exc:
@@ -80,6 +80,9 @@ def _load_spec(args: argparse.Namespace) -> ProblemSpec:
         spec.alpha = float(args.alpha)
         if not 0.0 < spec.alpha <= 1.0:
             raise SpecError("--alpha must lie in (0, 1]")
+    tol = getattr(args, "tol", None)
+    if tol is not None and not (math.isfinite(tol) and tol >= 0.0):
+        raise SpecError("--tol must be finite and >= 0")
     return spec
 
 
@@ -344,7 +347,7 @@ def _selftest_cases() -> list[tuple[str, float, float]]:
     """(name, measured value, threshold) triples; value <= threshold passes."""
     cases = []
 
-    # gamma oracle: exact values and the reflection branch
+    # gamma oracle: exact values on both sides of the origin
     gerr = max(
         abs(gammafn.gamma(0.5) - math.sqrt(math.pi)),
         abs(gammafn.gamma(6.0) - 120.0),

@@ -301,13 +301,22 @@ def _read_pairs(path: str) -> dict[str, tuple[str, int]]:
     return pairs
 
 
-def _constant(key: str, value: str, lineno: int) -> float:
+def _constant(key: str, value: str, lineno: int, integer: bool = False) -> float:
     """The value of a constant expression; failing to parse or to evaluate it
-    (division by zero, overflow, a gamma pole, a complex power) is a SpecError."""
+    (division by zero, overflow, a gamma pole, a complex power), a value that
+    is not finite, or one that is not an integer where ``integer`` asks for
+    one, is a SpecError.  numpy's floating-point warnings raise here, as
+    FloatingPointError, so that they become that SpecError too."""
     try:
-        return float(parse_expression(value)())
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            number = float(parse_expression(value)())
     except (ArithmeticError, ValueError, TypeError) as exc:
         raise SpecError(f"in {key}: {exc}", lineno) from exc
+    if integer and not number.is_integer():
+        raise SpecError(f"{key} must be an integer, got {value!r}", lineno)
+    if not np.isfinite(number):
+        raise SpecError(f"in {key}: {value!r} is not finite", lineno)
+    return number
 
 
 def _const(
@@ -315,10 +324,7 @@ def _const(
 ) -> float | int | None:
     if key not in pairs:
         return default
-    value, lineno = pairs.pop(key)
-    number = _constant(key, value, lineno)
-    if integer and not number.is_integer():
-        raise SpecError(f"{key} must be an integer, got {value!r}", lineno)
+    number = _constant(key, *pairs.pop(key), integer=integer)
     return int(number) if integer else number
 
 

@@ -1,8 +1,6 @@
-"""Euler gamma function via a Lanczos rational approximation.
-
-Self-contained on purpose: the closed-form fractional derivative rules and
-the singular-kernel quadrature weights all funnel through this one routine,
-so its accuracy (target: 1e-10 relative on [0.1, 30]) bounds everything else.
+"""Euler gamma function: ``math.gamma`` (about 1e-15 relative; finite up to
+x ≈ 171.6, underflowing to ±0 below x ≈ -177) behind a typed pole check.
+The kernel weights, closed forms and the spec grammar's gamma all use it.
 """
 
 import math
@@ -14,35 +12,8 @@ class GammaPoleError(ValueError):
     """Raised when gamma() is evaluated at a non-positive integer."""
 
 
-# Lanczos coefficients for g = 7, giving ~1e-13 relative accuracy on the
-# positive real axis.  Module-level so tests can fault-inject a corrupted
-# coefficient and watch the self-test suite catch it.
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = [
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-]
-
-
 def _is_nonpositive_integer(x: float) -> bool:
     return x <= 0.0 and x == math.floor(x)
-
-
-def _lanczos_positive(x: float) -> float:
-    # Valid for x >= 0.5.
-    z = x - 1.0
-    acc = _LANCZOS_COEFFS[0]
-    for i, c in enumerate(_LANCZOS_COEFFS[1:], start=1):
-        acc += c / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
 
 
 def gamma(x: float) -> float:
@@ -50,10 +21,7 @@ def gamma(x: float) -> float:
     x = float(x)
     if _is_nonpositive_integer(x):
         raise GammaPoleError(f"gamma pole at x = {x}")
-    if x < 0.5:
-        # Reflection formula; 1 - x >= 0.5 lands in the Lanczos range.
-        return math.pi / (math.sin(math.pi * x) * _lanczos_positive(1.0 - x))
-    return _lanczos_positive(x)
+    return math.gamma(x)
 
 
 def reciprocal_gamma(x: float) -> float:

@@ -43,8 +43,8 @@ class Grid:
     m: int
 
     def __post_init__(self) -> None:
-        if not self.a < self.b:
-            raise ValueError(f"need a < b, got [{self.a}, {self.b}]")
+        if not (math.isfinite(self.a) and math.isfinite(self.b) and self.a < self.b):
+            raise ValueError(f"need finite a < b, got [{self.a}, {self.b}]")
         if not isinstance(self.m, (int, np.integer)):
             raise ValueError(f"need an integer number of intervals, got m = {self.m!r}")
         if self.m < 2:
@@ -80,7 +80,8 @@ class SampledFunction:
         if v.ndim != 2 or v.shape[0] != self.grid.m + 1:
             raise ValueError(f"expected (m+1, dim) values, got shape {v.shape}")
         if not np.isfinite(v[1:-1]).all():
-            raise ValueError("non-finite sample at an interior node")
+            i = 1 + int(np.argmin(np.isfinite(v[1:-1]).all(axis=1)))
+            raise ValueError(f"non-finite sample at interior node {i} (t = {self.grid.nodes[i]:g})")
         object.__setattr__(self, "values", v)
 
     @property
@@ -95,10 +96,6 @@ class SampledFunction:
         if self.dim != 1:
             raise ValueError(f"expected scalar samples, got dim = {self.dim}")
         return self.values[:, 0]
-
-    def filled(self) -> "SampledFunction":
-        """Copy with NaN endpoint markers replaced by linear extrapolation."""
-        return SampledFunction(self.grid, fill_endpoints(self.values))
 
     def __add__(self, other: "SampledFunction") -> "SampledFunction":
         _check_same_grid(self, other)

@@ -45,6 +45,9 @@ DEFAULT_BAND = 2
 #: Pass/fail bound on the invariance probe's dI/d(eps) estimates.
 INVARIANCE_TOLERANCE = 1e-2
 
+# The constant c of certification_tolerance's c * h^min(1, 2 - alpha).
+_CERTIFICATION_FACTOR = 10.0
+
 
 def endpoint_band(m: int) -> int:
     """Wider endpoint band, 5% of the m intervals per side (CLI checks).
@@ -125,14 +128,14 @@ def make_report(grid: Grid, residual: np.ndarray, band: int = DEFAULT_BAND) -> R
     return ResidualReport(grid, SampledFunction(grid, r), sup, l2, band)
 
 
-def certification_tolerance(problem, c: float = 10.0) -> float:
-    """Scheme-order residual tolerance c * h^min(1, 2 - alpha).
+def certification_tolerance(problem) -> float:
+    """Scheme-order residual tolerance 10 * h^min(1, 2 - alpha).
 
     ``problem`` is any object with ``order`` and ``grid``; on a
-    ControlProblem (alpha <= 1) this is c * h.
+    ControlProblem (alpha <= 1) this is 10 * h.
     """
     expo = min(1.0, 2.0 - problem.order.alpha)
-    return c * problem.grid.h**expo
+    return _CERTIFICATION_FACTOR * problem.grid.h**expo
 
 
 def frac_velocity(q: SampledFunction, order: FracOrder) -> SampledFunction:

@@ -468,11 +468,7 @@ def refine(problem: VariationalProblem, solution: Solution, factor: int = 2) -> 
             for i in range(solution.q.dim)
         ]
     )
-    warm = replace(
-        solution,
-        q=SampledFunction(fine_grid, q0),
-        el_report=solution.el_report,
-    )
+    warm = replace(solution, q=SampledFunction(fine_grid, q0))
     fine = solve(fine_problem, initial_guess=warm)
     order = float(
         np.log(solution.el_report.sup_norm / fine.el_report.sup_norm) / np.log(factor)

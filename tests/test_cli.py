@@ -70,7 +70,18 @@ def test_invalid_spec_exits_3(tmp_path):
     assert run("check", "--out", str(tmp_path / "o"), str(tmp_path / "missing.spec")) == 3
 
 
-@pytest.mark.parametrize("bad", ["l1 = 1/0", "q_b1 = gamma(0)"])
+@pytest.mark.parametrize(
+    "bad",
+    [
+        "l1 = 1/0",
+        "q_b1 = gamma(0)",
+        "b = 1e999",
+        "l1 = 1e999",
+        "q_a1 = 1e999",
+        "q_b1 = gamma(172.5)",
+        "q_b1 = 1/gamma(-200.5)",
+    ],
+)
 def test_unevaluable_constant_exits_3_with_line(tmp_path, capsys, bad):
     key, value = bad.split(" = ")
     lines = Path(EX1).read_text(encoding="utf-8").splitlines()
@@ -163,16 +174,22 @@ def test_selftest_passes_and_deterministic(tmp_path):
     assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
 
 
-def test_selftest_catches_corrupted_gamma(tmp_path):
-    original = gammafn._LANCZOS_COEFFS[1]
-    gammafn._LANCZOS_COEFFS[1] = 700.0
-    try:
-        assert run("selftest", "--out", str(tmp_path / "o")) == 1
-        doc = read_report(tmp_path / "o")
-        failed = {c["name"] for c in doc["checks"] if not c["pass"]}
-        assert "gamma-values" in failed
-    finally:
-        gammafn._LANCZOS_COEFFS[1] = original
+def test_selftest_catches_corrupted_gamma(tmp_path, monkeypatch):
+    exact = gammafn.gamma
+    monkeypatch.setattr(gammafn, "gamma", lambda x: exact(x) * (1.0 + 1e-9))
+    assert run("selftest", "--out", str(tmp_path / "o")) == 1
+    doc = read_report(tmp_path / "o")
+    failed = {c["name"] for c in doc["checks"] if not c["pass"]}
+    assert "gamma-values" in failed
+
+
+@pytest.mark.parametrize("command", ["check", "solve"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-0.001"])
+def test_tolerance_that_is_not_finite_and_nonnegative_exits_3(tmp_path, capsys, command, tol):
+    out = tmp_path / "o"
+    assert run(command, "--tol", tol, "--out", str(out), EX1) == 3
+    assert "--tol must be finite and >= 0" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
 
 
 def test_grid_and_alpha_overrides(tmp_path):

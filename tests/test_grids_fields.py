@@ -29,6 +29,9 @@ def test_grid_nodes_and_refinement():
     assert Grid(0.0, 1.0, np.int64(10)).nodes.size == 11
     with pytest.raises(ValueError):
         Grid(1.0, 0.0, 4)
+    for a, b in ((0.0, np.inf), (-np.inf, 1.0), (0.0, np.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            Grid(a, b, 10)
     with pytest.raises(ValueError, match="integer"):
         Grid(0.0, 1.0, 10.0)
 
@@ -38,11 +41,20 @@ def test_sampled_function_shapes_and_nan_policy():
     f = SampledFunction(grid, np.array([np.nan, 1.0, 2.0, 3.0, np.nan]))
     assert f.dim == 1
     assert np.isnan(f.scalar[0])
-    filled = f.filled().scalar
+    filled = fill_endpoints(f.scalar)
     assert filled[0] == 2.0 * 1.0 - 2.0  # linear extrapolation inward
     assert filled[-1] == 2.0 * 3.0 - 2.0
     with pytest.raises(ValueError):
         SampledFunction(grid, np.array([0.0, np.nan, 2.0, 3.0, 4.0]))
+
+
+def test_non_finite_interior_sample_names_its_node():
+    grid = Grid(0.0, 1.0, 4)
+    values = np.zeros((5, 2))
+    values[2, 1] = np.inf
+    values[3, 0] = np.nan
+    with pytest.raises(ValueError, match=r"interior node 2 \(t = 0\.5\)"):
+        SampledFunction(grid, values)
 
 
 def test_fill_endpoints_vector():

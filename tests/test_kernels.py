@@ -324,3 +324,21 @@ def test_l1_matches_mpmath_differint(differint_oracle, name, alpha):
         errs.append(np.max(np.abs(d[np.rint(nodes * m).astype(int)] - exact[name, alpha])))
     assert errs[1] <= 10.0 * (1.0 / 2048) ** (2.0 - alpha)
     assert np.log2(errs[0] / errs[1]) >= 2.0 - alpha - 0.1
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
+@pytest.mark.parametrize("beta", [0.3, 0.6])
+def test_l1_order_drops_on_non_smooth_power(beta, alpha):
+    """On t^beta with beta < 1 the L1 derivative converges with order
+    min(2 - alpha, 1 + beta), against the power rule evaluated by mpmath's
+    gamma, which shares no code with the library's."""
+    mpmath = pytest.importorskip("mpmath")
+    nodes = np.array([0.25, 0.5, 0.75, 1.0])
+    scale = mpmath.gamma(beta + 1.0) / mpmath.gamma(beta + 1.0 - alpha)
+    exact = np.array([float(scale * mpmath.mpf(x) ** (beta - alpha)) for x in nodes])
+    errs = []
+    for m in (1024, 2048):
+        grid = Grid(0.0, 1.0, m)
+        d = left_rl_derivative(sample(grid, lambda t: t**beta), FracOrder(alpha)).scalar
+        errs.append(np.max(np.abs(d[np.rint(nodes * m).astype(int)] - exact)))
+    assert abs(np.log2(errs[0] / errs[1]) - min(2.0 - alpha, 1.0 + beta)) <= 0.1
