@@ -144,6 +144,17 @@ def _multipliers(spec: ProblemSpec) -> np.ndarray:
     return np.array(spec.multipliers)
 
 
+def _extremal(spec: ProblemSpec) -> PontryaginExtremal:
+    if spec.control is None or spec.costate is None:
+        raise SpecError("hamiltonian checks need 'control1..' and 'costate1..'")
+    return PontryaginExtremal(
+        q=_candidate(spec),
+        u=_time_curve(spec, "control", spec.control),
+        p=_time_curve(spec, "costate", spec.costate),
+        lam=_multipliers(spec),
+    )
+
+
 # --------------------------------------------------------------------------
 # output
 # --------------------------------------------------------------------------
@@ -226,14 +237,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
     entries = []
     if which == "hamiltonian":
-        if spec.control is None or spec.costate is None:
-            raise SpecError("hamiltonian checks need 'control1..' and 'costate1..'")
-        ext = PontryaginExtremal(
-            q=_candidate(spec),
-            u=_time_curve(spec, "control", spec.control),
-            p=_time_curve(spec, "costate", spec.costate),
-            lam=_multipliers(spec),
-        )
+        ext = _extremal(spec)
         names = ("state", "costate", "stationarity")
         for name, rep in zip(names, pontryagin_residuals(problem, ext, band=band)):
             profile = os.path.join(out, f"hamiltonian_{name}_profile.csv")
@@ -430,23 +434,14 @@ def _selftest_cases() -> list[tuple[str, float, float]]:
         constraints=[PointField(lambda tt, x, y: tt * tt * float(y[0]))],
         constraint_levels=np.array(spec.levels),
     )
-    zero = SampledFunction(lift.grid, np.zeros(spec.m + 1))
-    lifted = PontryaginExtremal(
-        q=q, u=sample(lift.grid, lambda tt: tt * tt), p=zero, lam=lam
-    )
-    reps = pontryagin_residuals(lift, lifted)
+    spec.control, spec.costate = ["t^2"], ["0"]
+    reps = pontryagin_residuals(lift, _extremal(spec))
     cases.append(("pontryagin-system", max(r.sup_norm for r in reps), tol))
 
     # autonomous control spec: energy law holds exactly along its extremal
     spec2 = parse_spec(_bundled_spec("example2.spec"))
-    cp = build_control(spec2)
-    ext = PontryaginExtremal(
-        q=_candidate(spec2),
-        u=_time_curve(spec2, "control", spec2.control),
-        p=_time_curve(spec2, "costate", spec2.costate),
-        lam=_multipliers(spec2),
-    )
-    cases.append(("autonomous-energy-law", autonomous_energy_residual(cp, ext).sup_norm, 1e-8))
+    energy = autonomous_energy_residual(build_control(spec2), _extremal(spec2))
+    cases.append(("autonomous-energy-law", energy.sup_norm, 1e-8))
     return cases
 
 

@@ -15,9 +15,11 @@ import numpy as np
 
 from . import frac_kernels as fk
 from .fields import PointField, VectorField
-from .grids import FracOrder, Grid, SampledFunction, fill_endpoints
-from .noether import SymmetryGenerator, frac_pair_operator
-from .problems import DEFAULT_BAND, ResidualReport, VariationalProblem, augmented_lagrangian, make_report
+from .grids import FracOrder, Grid, SampledFunction
+from .noether import SymmetryGenerator, _noether_fold
+from .problems import (
+    DEFAULT_BAND, ResidualReport, VariationalProblem, _node_points, augmented_lagrangian, make_report
+)
 
 __all__ = [
     "ControlProblem",
@@ -92,15 +94,18 @@ class PontryaginExtremal:
 
 def hamiltonian_value(
     cp: ControlProblem,
-    t: float,
+    t: float | np.ndarray,
     q: np.ndarray,
     u: np.ndarray,
     p: np.ndarray,
     lam: np.ndarray,
-) -> float:
-    """H = F + p . phi at one point, F = L - lambda . g."""
+) -> float | np.ndarray:
+    """H = F + p . phi, F = L - lambda . g: the library's only composition
+    of H.  At one point (scalar t) a float; at M points, points first as for
+    a field (t of shape (M,), q, u and p of shape (M, n)), shape (M,)."""
     q, u, p = (np.atleast_1d(np.asarray(x, float)) for x in (q, u, p))
-    return augmented_lagrangian(cp, lam)(t, q, u) + float(np.dot(p, cp.dynamics(t, q, u)))
+    h = augmented_lagrangian(cp, lam)(t, q, u) + np.sum(p * cp.dynamics(t, q, u), axis=-1)
+    return h if np.ndim(t) else float(h)
 
 
 def pontryagin_residuals(
@@ -131,15 +136,12 @@ def pontryagin_residuals(
     )
 
 
-def _hamiltonian_samples(
-    cp: ControlProblem, ext: PontryaginExtremal
-) -> tuple[np.ndarray, np.ndarray]:
-    """(H(t_j), p_j . D^alpha q_j) along the candidate, velocity filled."""
-    t, Q, U, P = ext.q.grid.nodes, ext.q.values, ext.u.values, ext.p.values
-    v = fill_endpoints(fk.left_rl_derivative(ext.q, cp.order).values)
-    F = augmented_lagrangian(cp, ext.lam)
-    hs = F(t, Q, U) + np.sum(P * cp.dynamics(t, Q, U), axis=1)
-    return hs, np.sum(P * v, axis=1)
+def _reduced_hamiltonian(cp: ControlProblem, ext: PontryaginExtremal) -> np.ndarray:
+    """H - (1 - alpha) p . D^alpha q at the nodes, the velocity filled."""
+    t, Q, v = _node_points(cp, ext.q)
+    P = ext.p.values
+    h = hamiltonian_value(cp, t, Q, ext.u.values, P, ext.lam)
+    return h - (1.0 - cp.order.alpha) * np.sum(P * v, axis=1)
 
 
 def hamiltonian_noether_residual(
@@ -152,15 +154,10 @@ def hamiltonian_noether_residual(
 
         D^alpha(H - (1 - alpha) p . D^alpha q, tau) - D^alpha(p, xi).
     """
-    grid = ext.q.grid
-    taus, xis = sym.sampled_along(grid, ext.q)
-    hs, pv = _hamiltonian_samples(cp, ext)
-    hhat = hs - (1.0 - cp.order.alpha) * pv
-    term1 = frac_pair_operator(
-        SampledFunction(grid, hhat), SampledFunction(grid, taus), cp.order
-    )
-    term2 = frac_pair_operator(ext.p, SampledFunction(grid, xis), cp.order)
-    return make_report(grid, term1.values - term2.values, band=band)
+    taus, xis = sym.sampled_along(ext.q.grid, ext.q)
+    energy = _reduced_hamiltonian(cp, ext)
+    # D^alpha(p, xi) = -D^alpha(-p, xi) bitwise: negation is exact
+    return _noether_fold(ext.q.grid, cp.order, energy, taus, -ext.p.values, xis, band)
 
 
 def _check_autonomous(cp: ControlProblem) -> None:
@@ -195,7 +192,5 @@ def autonomous_energy_residual(
     """
     _check_autonomous(cp)
     grid = ext.q.grid
-    hs, pv = _hamiltonian_samples(cp, ext)
-    energy = hs + (cp.order.alpha - 1.0) * pv
-    r = fk.left_rl_derivative(SampledFunction(grid, energy), cp.order)
+    r = fk.left_rl_derivative(SampledFunction(grid, _reduced_hamiltonian(cp, ext)), cp.order)
     return make_report(grid, r.values, band=band)

@@ -20,11 +20,12 @@ import numpy as np
 
 from . import frac_kernels as fk
 from .fields import PointField, _pointwise
-from .grids import FracOrder, Grid, SampledFunction, fill_endpoints
+from .grids import FracOrder, Grid, SampledFunction
 from .problems import (
     DEFAULT_BAND,
     ResidualReport,
     VariationalProblem,
+    _node_points,
     _velocity_filled,
     augmented_lagrangian,
     make_report,
@@ -59,14 +60,14 @@ class SymmetryGenerator:
         object.__setattr__(self, "tau", _pointwise(self.tau))
         object.__setattr__(self, "xi", _pointwise(self.xi, ndim=1))
 
-    def sampled_along(
-        self, grid: Grid, q: SampledFunction
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def sampled_along(self, grid: Grid, q: SampledFunction) -> tuple[np.ndarray, np.ndarray]:
         """(tau, xi) at the nodes, shapes (M,) and (M, dim), each from one
-        call on all nodes."""
+        call on all nodes; xi must have q's dim components."""
         t, Q = grid.nodes, q.values
         taus = np.asarray(self.tau(t, Q), float)
         xis = np.asarray(self.xi(t, Q), float).reshape(t.size, -1)
+        if xis.shape[1] != q.dim:
+            raise ValueError(f"xi has {xis.shape[1]} components but q has {q.dim}")
         return taus, xis
 
 
@@ -87,6 +88,30 @@ def frac_pair_operator(
     return SampledFunction(f.grid, np.sum(-h.values * right_f + f.values * left_h, axis=1))
 
 
+def _noether_fold(
+    grid: Grid, order: FracOrder, energy, taus, momentum: np.ndarray, xis: np.ndarray, band: int
+) -> ResidualReport:
+    """Fold: report of D^alpha(energy, tau) + D^alpha(momentum, xi) from node
+    samples, without the tau term when energy is None.  The Lagrangian,
+    momentum and Hamiltonian laws all fold here."""
+
+    def pair(f: np.ndarray, h: np.ndarray) -> np.ndarray:
+        return frac_pair_operator(SampledFunction(grid, f), SampledFunction(grid, h), order).values
+
+    r = pair(momentum, xis)
+    if energy is not None:
+        r = pair(energy, taus) + r
+    return make_report(grid, r, band=band)
+
+
+def _zero_tau_xis(gen: SymmetryGenerator, grid: Grid, q: SampledFunction, law: str) -> np.ndarray:
+    """xi at the nodes, for a law that needs tau exactly 0 there (NaN is not)."""
+    taus, xis = gen.sampled_along(grid, q)
+    if np.any(taus != 0.0):
+        raise ValueError(f"{law} requires tau == 0")
+    return xis
+
+
 def invariance_necessary_condition(
     problem: VariationalProblem,
     lam: np.ndarray,
@@ -100,14 +125,12 @@ def invariance_necessary_condition(
     invariance.  xi(t, q(t)) is differentiated as a sampled composite
     function of t (there is no fractional chain rule to apply instead).
     """
-    taus, xis = gen.sampled_along(problem.grid, q)
-    if np.max(np.abs(taus)) > 0.0:
-        raise ValueError("necessary condition of invariance requires tau == 0")
+    xis = _zero_tau_xis(gen, problem.grid, q, "the necessary condition of invariance")
     F = augmented_lagrangian(problem, lam)
-    t, v = problem.grid.nodes, _velocity_filled(problem, q)
-    a, b = F.d_x(t, q.values, v), F.d_y(t, q.values, v)
-    dxi = fk.left_rl_derivative(SampledFunction(problem.grid, xis), problem.order)
-    r = np.sum(a * xis, axis=1) + np.sum(b * fill_endpoints(dxi.values), axis=1)
+    t, x, v = _node_points(problem, q)
+    a, b = F.d_x(t, x, v), F.d_y(t, x, v)
+    dxi = _velocity_filled(problem, SampledFunction(problem.grid, xis))
+    r = np.sum(a * xis, axis=1) + np.sum(b * dxi, axis=1)
     return make_report(problem.grid, r, band=band)
 
 
@@ -118,18 +141,11 @@ def momentum_law_residual(
     gen: SymmetryGenerator,
     band: int = DEFAULT_BAND,
 ) -> ResidualReport:
-    """Residual of D^alpha(d_v F, xi): fractional conservation of momentum."""
-    taus, xis = gen.sampled_along(problem.grid, q)
-    if np.max(np.abs(taus)) > 0.0:
-        raise ValueError("momentum law applies to generators with tau == 0")
-    F = augmented_lagrangian(problem, lam)
-    b = F.d_y(problem.grid.nodes, q.values, _velocity_filled(problem, q))
-    r = frac_pair_operator(
-        SampledFunction(problem.grid, b),
-        SampledFunction(problem.grid, xis),
-        problem.order,
-    )
-    return make_report(problem.grid, r.values, band=band)
+    """Residual of D^alpha(d_v F, xi): fractional conservation of momentum,
+    the tau == 0 case of the Noether law."""
+    xis = _zero_tau_xis(gen, problem.grid, q, "the momentum law")
+    b = augmented_lagrangian(problem, lam).d_y(*_node_points(problem, q))
+    return _noether_fold(problem.grid, problem.order, None, None, b, xis, band)
 
 
 def noether_law_residual(
@@ -143,19 +159,12 @@ def noether_law_residual(
 
         D^alpha(F - alpha d_v F . D^alpha q, tau) + D^alpha(d_v F, xi).
     """
-    grid = problem.grid
-    taus, xis = gen.sampled_along(grid, q)
+    taus, xis = gen.sampled_along(problem.grid, q)
     F = augmented_lagrangian(problem, lam)
-    v = _velocity_filled(problem, q)
-    b = F.d_y(grid.nodes, q.values, v)
-    fhat = F(grid.nodes, q.values, v) - problem.order.alpha * np.sum(b * v, axis=1)
-    term1 = frac_pair_operator(
-        SampledFunction(grid, fhat), SampledFunction(grid, taus), problem.order
-    )
-    term2 = frac_pair_operator(
-        SampledFunction(grid, b), SampledFunction(grid, xis), problem.order
-    )
-    return make_report(grid, term1.values + term2.values, band=band)
+    t, x, v = _node_points(problem, q)
+    b = F.d_y(t, x, v)
+    energy = F(t, x, v) - problem.order.alpha * np.sum(b * v, axis=1)
+    return _noether_fold(problem.grid, problem.order, energy, taus, b, xis, band)
 
 
 # --------------------------------------------------------------------------
@@ -198,9 +207,7 @@ def _transformed_value(
     qres = np.column_stack(
         [np.interp(s, tbar, qbar[:, i]) for i in range(qbar.shape[1])]
     )
-    vres = fill_endpoints(
-        fk.left_rl_derivative(SampledFunction(tgrid, qres), problem.order).values
-    )
+    vres = _velocity_filled(problem, SampledFunction(tgrid, qres))
     # s[0] = tbar[0] and s[-1] = tbar[-1], so the bracket is inside the grid;
     # interpolating between the same two nodes keeps np.interp's bits
     lo = np.searchsorted(s, tbar[first], side="right") - 1

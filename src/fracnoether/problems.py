@@ -221,8 +221,9 @@ def _velocity_filled(problem: VariationalProblem, q: SampledFunction) -> np.ndar
 
 
 def _node_points(problem: VariationalProblem, q: SampledFunction):
-    """(t, x, v) at the nodes: t, q and its filled fractional velocity."""
-    return problem.grid.nodes, q.values, _velocity_filled(problem, q)
+    """(t, x, v) at q's nodes: t, q and its filled velocity of order
+    ``problem.order`` (a variational or a control problem)."""
+    return q.grid.nodes, q.values, _velocity_filled(problem, q)
 
 
 def _trapezoid(problem: VariationalProblem, values: np.ndarray) -> float:

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from fracnoether import (
+    ControlProblem,
     FracOrder,
     Grid,
     PointField,
     VariationalProblem,
+    VectorField,
     gamma,
     sample,
 )
@@ -46,6 +48,19 @@ def benchmark_extremal(grid: Grid):
     """q(t) = 2 t^(alpha+2) / gamma(alpha+3); fractional velocity t^2."""
     c = 2.0 / gamma(ALPHA + 3.0)
     return sample(grid, lambda t: c * t ** (ALPHA + 2.0))
+
+
+def lifted_benchmark(grid: Grid = Grid(0.0, 1.0, 2000)) -> ControlProblem:
+    """phi = u turns the variational benchmark into a control problem."""
+    return ControlProblem(
+        order=FracOrder(ALPHA),
+        lagrangian=PointField(lambda t, q, u: t**4 + float(u[0] ** 2)),
+        dynamics=VectorField(lambda t, q, u: u.copy()),
+        grid=grid,
+        initial=[0.0],
+        constraints=[PointField(lambda t, q, u: t * t * float(u[0]))],
+        constraint_levels=[0.2],
+    )
 
 
 def classical_problem(m: int = 500, level: float = 1.0) -> VariationalProblem:

@@ -1,4 +1,5 @@
-"""Every script in demos/ runs to completion in a fresh interpreter."""
+"""Every script in demos/ runs to completion in a fresh interpreter, with
+warnings as errors, as the tests run (pyproject's filterwarnings)."""
 
 import os
 import subprocess
@@ -19,7 +20,7 @@ def test_demos_exist():
 def test_demo_exits_zero(demo, tmp_path):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     run = subprocess.run(
-        [sys.executable, str(demo)],
+        [sys.executable, "-W", "error", str(demo)],
         cwd=tmp_path,
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,

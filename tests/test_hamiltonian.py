@@ -14,33 +14,24 @@ from fracnoether import (
     SymmetryGenerator,
     VectorField,
     autonomous_energy_residual,
+    fill_endpoints,
     gamma,
     hamiltonian_noether_residual,
     hamiltonian_value,
     left_rl_derivative,
     make_report,
+    noether_law_residual,
     pontryagin_residuals,
     right_rl_derivative,
     sample,
 )
 
+from conftest import benchmark_extremal, benchmark_problem, lifted_benchmark
+
 HALF = FracOrder(0.5)
 GRID = Grid(0.0, 1.0, 2000)
 ZERO = SampledFunction(GRID, np.zeros(GRID.m + 1))
 BAND = 100  # 5% of the interval per side
-
-
-def lifted_benchmark() -> ControlProblem:
-    """phi = u turns the variational benchmark into a control problem."""
-    return ControlProblem(
-        order=HALF,
-        lagrangian=PointField(lambda t, q, u: t**4 + float(u[0] ** 2)),
-        dynamics=VectorField(lambda t, q, u: u.copy()),
-        grid=GRID,
-        initial=[0.0],
-        constraints=[PointField(lambda t, q, u: t * t * float(u[0]))],
-        constraint_levels=[0.2],
-    )
 
 
 def lifted_extremal() -> PontryaginExtremal:
@@ -75,8 +66,11 @@ def autonomous_extremal() -> PontryaginExtremal:
 
 
 def test_hamiltonian_value_is_direct_sum():
+    """At one point H is a float; at the same M points, points first, it
+    equals those one-point values bitwise."""
     cp = lifted_benchmark()
     rng = np.random.default_rng(5)
+    points, singles = [], []
     for _ in range(20):
         t = rng.uniform(0.0, 1.0)
         q = rng.uniform(-1.0, 1.0, 1)
@@ -84,7 +78,37 @@ def test_hamiltonian_value_is_direct_sum():
         p = rng.uniform(-1.0, 1.0, 1)
         lam = np.array([2.0])
         expected = t**4 + u[0] ** 2 - 2.0 * t * t * u[0] + p[0] * u[0]
-        assert hamiltonian_value(cp, t, q, u, p, lam) == pytest.approx(expected, rel=1e-12)
+        singles.append(hamiltonian_value(cp, t, q, u, p, lam))
+        assert isinstance(singles[-1], float)
+        assert singles[-1] == pytest.approx(expected, rel=1e-12)
+        points.append((t, q, u, p))
+    t, q, u, p = (np.array(column) for column in zip(*points))
+    assert np.array_equal(hamiltonian_value(cp, t, q, u, p, lam), singles)
+
+
+@pytest.mark.parametrize(
+    "tau, xi", [(1.0, 1.0), (0.0, 1.0), (1.0, 0.0)], ids=["shift", "state-shift", "time-shift"]
+)
+def test_lagrangian_and_hamiltonian_noether_laws_agree(tau, xi):
+    """On the control lift with u = D^alpha q (filled) and p = -d_u F, the
+    Hamiltonian law's terms are the Lagrangian law's: H - (1 - alpha) p . u
+    = F - alpha d_v F . v and -p = d_v F.  The candidate is the extremal plus
+    0.01 sin(3 pi t), so neither law holds there, and both must agree, the
+    xi term and its sign included."""
+    problem = benchmark_problem(400)
+    grid = problem.grid
+    q = benchmark_extremal(grid) + sample(grid, lambda t: 0.01 * np.sin(3.0 * np.pi * t))
+    lam = np.array([2.0])
+    u = fill_endpoints(left_rl_derivative(q, HALF).values)
+    # d_u F = 2 u - lambda t^2 for L = t^4 + u^2 and g = t^2 u
+    p = -(2.0 * u - lam[0] * grid.nodes[:, None] ** 2)
+    ext = PontryaginExtremal(q, SampledFunction(grid, u), SampledFunction(grid, p), lam)
+    gen = SymmetryGenerator(tau=lambda t, x: tau, xi=lambda t, x: np.full(1, xi))
+    lagrangian = noether_law_residual(problem, lam, q, gen)
+    hamiltonian = hamiltonian_noether_residual(lifted_benchmark(grid), ext, gen)
+    assert hamiltonian.sup_norm > 0.1
+    diff = hamiltonian.pointwise.values[1:-1] - lagrangian.pointwise.values[1:-1]
+    assert np.max(np.abs(diff)) <= 1e-12 * (1.0 + lagrangian.sup_norm)
 
 
 def test_lift_passes_pontryagin_residuals():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracnoether import (
     Constant,
@@ -342,3 +344,61 @@ def test_l1_order_drops_on_non_smooth_power(beta, alpha):
         d = left_rl_derivative(sample(grid, lambda t: t**beta), FracOrder(alpha)).scalar
         errs.append(np.max(np.abs(d[np.rint(nodes * m).astype(int)] - exact)))
     assert abs(np.log2(errs[0] / errs[1]) - min(2.0 - alpha, 1.0 + beta)) <= 0.1
+
+
+# --------------------------------------------------------------------------
+# properties (hypothesis), oracles that share no code with the kernels
+# --------------------------------------------------------------------------
+
+_OPERATORS = {
+    "left derivative": left_rl_derivative,
+    "right derivative": right_rl_derivative,
+    "left integral": left_rl_integral,
+    "right integral": right_rl_integral,
+}
+EPS = np.finfo(float).eps
+
+
+@settings(max_examples=120, deadline=None, database=None, derandomize=True)
+@given(
+    st.sampled_from(sorted(_OPERATORS)),
+    st.one_of(st.integers(2, 64), st.integers(_FFT_MIN_SIZE - 2, 4096)),
+    st.floats(0.01, 1.0),
+    st.floats(-10.0, 10.0),
+    st.floats(-10.0, 10.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_operators_are_linear(name, m, alpha, a, b, seed):
+    """K(a f + b g) = a K f + b K g for random two-component samples, below
+    and above the FFT threshold, up to rounding in the scale of the terms.
+    Measured on 300 random cases at m up to 3000: at most 33 ulps for the
+    derivatives and 7.4 for the integrals."""
+    op, order = _OPERATORS[name], FracOrder(alpha)
+    grid = Grid(0.0, 1.0, m)
+    rng = np.random.default_rng(seed)
+    f, g = rng.standard_normal((2, m + 1, 2))
+    lhs = op(SampledFunction(grid, a * f + b * g), order).values
+    kf, kg = (op(SampledFunction(grid, x), order).values for x in (f, g))
+    rhs = a * kf + b * kg
+    assert np.array_equal(np.isnan(lhs), np.isnan(rhs))
+    scale = np.nanmax(np.abs(a * kf) + np.abs(b * kg))
+    ulps = 128.0 if "derivative" in name else 32.0
+    assert np.nanmax(np.abs(lhs - rhs)) <= ulps * EPS * scale
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(st.floats(0.3, 0.8), st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3))
+def test_derivative_inverts_integral(alpha, coefficients):
+    """D^alpha I^alpha f = f for f = c1 e^t + c2 sin 3t + c3 (1 + t^2), away
+    from the left end (t >= 0.1), with an error that falls with m.  Measured
+    on each term at alpha in [0.3, 0.8]: at most 3.6e-4 at m = 1024 and
+    6.8e-5 at m = 4096, both at alpha = 0.8."""
+    order = FracOrder(alpha)
+    c1, c2, c3 = coefficients
+    for m, bound in ((1024, 4e-4), (4096, 7.5e-5)):
+        grid = Grid(0.0, 1.0, m)
+        t = grid.nodes
+        f = c1 * np.exp(t) + c2 * np.sin(3.0 * t) + c3 * (1.0 + t * t)
+        back = left_rl_derivative(left_rl_integral(SampledFunction(grid, f), order), order)
+        err = np.max(np.abs(back.scalar - f)[t >= 0.1])
+        assert err <= bound * (abs(c1) + abs(c2) + abs(c3))

@@ -5,6 +5,7 @@ from fracnoether import (
     FracOrder,
     Grid,
     PointField,
+    PontryaginExtremal,
     SampledFunction,
     SymmetryGenerator,
     VariationalProblem,
@@ -13,6 +14,7 @@ from fracnoether import (
     euler_lagrange_residual,
     frac_pair_operator,
     gamma,
+    hamiltonian_noether_residual,
     invariance_first_order_check,
     invariance_necessary_condition,
     momentum_law_residual,
@@ -20,7 +22,7 @@ from fracnoether import (
     sample,
 )
 
-from conftest import SweepCounter, benchmark_extremal
+from conftest import SweepCounter, benchmark_extremal, benchmark_problem, lifted_benchmark
 
 HALF = FracOrder(0.5)
 
@@ -78,12 +80,42 @@ def test_momentum_law_on_benchmark(bench2000, bench2000_q):
 
 
 def test_momentum_law_requires_zero_tau(bench2000, bench2000_q):
-    with pytest.raises(ValueError, match="tau"):
-        momentum_law_residual(bench2000, np.array([2.0]), bench2000_q, SHIFT_BOTH)
-    with pytest.raises(ValueError, match="tau"):
-        invariance_necessary_condition(
-            bench2000, np.array([2.0]), bench2000_q, SHIFT_BOTH
-        )
+    """tau == 0 means exactly zero: a NaN tau is refused, not folded into a
+    finite report."""
+    nan_tau = SymmetryGenerator(tau=lambda t, q: np.nan, xi=lambda t, q: np.ones(1))
+    for gen in (SHIFT_BOTH, nan_tau):
+        with pytest.raises(ValueError, match="tau"):
+            momentum_law_residual(bench2000, np.array([2.0]), bench2000_q, gen)
+        with pytest.raises(ValueError, match="tau"):
+            invariance_necessary_condition(bench2000, np.array([2.0]), bench2000_q, gen)
+
+
+def _hamiltonian_noether_on_lift(problem, lam, q, gen):
+    """The Hamiltonian Noether law on the benchmark's control lift, with the
+    extremal's control t^2 and p = 0."""
+    u = sample(problem.grid, lambda t: t * t)
+    ext = PontryaginExtremal(q, u, u * 0.0, lam)
+    return hamiltonian_noether_residual(lifted_benchmark(problem.grid), ext, gen)
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        noether_law_residual,
+        momentum_law_residual,
+        invariance_necessary_condition,
+        invariance_first_order_check,
+        _hamiltonian_noether_on_lift,
+    ],
+    ids=["noether", "momentum", "invariance-necessary", "invariance-first-order", "hamiltonian"],
+)
+def test_generator_xi_must_match_the_state_dimension(check):
+    """A two-component xi on the one-state benchmark is an error in every
+    check that takes a generator, not a broadcast."""
+    problem = benchmark_problem(200)
+    gen = SymmetryGenerator(tau=lambda t, q: 0.0, xi=lambda t, q: np.ones(2))
+    with pytest.raises(ValueError, match="xi has 2 components but q has 1"):
+        check(problem, np.array([2.0]), benchmark_extremal(problem.grid), gen)
 
 
 def test_tau_zero_reduction(bench2000, bench2000_q):
