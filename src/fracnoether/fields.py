@@ -1,8 +1,11 @@
 """Pointwise integrand fields L(t, q, v) and their partial derivatives.
 
 Analytic gradients are used when supplied; otherwise central finite
-differences with a relative step.  A self-check compares supplied gradients
-against the finite-difference ones on random probes.
+differences with a relative step.  Second partials are forward differences
+of the gradients with the same step, from base partials at the point
+itself, which a per-point callable's kept sweep supplies.  A self-check
+compares supplied gradients against the finite-difference ones on random
+probes.
 
 A field takes one point (scalar t, x and y of shape (n,)) or M points at
 once, points first as in ``SampledFunction``: t of shape (M,) and x, y of
@@ -29,9 +32,14 @@ _PARTIALS_PROBES = 10
 _PARTIALS_TOL = 1e-4
 
 
-def _central(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
-    """Central differences of f in each component x_i along x's last axis,
+def _differences(
+    f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, base: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Finite differences of f in each component x_i along x's last axis,
     with step _FD_STEP * (1 + |x_i|); the i axis is last in the result.
+    Central differences, or with ``base`` = f(x) given, forward differences
+    (f(x + step e_i) - base) / step: half the evaluations, with an O(step)
+    error in place of O(step^2).
 
     x is one point (n,) with f scalar or (k,)-valued, giving (n,) or (k, n),
     or M points (M, n) with f returning (M,) or (M, k), giving (M, n) or
@@ -41,11 +49,15 @@ def _central(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray
     for i in range(x.shape[-1]):
         step = _FD_STEP * (1.0 + np.abs(x[..., i]))
         xp = x.copy()
-        xm = x.copy()
         xp[..., i] += step
-        xm[..., i] -= step
+        if base is None:
+            xm = x.copy()
+            xm[..., i] -= step
+            diff, width = f(xp) - f(xm), 2.0 * step
+        else:
+            diff, width = f(xp) - base, step
         # transposed, the point axis is last and the (M,) step broadcasts on it
-        cols.append((np.transpose(f(xp) - f(xm)) / (2.0 * step)).T)
+        cols.append((np.transpose(diff) / width).T)
     return np.stack(cols, axis=-1)
 
 
@@ -144,27 +156,39 @@ class PointField:
         y = np.asarray(y, float)
         if self.grad_x is not None:
             return np.atleast_1d(np.asarray(self.grad_x(t, x, y), float))
-        return _central(lambda xx: self.evaluator(t, xx, y), x)
+        return _differences(lambda xx: self.evaluator(t, xx, y), x)
 
     def d_y(self, t: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         x = np.asarray(x, float)
         y = np.asarray(y, float)
         if self.grad_y is not None:
             return np.atleast_1d(np.asarray(self.grad_y(t, x, y), float))
-        return _central(lambda yy: self.evaluator(t, x, yy), y)
+        return _differences(lambda yy: self.evaluator(t, x, yy), y)
 
     def hessian(
         self, t: float, x: np.ndarray, y: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Second partials by central differences of d_x and d_y, each of
+        """Second partials by forward differences of d_x and d_y, each of
         shape (n, n) at one point or (M, n, n) at M points:
         Hxx[..., k, i] = d(d_x)_k / dx_i, Hxy[..., k, i] = d(d_x)_k / dy_i and
-        Hyy[..., k, i] = d(d_y)_k / dy_i."""
+        Hyy[..., k, i] = d(d_y)_k / dy_i.
+
+        The step is the central differences' _FD_STEP * (1 + |x_i|), and the
+        error is O(step).  The base partials come from one d_x and one d_y
+        at (t, x, y) itself, taken first: a per-point callable whose last
+        sweep was at those points returns it without calling user code, so
+        after a sweep of the partials there the Hessian makes 3n sweeps of
+        them, all at perturbed points."""
         x = np.asarray(x, float)
         y = np.asarray(y, float)
         n = x.shape[-1]
-        Hxx = _central(lambda xx: self.d_x(t, xx, y), x)
-        H = _central(lambda yy: np.concatenate([self.d_x(t, x, yy), self.d_y(t, x, yy)], axis=-1), y)
+        gx, gy = self.d_x(t, x, y), self.d_y(t, x, y)
+        Hxx = _differences(lambda xx: self.d_x(t, xx, y), x, gx)
+        H = _differences(
+            lambda yy: np.concatenate([self.d_x(t, x, yy), self.d_y(t, x, yy)], axis=-1),
+            y,
+            np.concatenate([gx, gy], axis=-1),
+        )
         return Hxx, H[..., :n, :], H[..., n:, :]
 
     def check_partials(
@@ -179,11 +203,11 @@ class PointField:
             y = rng.uniform(-1.0, 1.0, dim)
             bound = _PARTIALS_TOL * (1.0 + abs(self(t, x, y)))
             if self.grad_x is not None:
-                fd = _central(lambda xx: self.evaluator(t, xx, y), x)
+                fd = _differences(lambda xx: self.evaluator(t, xx, y), x)
                 if np.max(np.abs(self.d_x(t, x, y) - fd)) > bound:
                     raise ValueError("grad_x disagrees with finite differences")
             if self.grad_y is not None:
-                fd = _central(lambda yy: self.evaluator(t, x, yy), y)
+                fd = _differences(lambda yy: self.evaluator(t, x, yy), y)
                 if np.max(np.abs(self.d_y(t, x, y) - fd)) > bound:
                     raise ValueError("grad_y disagrees with finite differences")
 
@@ -215,9 +239,9 @@ class VectorField:
     def d_x(self, t: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         if self.jac_x is not None:
             return np.atleast_2d(np.asarray(self.jac_x(t, x, y), float))
-        return _central(lambda xx: self(t, xx, y), np.asarray(x, float))
+        return _differences(lambda xx: self(t, xx, y), np.asarray(x, float))
 
     def d_y(self, t: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         if self.jac_y is not None:
             return np.atleast_2d(np.asarray(self.jac_y(t, x, y), float))
-        return _central(lambda yy: self(t, x, yy), np.asarray(y, float))
+        return _differences(lambda yy: self(t, x, yy), np.asarray(y, float))

@@ -108,6 +108,25 @@ def hamiltonian_value(
     return h if np.ndim(t) else float(h)
 
 
+def _checked_dynamics(cp: ControlProblem, ext: PontryaginExtremal) -> np.ndarray:
+    """phi at the candidate's nodes, after checking that the candidate fits
+    the problem: its grid is cp.grid, its state has cp.dim components, its
+    control cp.control_dim, and phi returns cp.dim components.  A mismatch
+    is a ValueError that names it."""
+    if ext.q.grid != cp.grid:
+        raise ValueError(f"candidate grid {ext.q.grid} is not the problem's {cp.grid}")
+    if ext.q.dim != cp.dim:
+        raise ValueError(f"state has {ext.q.dim} components but the problem has {cp.dim}")
+    if ext.u.dim != cp.control_dim:
+        raise ValueError(
+            f"control has {ext.u.dim} components but the problem has {cp.control_dim}"
+        )
+    phi = cp.dynamics(cp.grid.nodes, ext.q.values, ext.u.values)
+    if phi.shape[-1] != cp.dim:
+        raise ValueError(f"phi returns {phi.shape[-1]} components but the state has {cp.dim}")
+    return phi
+
+
 def pontryagin_residuals(
     cp: ControlProblem,
     ext: PontryaginExtremal,
@@ -120,13 +139,14 @@ def pontryagin_residuals(
         (ii)  D_b^alpha p - d_q H
         (iii) d_u H
     """
-    grid = ext.q.grid
+    phi_values = _checked_dynamics(cp, ext)
+    grid = cp.grid
     t, Q, U, P = grid.nodes, ext.q.values, ext.u.values, ext.p.values
     v = fk.left_rl_derivative(ext.q, cp.order).values
     rp = fk.right_rl_derivative(ext.p, cp.order).values
     # d_q H = d_q F + (d_q phi)^T p, and likewise in u
     F, phi = augmented_lagrangian(cp, ext.lam), cp.dynamics
-    r_state = v - phi(t, Q, U)
+    r_state = v - phi_values
     r_costate = rp - (F.d_x(t, Q, U) + np.einsum("sij,si->sj", phi.d_x(t, Q, U), P))
     r_stationary = F.d_y(t, Q, U) + np.einsum("sij,si->sj", phi.d_y(t, Q, U), P)
     return (
@@ -154,10 +174,11 @@ def hamiltonian_noether_residual(
 
         D^alpha(H - (1 - alpha) p . D^alpha q, tau) - D^alpha(p, xi).
     """
-    taus, xis = sym.sampled_along(ext.q.grid, ext.q)
+    _checked_dynamics(cp, ext)
+    taus, xis = sym.sampled_along(cp.grid, ext.q)
     energy = _reduced_hamiltonian(cp, ext)
     # D^alpha(p, xi) = -D^alpha(-p, xi) bitwise: negation is exact
-    return _noether_fold(ext.q.grid, cp.order, energy, taus, -ext.p.values, xis, band)
+    return _noether_fold(cp.grid, cp.order, energy, taus, -ext.p.values, xis, band)
 
 
 def _check_autonomous(cp: ControlProblem) -> None:
@@ -190,7 +211,8 @@ def autonomous_energy_residual(
     """Residual of D^alpha[ H + (alpha - 1) p . D^alpha q ] for autonomous
     data: the fractional replacement for conservation of the Hamiltonian.
     """
+    _checked_dynamics(cp, ext)
     _check_autonomous(cp)
-    grid = ext.q.grid
+    grid = cp.grid
     r = fk.left_rl_derivative(SampledFunction(grid, _reduced_hamiltonian(cp, ext)), cp.order)
     return make_report(grid, r.values, band=band)

@@ -179,10 +179,13 @@ def augmented_lagrangian(problem, lam: np.ndarray) -> PointField:
 
 @dataclass(frozen=True)
 class _FieldSamples:
-    """The problem's fields at M points (t, x, v), one sweep each: L's
-    partials, and each constraint's value and partials (tuples over j).
-    F's partials are composed from them, not sampled again."""
+    """The problem's fields at M points (t, x, v), one sweep each: the
+    points, L's partials, and each constraint's value and partials (tuples
+    over j).  F's partials are composed from them, not sampled again."""
 
+    t: np.ndarray
+    x: np.ndarray
+    v: np.ndarray
     L_dx: np.ndarray
     L_dy: np.ndarray
     g: tuple[np.ndarray, ...]
@@ -201,6 +204,9 @@ def _sample_fields(problem: VariationalProblem, t, x, v) -> _FieldSamples:
     needs, and at the nodes' points what its certificate folds."""
     L, gs = problem.lagrangian, problem.constraints
     return _FieldSamples(
+        t,
+        x,
+        v,
         L.d_x(t, x, v),
         L.d_y(t, x, v),
         tuple(gj(t, x, v) for gj in gs),

@@ -38,7 +38,10 @@ __all__ = ["Solution", "SolverError", "solve", "refine"]
 _CONSTRAINT_TOL = 1e-8
 _MAX_ITERATIONS = 50
 # scaled-gradient stopping test; the floor for fields with finite-difference
-# gradients is about 1e-7, so do not tighten much
+# gradients is about 1e-7, so do not tighten much.  The Newton matrix's
+# forward-difference Hessian is off by O(1e-6) relative with analytic
+# gradients and by up to about 1e-4 with finite-difference ones: that can
+# cost Newton steps, but it does not move the point they converge to.
 _NEWTON_TOL = 1e-6
 # A Newton system is solved by GMRES to this relative residual at every
 # order; a solve that misses it within the iteration cap falls back to dense LU.
@@ -104,7 +107,11 @@ class _Discretization:
     samples the fields at alpha < 1 at v from the L1 kernel
     (``problems._velocity_filled``), which D q equals up to rounding; those
     are the points of the public checks, so ``solve`` certifies its result
-    from the last gradient's samples.  ``problem`` is held at order alpha.
+    from the last gradient's samples.  The Newton partials are taken at the
+    same points, the samples' own: F's forward-difference Hessian starts from
+    partials that each per-point callable kept from that sweep, so it sweeps
+    user code 3n times per field, all at perturbed points.  ``problem`` is
+    held at order alpha.
     """
 
     def __init__(self, problem: VariationalProblem, alpha: float):
@@ -166,14 +173,15 @@ class _Discretization:
         # grid-independent
         return np.concatenate([gel[1 : self.grid.m].ravel() / self.grid.h, defects]), s
 
-    def newton_partials(self, q: np.ndarray, lam: np.ndarray, samples: _FieldSamples):
-        """What the Newton matrix at (q, lambda) is built from: F's second
-        partials (Hqq, Hqv, Hvv) at the points P q, D q, and one column
-        P^T W g_q + D^T W g_v per constraint at the interior unknowns, from
-        the gradient's ``samples`` at (q, lambda)."""
+    def newton_partials(self, lam: np.ndarray, samples: _FieldSamples):
+        """What the Newton matrix at (q, lambda) is built from, given the
+        gradient's ``samples`` at (q, lambda): F's second partials (Hqq, Hqv,
+        Hvv) at the samples' points, and one column P^T W g_q + D^T W g_v
+        per constraint at the interior unknowns.  The Hessian's base
+        partials are the samples' sweep, which each per-point callable
+        kept, so only its perturbed sweeps call user code."""
         n = self.n
-        x, v = self._points(q)
-        hessians = augmented_lagrangian(self.problem, lam).hessian(self.theta, x, v)
+        hessians = augmented_lagrangian(self.problem, lam).hessian(samples.t, samples.x, samples.v)
         cols = np.empty(((self.grid.m - 1) * n, self.k))
         for r, (g_dx, g_dy) in enumerate(zip(samples.g_dx, samples.g_dy)):
             cols[:, r] = self._pullback(g_dx, g_dy).ravel()[n:-n]
@@ -330,15 +338,11 @@ def _initial_state(problem: VariationalProblem, guess: Solution | None):
 
 
 def _newton_step(
-    disc: _Discretization,
-    q: np.ndarray,
-    lam: np.ndarray,
-    G: np.ndarray,
-    samples: _FieldSamples,
+    disc: _Discretization, lam: np.ndarray, G: np.ndarray, samples: _FieldSamples
 ) -> np.ndarray:
     """-J^-1 G: by the Krylov solve, or by dense LU of J when C_vv or the
     Schur complement is singular or GMRES falls short of its tolerance."""
-    op = _NewtonOperator(disc, *disc.newton_partials(q, lam, samples))
+    op = _NewtonOperator(disc, *disc.newton_partials(lam, samples))
     step = op.step(G)
     if step is not None:
         return step
@@ -369,7 +373,7 @@ def _newton(disc: _Discretization, q: np.ndarray, lam: np.ndarray) -> _NewtonRes
             return _NewtonResult(q, lam, iterations, gnorm, "tolerance", samples)
         if iterations == _MAX_ITERATIONS:
             return _NewtonResult(q, lam, iterations, gnorm, "iteration cap", samples)
-        step = _newton_step(disc, q, lam, G, samples)
+        step = _newton_step(disc, lam, G, samples)
         base_norm = np.linalg.norm(G)
         scale = 1.0
         for _ in range(30):

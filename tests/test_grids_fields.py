@@ -136,6 +136,69 @@ def test_point_field_hessian_evaluation_count():
     Y = np.linspace(0.2, 1.0, M)[:, None]
     Hxx, Hxy, Hyy = PointField(ev).hessian(t, X, Y)
     assert Hxx.shape == Hxy.shape == Hyy.shape == (M, 1, 1)
-    assert ev.calls == 12 * M
+    # base d_x and d_y (2 calls each), then one forward step in x of d_x and
+    # one in y of d_x and d_y, each of those a central difference (2 calls)
+    assert ev.calls == 10 * M
     assert Hxy[:, 0, 0] == pytest.approx(2.0 * np.sin(t) * X[:, 0], abs=1e-4)
     assert Hyy[:, 0, 0] == pytest.approx(6.0 * Y[:, 0], abs=1e-4)
+
+
+def nonlinear_field(analytic: bool) -> PointField:
+    """f = sin(t) x^2 y + y^3 + exp(x y) in one state, with its analytic
+    gradient or none (central differences)."""
+
+    def ev(t, x, y):
+        return np.sin(t) * x[0] ** 2 * y[0] + y[0] ** 3 + np.exp(x[0] * y[0])
+
+    if not analytic:
+        return PointField(ev)
+    return PointField(
+        ev,
+        grad_x=lambda t, x, y: np.array([2.0 * np.sin(t) * x[0] * y[0] + y[0] * np.exp(x[0] * y[0])]),
+        grad_y=lambda t, x, y: np.array(
+            [np.sin(t) * x[0] ** 2 + 3.0 * y[0] ** 2 + x[0] * np.exp(x[0] * y[0])]
+        ),
+    )
+
+
+EPS = np.finfo(float).eps
+# On t in [0, 1] and x, y in [-1, 1]: a forward difference's step
+# 1e-6 (1 + |z|) lies in [1e-6, 2e-6]; |f| <= 2 + e; each gradient's terms
+# sum to at most 4 + e; and the second partials, and the third ones in the
+# truncation error (step / 2) f''' (f_xxx = y^3 e^(xy),
+# f_xyy = (2x + x^2 y) e^(xy) and f_yyy = 6 + x^3 e^(xy)), are at most 6 + e.
+STEP_MIN, STEP_MAX = 1e-6, 2e-6
+F_MAX, GRAD_MAX, DERIV_MAX = 2.0 + np.e, 4.0 + np.e, 6.0 + np.e
+# Rounding of one gradient value: a few ulps of its terms when analytic; for
+# a central difference, the rounding of f over the width 2 step plus the
+# representation error eps |z| <= eps of the perturbed coordinate.
+GRAD_ROUNDING = {
+    True: 8.0 * EPS * GRAD_MAX,
+    False: 4.0 * EPS * F_MAX / (2.0 * STEP_MIN) + 2.0 * EPS * GRAD_MAX / STEP_MIN,
+}
+
+
+@pytest.mark.parametrize("analytic", [True, False], ids=["analytic", "fd"])
+def test_point_field_hessian_matches_closed_form(analytic):
+    """Forward differences of the gradient against the closed-form second
+    partials at M points.  The error bound is the O(step) truncation,
+    STEP_MAX / 2 * DERIV_MAX = 8.7e-6, plus twice a gradient's rounding and
+    the step's own representation error over the step: 2.6e-8 more with
+    analytic gradients (measured worst 6.2e-6), and 1.0e-2 more with central
+    differences, whose rounding the second difference divides by the step
+    again (measured worst 2.0e-4)."""
+    rng = np.random.default_rng(17)
+    M = 60
+    t = rng.uniform(0.0, 1.0, M)
+    X = rng.uniform(-1.0, 1.0, (M, 1))
+    Y = rng.uniform(-1.0, 1.0, (M, 1))
+    x, y, e = X[:, 0], Y[:, 0], np.exp(X[:, 0] * Y[:, 0])
+    exact = (
+        2.0 * np.sin(t) * y + y * y * e,
+        2.0 * np.sin(t) * x + e + x * y * e,
+        6.0 * y + x * x * e,
+    )
+    bound = 0.5 * STEP_MAX * DERIV_MAX + (2.0 * GRAD_ROUNDING[analytic] + EPS * DERIV_MAX) / STEP_MIN
+    for H, H_exact in zip(nonlinear_field(analytic).hessian(t, X, Y), exact):
+        assert H.shape == (M, 1, 1)
+        assert np.max(np.abs(H[:, 0, 0] - H_exact)) <= bound

@@ -237,3 +237,55 @@ def test_pontryagin_residuals_with_linear_dynamics(analytic):
         got = rep.pointwise.values[1:-1]
         assert got.shape == exp[1:-1].shape
         assert np.max(np.abs(got - exp[1:-1])) <= tol * (1.0 + np.max(np.abs(exp[1:-1])))
+
+
+HAMILTONIAN_CHECKS = {
+    "pontryagin": pontryagin_residuals,
+    "noether": lambda cp, ext: hamiltonian_noether_residual(
+        cp, ext, SymmetryGenerator(tau=lambda t, q: 1.0, xi=lambda t, q: np.zeros(ext.q.dim))
+    ),
+    "energy": autonomous_energy_residual,
+}
+
+
+def mismatched(case: str) -> tuple[ControlProblem, PontryaginExtremal]:
+    """The control lift at m = 200 and a candidate that does not fit it in one
+    way: a 2-column control, a grid on [0, 2], a 2-component state, or (with
+    a fitting candidate) a phi that returns 2 components."""
+    grid = Grid(0.0, 1.0, 200)
+    cp = lifted_benchmark(grid)
+    if case == "grid":
+        grid = Grid(0.0, 2.0, 200)
+    ext = PontryaginExtremal(
+        q=benchmark_extremal(grid),
+        u=sample(grid, lambda t: t * t),
+        p=SampledFunction(grid, np.zeros(grid.m + 1)),
+        lam=np.array([2.0]),
+    )
+    if case == "control":
+        ext = replace(ext, u=sample(grid, lambda t: np.array([t * t, t])))
+    elif case == "state":
+        q2 = np.column_stack([ext.q.values, ext.q.values])
+        ext = replace(ext, q=SampledFunction(grid, q2), p=SampledFunction(grid, np.zeros_like(q2)))
+    elif case == "phi":
+        cp = replace(cp, dynamics=VectorField(lambda t, q, u: np.array([u[0], u[0]])))
+    return cp, ext
+
+
+MISMATCHES = {
+    "control": "control has 2 components but the problem has 1",
+    "grid": r"candidate grid Grid\(a=0.0, b=2.0, m=200\) is not the problem's",
+    "state": "state has 2 components but the problem has 1",
+    "phi": "phi returns 2 components but the state has 1",
+}
+
+
+@pytest.mark.parametrize("check", HAMILTONIAN_CHECKS.values(), ids=HAMILTONIAN_CHECKS)
+@pytest.mark.parametrize("case", MISMATCHES)
+def test_hamiltonian_checks_reject_a_candidate_that_does_not_fit(check, case):
+    """Each Hamiltonian check compares the candidate's grid, state and control
+    dimensions, and phi's output, with the problem's before it evaluates a
+    residual."""
+    cp, ext = mismatched(case)
+    with pytest.raises(ValueError, match=MISMATCHES[case]):
+        check(cp, ext)

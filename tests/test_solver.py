@@ -264,14 +264,15 @@ def test_two_state_solve_matches_closed_form():
 
 def newton_partials(disc, q, lam):
     """``disc.newton_partials`` at (q, lam), from the gradient's samples there."""
-    return disc.newton_partials(q, lam, disc.gradient(q, lam)[1])
+    return disc.newton_partials(lam, disc.gradient(q, lam)[1])
 
 
 def dense_reference(disc, q, lam):
     """The Newton matrix J and the gradient from dense products, with P and D
     as full matrices: P = I and D = the L1 matrix at alpha < 1, the two-point
-    endpoint average and slope at alpha = 1.  Partials are taken at
-    ``disc``'s own points so that the comparison isolates the assembly."""
+    endpoint average and slope at alpha = 1.  Partials are taken at the
+    points of ``disc``'s gradient, as the solver takes them, so that the
+    comparison isolates the assembly."""
     p, w, h = disc.problem, disc.w, disc.grid.h
     m, n, k = disc.grid.m, disc.n, disc.k
     if disc.midpoint:
@@ -281,16 +282,17 @@ def dense_reference(disc, q, lam):
         D[idx, idx + 1] = 1.0 / h
     else:
         P, D = np.eye(m + 1), disc.D
-    x, v = disc._points(q)
+    s = disc.gradient(q, lam)[1]
+    t, x, v = s.t, s.x, s.v
     F = augmented_lagrangian(p, lam)
 
     def pullback(a, b):
         return P.T @ (w[:, None] * a) + D.T @ (w[:, None] * b)
 
-    gel = pullback(F.d_x(disc.theta, x, v), F.d_y(disc.theta, x, v))
-    defects = [np.dot(w, g(disc.theta, x, v)) for g in p.constraints] - p.constraint_levels
+    gel = pullback(F.d_x(t, x, v), F.d_y(t, x, v))
+    defects = [np.dot(w, g(t, x, v)) for g in p.constraints] - p.constraint_levels
     G = np.concatenate([gel[1:m].ravel() / h, defects])
-    Hqq, Hqv, Hvv = F.hessian(disc.theta, x, v)
+    Hqq, Hqv, Hvv = F.hessian(t, x, v)
     N = (m + 1) * n
     K = np.empty((N, N))
     for i in range(n):
@@ -304,7 +306,7 @@ def dense_reference(disc, q, lam):
     J = np.zeros((ni + k, ni + k))
     J[:ni, :ni] = K[n:-n, n:-n] / h
     for r, g in enumerate(p.constraints):
-        col = pullback(g.d_x(disc.theta, x, v), g.d_y(disc.theta, x, v)).ravel()[n:-n]
+        col = pullback(g.d_x(t, x, v), g.d_y(t, x, v)).ravel()[n:-n]
         J[:ni, ni + r] = -col / h
         J[ni + r, :ni] = col
     return (P @ q, D @ q), J, G
@@ -547,16 +549,51 @@ def counted_problem(alpha: float, dim: int, counter: SweepCounter) -> Variationa
     )
 
 
-@pytest.mark.parametrize("alpha, dim, budget", [(0.5, 1, 22), (0.5, 2, 34), (1.0, 1, 27)])
+@pytest.mark.parametrize("alpha, dim, budget", [(0.5, 1, 16), (0.5, 2, 22), (1.0, 1, 21)])
 def test_field_sweeps_per_solve(alpha, dim, budget):
-    """A one-iteration solve sweeps L and g once per gradient, plus F's
-    finite-difference Hessian; its certificate folds the last gradient's
-    samples at alpha < 1 and samples once at the nodes at alpha = 1 (31, 43
-    and 31 sweeps when every check and the constraint columns swept anew)."""
+    """A one-iteration solve sweeps L and g once per gradient, plus the 3n
+    perturbed sweeps of each one's partials for F's forward-difference
+    Hessian; its certificate folds the last gradient's samples at alpha < 1
+    and samples once at the nodes at alpha = 1."""
     counter = SweepCounter()
     sol = solve(counted_problem(alpha, dim, counter))
     assert sol.converged and sol.iterations == 1
     assert counter.sweeps == budget
+
+
+class PointRecorder(SweepCounter):
+    """A SweepCounter that also records each call's point (t, q, v)."""
+
+    def __init__(self):
+        super().__init__()
+        self.points = []
+
+    def wrap(self, fn):
+        counted = super().wrap(fn)
+
+        def recorded(t, *args):
+            self.points.append(np.concatenate([[t], *args]))
+            return counted(t, *args)
+
+        return recorded
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_newton_partials_call_user_code_only_at_perturbed_points(dim):
+    """F's forward-difference Hessian takes its base partials from the
+    gradient's sweep, which each per-point callable kept: newton_partials
+    makes 3n sweeps of L's and g's partials, all at perturbed points."""
+    recorder = PointRecorder()
+    p = counted_problem(0.5, dim, recorder)
+    disc = _Discretization(p, 0.5)
+    q, lam = _initial_state(p, None)
+    samples = disc.gradient(q, lam)[1]
+    recorder.sweeps, recorder.points = 0, []
+    disc.newton_partials(lam, samples)
+    assert recorder.sweeps == 6 * dim
+    assert len(recorder.points) == 6 * dim * (p.grid.m + 1)
+    base = {tuple(point) for point in np.column_stack([samples.t, samples.x, samples.v])}
+    assert not any(tuple(point) in base for point in recorder.points)
 
 
 def certificate_problem(alpha: float, dim: int) -> VariationalProblem:
@@ -603,6 +640,32 @@ def test_certificate_equals_public_checks_bitwise(alpha, dim):
     warm = solve(p, initial_guess=direct)
     assert warm.converged and warm.iterations == 0
     assert_certificate_is_public_checks(p, warm)
+
+
+@pytest.mark.parametrize(
+    "make, alpha, iterations, stop_reason",
+    [
+        pytest.param(lambda a: certificate_problem(a, 1), 0.3, 3, "tolerance", id="certificate-1-0.3"),
+        pytest.param(lambda a: certificate_problem(a, 2), 0.3, 3, "tolerance", id="certificate-2-0.3"),
+        pytest.param(lambda a: certificate_problem(a, 1), 0.5, 3, "tolerance", id="certificate-1-0.5"),
+        pytest.param(lambda a: certificate_problem(a, 2), 0.5, 3, "tolerance", id="certificate-2-0.5"),
+        pytest.param(lambda a: certificate_problem(a, 1), 1.0, 2, "tolerance", id="certificate-1-1.0"),
+        pytest.param(lambda a: certificate_problem(a, 2), 1.0, 2, "tolerance", id="certificate-2-1.0"),
+        pytest.param(self_coupled_problem, 0.3, 4, "tolerance", id="self_coupled-0.3"),
+        pytest.param(self_coupled_problem, 0.5, 4, "tolerance", id="self_coupled-0.5"),
+        pytest.param(self_coupled_problem, 1.0, 2, "constraint defect", id="self_coupled-1.0"),
+        pytest.param(coupled_problem, 0.3, 3, "tolerance", id="coupled-0.3"),
+        pytest.param(coupled_problem, 0.5, 3, "tolerance", id="coupled-0.5"),
+        pytest.param(coupled_problem, 1.0, 2, "constraint defect", id="coupled-1.0"),
+    ],
+)
+def test_newton_iterations_are_pinned(make, alpha, iterations, stop_reason):
+    """Newton iterations and stop reasons of nonlinear and coupled solves: a
+    less accurate Newton matrix must not cost steps unnoticed.  At alpha = 1
+    the self-coupled and coupled problems stop with "constraint defect",
+    the midpoint/trapezoid quadrature gap of g."""
+    sol = solve(make(alpha))
+    assert (sol.iterations, sol.stop_reason) == (iterations, stop_reason)
 
 
 # -- why a solve stops ---------------------------------------------------------
