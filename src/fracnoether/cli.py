@@ -509,14 +509,8 @@ def main(argv: list[str] | None = None) -> int:
     except _OutputError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
-    except (
-        gammafn.GammaPoleError,
-        fk.UnsupportedOrderError,
-        solver.SolverError,
-        ValueError,
-        ArithmeticError,
-        np.linalg.LinAlgError,
-    ) as exc:
+    # ValueError covers GammaPoleError, UnsupportedOrderError and LinAlgError
+    except (solver.SolverError, ValueError, ArithmeticError, MemoryError) as exc:
         print(f"computation failed: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
 

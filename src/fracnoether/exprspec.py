@@ -3,13 +3,16 @@ binding of each spec expression to a callable.
 
 The expression grammar is deliberately tiny so spec files stay portable:
 +, -, *, /, ^ (right-associative), parentheses, numeric literals, named
-variables, and the gamma() function.  Specs are flat `key = value` files;
-see docs/formats.md for the full key reference.  `ProblemSpec.compile` is the
-one place where a key's variable names are resolved to its call arguments.
+variables, and the gamma() function.  The standard library's ``ast`` parses
+it, and one walk of the tree builds closures.  Specs are flat `key = value`
+files; see docs/formats.md for the full key reference.  `ProblemSpec.compile`
+is the one place where a key's variable names are resolved to its call
+arguments.
 """
 
 from __future__ import annotations
 
+import ast
 import re
 import warnings
 from dataclasses import dataclass
@@ -31,14 +34,18 @@ class SpecError(ValueError):
 
 
 # --------------------------------------------------------------------------
-# expression parsing (recursive descent)
+# expression parsing (the standard library's ast, over a whitelist)
 # --------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>\^|[+\-*/(),]))\s*"
-)
+# With ^ written **, the spec grammar is a subset of Python's expressions, so
+# ast parses it.  What Python accepts beyond it is shut out by the characters
+# allowed (no ',', ':', '[', quotes, non-ASCII), by the number pattern each
+# literal's text must match (no 1_0, 0x10, 1j or True), and by the node types
+# that _compile walks.  Offsets into the ASCII source are character offsets.
+_FOREIGN = re.compile(r"[^A-Za-z0-9_.^+\-*/() ]")
+_NUMBER = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
+# Python rejects leading zeros in an integer literal, such as 05
+_LEADING_ZEROS = re.compile(r"(?<![\w.])0+(?=\d)")
 
 # Where a variable's value sits in the environment tuple: (slot, None) for a
 # scalar slot, (slot, i) for component i of an array slot.
@@ -49,117 +56,26 @@ _FUNCTIONS: dict[str, Callable] = {"gamma": np.vectorize(gamma, otypes=[float])}
 # Compiled expressions are closure trees over an environment tuple; each
 # variable is resolved at compile time to its place in that tuple, and a
 # function call whose argument reads no variable is evaluated there too.
-_OPERATORS: dict[str, Callable[[Callable, Callable], Callable]] = {
-    "+": lambda a, b: lambda env: a(env) + b(env),
-    "-": lambda a, b: lambda env: a(env) - b(env),
-    "*": lambda a, b: lambda env: a(env) * b(env),
-    "/": lambda a, b: lambda env: a(env) / b(env),
-    "^": lambda a, b: lambda env: a(env) ** b(env),
+_OPERATORS: dict[type, Callable[[Callable, Callable], Callable]] = {
+    ast.Add: lambda a, b: lambda env: a(env) + b(env),
+    ast.Sub: lambda a, b: lambda env: a(env) - b(env),
+    ast.Mult: lambda a, b: lambda env: a(env) * b(env),
+    ast.Div: lambda a, b: lambda env: a(env) / b(env),
 }
 
 
-def _tokenize(text: str) -> list[tuple[str, str]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            raise SpecError(f"unexpected character {text[pos]!r} in expression {text!r}")
-        pos = match.end()
-        for kind in ("num", "name", "op"):
-            tok = match.group(kind)
-            if tok is not None:
-                tokens.append((kind, tok))
-                break
-    tokens.append(("end", ""))
-    return tokens
+def _power(base: Callable, exponent: Callable, written: str, text: str) -> Callable:
+    """``base ^ exponent``, ``written`` so in ``text``.  A power of two
+    Python floats can be complex (``(-1.0) ** 0.5``), where numpy's array
+    power gives NaN; that value is a SpecError."""
 
+    def power(env):
+        value = base(env) ** exponent(env)
+        if isinstance(value, complex):
+            raise SpecError(f"complex value {value} of {written} in {text!r}")
+        return value
 
-class _Parser:
-    def __init__(self, tokens: list[tuple[str, str]], variables: Mapping[str, _Place], text: str):
-        self.tokens = tokens
-        self.pos = 0
-        self.variables = variables
-        self.text = text
-        self.reads = 0  # variable references parsed so far
-
-    def peek(self) -> tuple[str, str]:
-        return self.tokens[self.pos]
-
-    def take(self) -> tuple[str, str]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, value: str) -> None:
-        kind, tok = self.take()
-        if tok != value:
-            raise SpecError(f"expected {value!r}, found {tok or 'end of input'!r} in {self.text!r}")
-
-    def parse(self) -> Callable:
-        node = self.expr()
-        if self.peek()[0] != "end":
-            raise SpecError(f"trailing input {self.peek()[1]!r} in {self.text!r}")
-        return node
-
-    def expr(self) -> Callable:
-        return self._binary(self.term, ("+", "-"))
-
-    def term(self) -> Callable:
-        return self._binary(self.unary, ("*", "/"))
-
-    def _binary(self, operand: Callable[[], Callable], ops: tuple[str, ...]) -> Callable:
-        node = operand()
-        while self.peek()[1] in ops:
-            node = _OPERATORS[self.take()[1]](node, operand())
-        return node
-
-    def unary(self) -> Callable:
-        if self.peek()[1] == "-":
-            self.take()
-            inner = self.unary()
-            return lambda env: -inner(env)
-        if self.peek()[1] == "+":
-            self.take()
-            return self.unary()
-        return self.power()
-
-    def power(self) -> Callable:
-        base = self.atom()
-        if self.peek()[1] == "^":
-            self.take()
-            return _OPERATORS["^"](base, self.unary())
-        return base
-
-    def atom(self) -> Callable:
-        kind, tok = self.take()
-        if kind == "num":
-            value = float(tok)
-            return lambda env: value
-        if kind == "name":
-            if tok in _FUNCTIONS:
-                fn = _FUNCTIONS[tok]
-                self.expect("(")
-                reads = self.reads
-                arg = self.expr()
-                self.expect(")")
-                call = lambda env: fn(arg(env))
-                return call if self.reads > reads else _folded(call)
-            if tok not in self.variables:
-                raise SpecError(
-                    f"unknown variable {tok!r} in {self.text!r} "
-                    f"(allowed: {', '.join(sorted(self.variables)) or 'none'})"
-                )
-            slot, index = self.variables[tok]
-            self.reads += 1
-            if index is None:
-                return lambda env: env[slot]
-            return lambda env: env[slot].T[index]
-        if tok == "(":
-            node = self.expr()
-            self.expect(")")
-            return node
-        raise SpecError(f"unexpected {tok or 'end of input'!r} in {self.text!r}")
+    return power
 
 
 def _folded(node: Callable) -> Callable:
@@ -175,7 +91,61 @@ def _folded(node: Callable) -> Callable:
 
 
 def _compile(text: str, variables: Mapping[str, _Place]) -> Callable:
-    return _Parser(_tokenize(text), variables, text).parse()
+    source = " ".join(text.split())
+    foreign = _FOREIGN.search(source)
+    if foreign:
+        raise SpecError(f"unexpected character {foreign.group()!r} in expression {text!r}")
+    if "**" in source:
+        raise SpecError(f"unexpected '**' in {text!r} (a power is written ^)")
+    source = _LEADING_ZEROS.sub("", source.replace("^", "**"))
+
+    def piece(node: ast.expr) -> str:
+        return source[node.col_offset : node.end_col_offset].replace("**", "^")
+
+    def build(node: ast.expr) -> Callable:
+        match node:
+            case ast.BinOp(left, ast.Pow(), right):
+                return _power(build(left), build(right), piece(node), text)
+            case ast.BinOp(left, op, right) if type(op) in _OPERATORS:
+                return _OPERATORS[type(op)](build(left), build(right))
+            case ast.UnaryOp(ast.USub(), operand):
+                inner = build(operand)
+                return lambda env: -inner(env)
+            case ast.UnaryOp(ast.UAdd(), operand):
+                return build(operand)
+            case ast.Constant() if _NUMBER.fullmatch(literal := piece(node)):
+                value = float(literal)
+                return lambda env: value
+            case ast.Name(name) if name not in _FUNCTIONS:
+                if name not in variables:
+                    raise SpecError(
+                        f"unknown variable {name!r} in {text!r} "
+                        f"(allowed: {', '.join(sorted(variables)) or 'none'})"
+                    )
+                slot, index = variables[name]
+                if index is None:
+                    return lambda env: env[slot]
+                return lambda env: env[slot].T[index]
+            # gamma(x) written by name: not (gamma)(x), whose tree is the same
+            case ast.Call(ast.Name(name), [arg], []) if (
+                name in _FUNCTIONS and node.col_offset == node.func.col_offset
+            ):
+                fn, inner = _FUNCTIONS[name], build(arg)
+                call = lambda env: fn(inner(env))
+                reads = any(isinstance(n, ast.Name) and n.id in variables for n in ast.walk(arg))
+                return call if reads else _folded(call)
+        raise SpecError(f"unexpected {piece(node)!r} in {text!r}")
+
+    try:
+        return build(ast.parse(source, mode="eval").body)
+    except SyntaxError as exc:  # among them "too many nested parentheses", past 200
+        raise SpecError(f"{exc.msg} in {text!r}") from exc
+    # ast raises RecursionError or MemoryError for a tree too deep to build,
+    # and build raises RecursionError for one too deep to walk
+    except (RecursionError, MemoryError):
+        raise SpecError(f"expression nested too deeply: {text!r}") from None
+    finally:  # break build's reference to itself: free it now, not by the cyclic gc
+        del build
 
 
 def parse_expression(text: str, variables: tuple[str, ...] = ()) -> Callable:

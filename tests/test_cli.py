@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +22,16 @@ def run(*argv):
 def read_report(out_dir):
     with open(out_dir / "report.json", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def example1_with(tmp_path, key, value):
+    """example1.spec with ``key``'s value replaced: (path, line of the key)."""
+    lines = Path(EX1).read_text(encoding="utf-8").splitlines()
+    lineno = next(i for i, line in enumerate(lines, 1) if line.split("=")[0].strip() == key)
+    lines[lineno - 1] = f"{key} = {value}"
+    spec = tmp_path / "edited.spec"
+    spec.write_text("\n".join(lines) + "\n")
+    return str(spec), lineno
 
 
 def test_check_el_passes(tmp_path):
@@ -84,12 +97,8 @@ def test_invalid_spec_exits_3(tmp_path):
 )
 def test_unevaluable_constant_exits_3_with_line(tmp_path, capsys, bad):
     key, value = bad.split(" = ")
-    lines = Path(EX1).read_text(encoding="utf-8").splitlines()
-    lineno = next(i for i, line in enumerate(lines, 1) if line.startswith(f"{key} "))
-    lines[lineno - 1] = bad
-    spec = tmp_path / "bad.spec"
-    spec.write_text("\n".join(lines) + "\n")
-    assert run("check", "--out", str(tmp_path / "o"), str(spec)) == 3
+    spec, lineno = example1_with(tmp_path, key, value)
+    assert run("check", "--out", str(tmp_path / "o"), spec) == 3
     assert f"line {lineno}: in {key}" in capsys.readouterr().err
 
 
@@ -165,6 +174,63 @@ def test_solve_infeasible_exits_2(tmp_path):
 def test_solve_control_spec_exits_3(tmp_path, capsys):
     assert run("solve", "--out", str(tmp_path / "o"), EX2) == 3
     assert "spec declares dynamics" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ("(" * 400 + "t^4 + v1^2" + ")" * 400, "too many nested parentheses"),
+        (" + ".join(["t^4", "v1^2"] + ["0*t"] * 2998), "expression nested too deeply"),
+    ],
+    ids=["400 parentheses", "3000 terms"],
+)
+def test_deep_expression_exits_3_with_key_and_line(tmp_path, capsys, value, message):
+    spec, lineno = example1_with(tmp_path, "L", value)
+    assert run("check", "--which", "el", "--out", str(tmp_path / "o"), spec) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"spec error: line {lineno}: in L: ") and message in err
+
+
+def test_960_term_sum_still_solves(tmp_path):
+    """A long sum is a deep tree, but not too deep to parse or to evaluate.
+    It runs in a fresh interpreter, as the CLI does: pytest's own frames
+    leave too little of the recursion limit for it in this process."""
+    spec, _ = example1_with(tmp_path, "L", " + ".join(["t^4", "v1^2"] + ["0*t"] * 958))
+    root = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "fracnoether.cli", "solve", "--grid", "100",
+         "--out", str(tmp_path / "o"), spec],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "trajectory", ["(-1)^0.5 * t + 2 * t^2.5 / gamma(3.5)", "gamma((-1)^0.5) * t"]
+)
+def test_complex_power_exits_3(tmp_path, capsys, trajectory):
+    """A power of two constants can be complex at any point; it is a spec
+    error that names the power, not a dropped imaginary part or a TypeError."""
+    spec, _ = example1_with(tmp_path, "trajectory1", trajectory)
+    assert run("check", "--which", "el", "--out", str(tmp_path / "o"), spec) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("spec error: complex value") and f"of (-1)^0.5 in {trajectory!r}" in err
+
+
+def test_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
+    """numpy's MemoryError for a matrix too large to allocate (--grid 200000
+    asks 298 GiB for the dense D) is a computation failure."""
+
+    def exhausted(problem):
+        raise MemoryError("Unable to allocate 298. GiB for an array with shape (200001, 200001)")
+
+    monkeypatch.setattr(cli.solver, "solve", exhausted)
+    assert run("solve", "--out", str(tmp_path / "o"), EX1) == 2
+    assert capsys.readouterr().err.startswith("computation failed: Unable to allocate 298. GiB")
 
 
 def test_selftest_passes_and_deterministic(tmp_path):

@@ -1,11 +1,15 @@
+import gc
 import math
+import operator
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fracnoether import Grid, exprspec, sample
-from fracnoether.exprspec import SpecError, parse_expression, parse_spec
-from fracnoether.gammafn import GammaPoleError
+from fracnoether.exprspec import ProblemSpec, SpecError, parse_expression, parse_spec
+from fracnoether.gammafn import GammaPoleError, gamma
 
 
 # -- expression grammar ------------------------------------------------------
@@ -63,6 +67,20 @@ def test_constant_that_fails_to_fold_raises_at_evaluation():
         fn({"t": 1.0})
 
 
+def test_compiling_leaves_no_cyclic_garbage():
+    """Reference counting frees everything a compile makes, so compiling
+    gives the cyclic garbage collector no work."""
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        parse_expression("-2 * t^2.5 / gamma(3.5) + gamma(t)", ("t",))
+        gc.collect()
+        assert gc.garbage == []
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+
+
 def test_variables():
     assert ev("t ^ 2 + v1", t=3.0, v1=1.0) == 10.0
     vals = parse_expression("t ^ 2", ("t",))({"t": np.array([1.0, 2.0])})
@@ -85,6 +103,141 @@ def test_syntax_errors():
     for bad in ("2 +", "(1 + 2", "1 2", "gamma 3", "* 4", "2 $ 3"):
         with pytest.raises(SpecError):
             parse_expression(bad)
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [
+        ("05", 5.0),
+        ("007.5", 7.5),
+        ("1.", 1.0),
+        (".25", 0.25),
+        ("1E+3", 1000.0),
+        ("\t( t ) * 2 \n", 6.0),
+        ("1 +\n 2", 3.0),
+        ("2^-1", 0.5),
+        ("-2^2", -4.0),
+        ("2^3^2", 512.0),
+    ],
+)
+def test_accepted_language(text, value):
+    assert parse_expression(text, ("t",))({"t": 3.0}) == value
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["t**2", "1_0", "0x10", "1j", "True", "t.real", "t[0]", "gamma(1, 2)", "gamma(1,)",
+     "(gamma)(1)", "sin(t)", "ｔ", "1 2", "2 +", "lambda: 1"],
+)
+def test_rejected_language(text):
+    with pytest.raises(SpecError):
+        parse_expression(text, ("t",))
+
+
+# A tree oracle that shares no code with the parser: random trees over the
+# whole grammar, rendered with random spacing and only the parentheses that
+# precedence requires, evaluated by the same Python and numpy operations in
+# the same order, so compiled values must agree bitwise.
+
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+           "^": operator.pow}
+# binding strength of each node, and what each operand position needs: a sum
+# or product's right operand binds tighter than it (a - (b - c)), the base of
+# a power is an atom and its exponent may carry a sign (2^-t^2 = 2^(-(t^2)))
+_STRENGTH = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "pos": 3, "^": 4, "leaf": 5, "gamma": 5}
+_OPERANDS = {"+": (1, 2), "-": (1, 2), "*": (2, 3), "/": (2, 3), "^": (5, 3), "neg": (3,),
+             "pos": (3,), "gamma": (0,)}
+_GAMMA = np.vectorize(gamma, otypes=[float])
+_SPEC = ProblemSpec(
+    alpha=0.5, a=0.0, b=1.0, m=10, dim=1, control_dim=1, lagrangian="0", constraints=[],
+    levels=[], q_a=[0.0], q_b=None, multipliers=None, trajectory=None, tau=None, xi=None,
+    dynamics=None, control=None, costate=None,
+)
+
+_LEAVES = st.one_of(
+    st.sampled_from(["t", "q1", "v1"]),
+    st.builds(str.format, st.sampled_from(["{}", "0{}", "{}.", "{}.5", ".{}", "{}e-2", "{}E+1"]),
+              st.integers(0, 40)),
+).map(lambda text: ("leaf", text))
+
+
+def _trees(inner):
+    return st.one_of(
+        st.tuples(st.sampled_from(sorted(_BINARY)), inner, inner),
+        st.tuples(st.sampled_from(["neg", "pos", "gamma"]), inner),
+    )
+
+
+_SPACE = st.sampled_from(["", "", " ", "  ", "\t", "\n", " \n\t"])
+
+
+@st.composite
+def _rendered(draw, node):
+    kind, *children = node
+    if kind == "leaf":
+        return children[0]
+    parts = []
+    for child, need in zip(children, _OPERANDS[kind]):
+        text = draw(_rendered(child))
+        if _STRENGTH[child[0]] < need:
+            text = f"({draw(_SPACE)}{text}{draw(_SPACE)})"
+        parts.append(text)
+    if kind == "gamma":
+        return f"gamma{draw(_SPACE)}({draw(_SPACE)}{parts[0]}{draw(_SPACE)})"
+    if kind in ("neg", "pos"):
+        return f"{'-' if kind == 'neg' else '+'}{draw(_SPACE)}{parts[0]}"
+    return f"{parts[0]}{draw(_SPACE)}{kind}{draw(_SPACE)}{parts[1]}"
+
+
+def _evaluate(node, env):
+    kind, *children = node
+    if kind == "leaf":
+        return env[children[0]] if children[0] in env else float(children[0])
+    values = [_evaluate(child, env) for child in children]
+    if kind == "neg":
+        return -values[0]
+    if kind == "pos":
+        return values[0]
+    if kind == "gamma":
+        return _GAMMA(values[0])
+    value = _BINARY[kind](*values)
+    if isinstance(value, complex):  # a power of two Python floats
+        raise SpecError("complex value")
+    return value
+
+
+def _outcome(evaluate):
+    """The bits of ``evaluate()`` as float64, or the type of what it raised."""
+    try:
+        with np.errstate(all="ignore"):
+            return np.asarray(evaluate(), dtype=float).tobytes()
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc)
+
+
+@st.composite
+def _cases(draw):
+    tree = draw(st.recursive(_LEAVES, _trees, max_leaves=10))
+    return tree, draw(_rendered(tree))
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(_cases(), st.integers(0, 2**32 - 1))
+@example((("^", ("-", ("leaf", "t"), ("leaf", "1")), ("leaf", ".5")), "(t - 1)^.5"), 1)
+def test_compiled_values_match_a_tree_oracle_bitwise(case, seed):
+    tree, text = case
+    L = _SPEC.compile("L", text)
+    rng = np.random.default_rng(seed)
+    t, q, v = rng.uniform(-0.5, 2.0, 5), rng.uniform(-2.0, 2.0, (5, 1)), rng.uniform(-2.0, 2.0, (5, 1))
+    # one point: t a Python float, q1 and v1 numpy scalars, as L reads them
+    point = {"t": float(t[0]), "q1": q[0, 0], "v1": v[0, 0]}
+    assert _outcome(lambda: L(float(t[0]), q[0], v[0])) == _outcome(
+        lambda: float(_evaluate(tree, point))
+    ), text
+    arrays = {"t": t, "q1": q[:, 0], "v1": v[:, 0]}
+    assert _outcome(lambda: L(t, q, v)) == _outcome(
+        lambda: np.broadcast_to(_evaluate(tree, arrays), t.shape)
+    ), text
 
 
 # -- spec files --------------------------------------------------------------
