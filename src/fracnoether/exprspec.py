@@ -55,7 +55,7 @@ _FUNCTIONS: dict[str, Callable] = {"gamma": np.vectorize(gamma, otypes=[float])}
 
 # Compiled expressions are closure trees over an environment tuple; each
 # variable is resolved at compile time to its place in that tuple, and a
-# function call whose argument reads no variable is evaluated there too.
+# power or function call that reads no variable is evaluated there too.
 _OPERATORS: dict[type, Callable[[Callable, Callable], Callable]] = {
     ast.Add: lambda a, b: lambda env: a(env) + b(env),
     ast.Sub: lambda a, b: lambda env: a(env) - b(env),
@@ -80,11 +80,14 @@ def _power(base: Callable, exponent: Callable, written: str, text: str) -> Calla
 
 def _folded(node: Callable) -> Callable:
     """``node``, which reads no variable, evaluated once now.  If that fails
-    or warns, ``node`` itself is kept, so the error surfaces at evaluation."""
+    or warns, ``node`` itself is kept, so the error surfaces at evaluation;
+    a SpecError, such as a complex power, is raised now."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             value = node(())
+    except SpecError:
+        raise
     except (ArithmeticError, ValueError, TypeError, Warning):
         return node
     return lambda env: value
@@ -102,10 +105,14 @@ def _compile(text: str, variables: Mapping[str, _Place]) -> Callable:
     def piece(node: ast.expr) -> str:
         return source[node.col_offset : node.end_col_offset].replace("**", "^")
 
+    def constant(node: ast.expr) -> bool:
+        return not any(isinstance(n, ast.Name) and n.id in variables for n in ast.walk(node))
+
     def build(node: ast.expr) -> Callable:
         match node:
             case ast.BinOp(left, ast.Pow(), right):
-                return _power(build(left), build(right), piece(node), text)
+                power = _power(build(left), build(right), piece(node), text)
+                return _folded(power) if constant(node) else power
             case ast.BinOp(left, op, right) if type(op) in _OPERATORS:
                 return _OPERATORS[type(op)](build(left), build(right))
             case ast.UnaryOp(ast.USub(), operand):
@@ -132,8 +139,7 @@ def _compile(text: str, variables: Mapping[str, _Place]) -> Callable:
             ):
                 fn, inner = _FUNCTIONS[name], build(arg)
                 call = lambda env: fn(inner(env))
-                reads = any(isinstance(n, ast.Name) and n.id in variables for n in ast.walk(arg))
-                return call if reads else _folded(call)
+                return _folded(call) if constant(arg) else call
         raise SpecError(f"unexpected {piece(node)!r} in {text!r}")
 
     try:

@@ -90,28 +90,32 @@ class _Discretization:
         Jd(q, lambda) = sum_s w_s F(theta_s, (P q)_s, (D q)_s),
 
     with P an evaluation operator and D the discrete fractional derivative.
-    For alpha < 1, theta = grid nodes, P = identity, D = the dense L1
-    matrix (singular first row extrapolated), w = trapezoid weights.  For
-    alpha = 1 the quadrature is per-interval midpoint with P the endpoint
-    average and D the interval slope; on piecewise-linear data this is the
-    exact classical functional, which makes the classical benchmark
-    solutions nodally exact.
+    For alpha < 1, theta = grid nodes, P = identity, D = the L1 matrix
+    (singular first row extrapolated), w = trapezoid weights.  For alpha = 1
+    the quadrature is per-interval midpoint with P the endpoint average and
+    D the interval slope; on piecewise-linear data this is the exact
+    classical functional, which makes the classical benchmark solutions
+    nodally exact.
 
-    P is never formed: at alpha < 1 it is implicit, and at alpha = 1 both P
-    and D are two-point stencils.  A Newton step is a preconditioned Krylov
-    solve (_NewtonOperator) that never forms the Newton matrix; of its
+    Neither P nor D is kept as a matrix.  At alpha = 1 both are two-point
+    stencils.  At alpha < 1, P is implicit and D is applied by convolution
+    (frac_kernels._causal_convolve, by rfft from _FFT_MIN_SIZE terms on):
+    ``_points`` takes D q as the L1 kernel's filled velocity, and
+    ``_pullback`` D^T as the reversed convolution of D's Toeplitz column
+    plus its boundary column and row 0.  The dense D is built once per
+    order, by left_derivative_matrix, to read those O(m) parts and is then
+    dropped.  A Newton step is a preconditioned Krylov solve
+    (_NewtonOperator) that never forms the Newton matrix; of its
     preconditioner only the Toeplitz section T (``t_rows``, ``t_inv``)
     depends on the order.
 
-    D stays the Newton operator (``_points``, ``_pullback``).  The gradient
-    samples the fields at alpha < 1 at v from the L1 kernel
-    (``problems._velocity_filled``), which D q equals up to rounding; those
-    are the points of the public checks, so ``solve`` certifies its result
-    from the last gradient's samples.  The Newton partials are taken at the
-    same points, the samples' own: F's forward-difference Hessian starts from
-    partials that each per-point callable kept from that sweep, so it sweeps
-    user code 3n times per field, all at perturbed points.  ``problem`` is
-    held at order alpha.
+    The gradient takes its points from ``_points`` too.  At alpha < 1 its v
+    is the public checks' (``problems._velocity_filled``), bit for bit, so
+    ``solve`` certifies its result from the last gradient's samples.  The
+    Newton partials are taken at the same points, the samples' own: F's
+    forward-difference Hessian starts from partials that each per-point
+    callable kept from that sweep, so it sweeps user code 3n times per
+    field, all at perturbed points.  ``problem`` is held at order alpha.
     """
 
     def __init__(self, problem: VariationalProblem, alpha: float):
@@ -121,27 +125,37 @@ class _Discretization:
         self.k = problem.k
         self.midpoint = alpha == 1.0
         m, nodes = self.grid.m, self.grid.nodes
+        # T, the rows t_rows of v = D q on the interior nodes, is lower-
+        # triangular Toeplitz, and so is T^-1; its first column is D e_1
         if self.midpoint:
             self.theta = 0.5 * (nodes[:-1] + nodes[1:])
             self.w = np.full(m, self.grid.h)
             self.t_rows = slice(0, m - 1)
+            unit = np.zeros((m + 1, 1))
+            unit[1] = 1.0
+            t_col = self._points(unit)[1][self.t_rows, 0]
         else:
             self.theta = nodes
             self.w = _trapezoid_weights(self.grid)
-            self.D = fk.left_derivative_matrix(self.grid, FracOrder(alpha))
-            self.D[:3] = fill_endpoints(self.D[:3])  # in place, so D is held once
             self.t_rows = slice(1, m)
-        # T, the rows t_rows of v = D q on the interior nodes, is lower-
-        # triangular Toeplitz, and so is T^-1; its first column is D e_1
-        unit = np.zeros((m + 1, 1))
-        unit[1] = 1.0
-        self.t_inv = _toeplitz_inverse(self._points(unit)[1][self.t_rows, 0])
+            # D^T's three parts, read from the filled matrix, which is then
+            # dropped: the first column of the Toeplitz block D[1:, 1:], the
+            # boundary column D[1:, 0] and row 0, nonzero in columns 0-2
+            D = fk.left_derivative_matrix(self.grid, FracOrder(alpha))
+            self.d_toeplitz, self.d_col0 = D[1:, 1].copy(), D[1:, 0].copy()
+            self.d_row0 = fill_endpoints(D[:3, :3])[0]
+            t_col = self.d_toeplitz[: m - 1]
+        self.t_inv = _toeplitz_inverse(t_col)
 
     def _points(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """x = P q and v = D q for q of shape (m + 1, n) or (m + 1, n, c)."""
+        """x = P q and v = D q for q of shape (m + 1, n) or (m + 1, n, c).
+        At alpha < 1, D q is the L1 kernel's filled velocity, the checks'
+        ``problems._velocity_filled``: O(m log m) per column from
+        _FFT_MIN_SIZE nodes on."""
         if self.midpoint:
             return 0.5 * (q[:-1] + q[1:]), np.diff(q, axis=0) / self.grid.h
-        return q, (self.D @ q.reshape(len(q), -1)).reshape(q.shape)
+        qs = SampledFunction(self.grid, q.reshape(len(q), -1))
+        return q, _velocity_filled(self.problem, qs).reshape(q.shape)
 
     def _pullback(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """P^T W a + D^T W b: node-space gradient of sum_s w_s f(x_s, v_s)
@@ -150,7 +164,14 @@ class _Discretization:
         w = self.w.reshape((-1,) + (1,) * (a.ndim - 1))
         wa, wb = w * a, w * b
         if not self.midpoint:
-            return wa + (self.D.T @ wb.reshape(len(wb), -1)).reshape(wb.shape)
+            # T^T is T conjugated by the reversal, so T^T y is a reversed
+            # causal convolution; then the boundary column and row 0
+            y, m = wb.reshape(len(wb), -1), self.grid.m
+            dty = np.empty_like(y)
+            dty[0] = self.d_col0 @ y[1:]
+            dty[1:] = fk._causal_convolve(self.d_toeplitz, y[:0:-1], m)[::-1]
+            dty[:3] += self.d_row0[:, None] * y[0]
+            return wa + dty.reshape(wb.shape)
         # each interval sends 0.5 w a -+ w b / h to its left/right node
         half, slope = 0.5 * wa, wb / self.grid.h
         out = np.zeros((self.grid.m + 1,) + a.shape[1:])
@@ -162,10 +183,7 @@ class _Discretization:
         """Stacked [dJd/dq_interior ; constraint defects], and the samples of
         L and each g_j it is composed from: one sweep of each per iterate.
         At alpha < 1 the points are the nodes, q and the kernel's v."""
-        if self.midpoint:
-            x, v = self._points(q)
-        else:
-            x, v = q, _velocity_filled(self.problem, SampledFunction(self.grid, q))
+        x, v = self._points(q)
         s = _sample_fields(self.problem, self.theta, x, v)
         gel = self._pullback(s.F_dx(lam), s.F_dy(lam))
         defects = np.array([np.dot(self.w, g) for g in s.g]) - self.problem.constraint_levels
@@ -245,12 +263,14 @@ class _NewtonOperator:
     dense fallback forms it, by ``matrix``.
 
     Its interior block is P^T Cqq P + P^T Cqv D + D^T Cvq P + D^T Cvv D over
-    h.  T is D on rows ``t_rows`` and the interior nodes: D[1:m, 1:m] at
-    alpha < 1, where P = I, and the slopes of intervals 0..m-2 at alpha = 1.
-    With C_vv the blocks w_s Hvv[s] on those rows, T^T C_vv T / h is the
-    leading term at alpha < 1 and all of D^T Cvv D but interval m-1 at
-    alpha = 1; h T^-1 C_vv^-1 T^-T is its exact inverse and preconditions
-    GMRES.
+    h, applied through the discretization's ``_points`` and ``_pullback``,
+    so that at alpha < 1 a product costs O(m log m) per column, not the
+    O(m^2) of a dense D.  T is D on rows ``t_rows`` and the interior nodes:
+    D[1:m, 1:m] at alpha < 1, where P = I, and the slopes of intervals
+    0..m-2 at alpha = 1.  With C_vv the blocks w_s Hvv[s] on those rows,
+    T^T C_vv T / h is the leading term at alpha < 1 and all of D^T Cvv D but
+    interval m-1 at alpha = 1; h T^-1 C_vv^-1 T^-T is its exact inverse and
+    preconditions GMRES.
     """
 
     def __init__(self, disc: _Discretization, hessians, cols: np.ndarray):

@@ -213,12 +213,14 @@ def test_960_term_sum_still_solves(tmp_path):
     "trajectory", ["(-1)^0.5 * t + 2 * t^2.5 / gamma(3.5)", "gamma((-1)^0.5) * t"]
 )
 def test_complex_power_exits_3(tmp_path, capsys, trajectory):
-    """A power of two constants can be complex at any point; it is a spec
-    error that names the power, not a dropped imaginary part or a TypeError."""
-    spec, _ = example1_with(tmp_path, "trajectory1", trajectory)
+    """A power of two constants is evaluated when the spec is read; a complex
+    one is a spec error that names its key, line and power, not a dropped
+    imaginary part or a TypeError."""
+    spec, lineno = example1_with(tmp_path, "trajectory1", trajectory)
     assert run("check", "--which", "el", "--out", str(tmp_path / "o"), spec) == 3
     err = capsys.readouterr().err
-    assert err.startswith("spec error: complex value") and f"of (-1)^0.5 in {trajectory!r}" in err
+    assert err.startswith(f"spec error: line {lineno}: in trajectory1: complex value ")
+    assert f"of (-1)^0.5 in {trajectory!r}" in err
 
 
 def test_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):

@@ -20,7 +20,8 @@ from fracnoether import (
     solve,
 )
 from fracnoether import solver
-from fracnoether.frac_kernels import _causal_convolve
+from fracnoether.frac_kernels import _FFT_MIN_SIZE, _causal_convolve, left_derivative_matrix
+from fracnoether.grids import fill_endpoints
 from fracnoether.solver import (
     _Discretization,
     _NewtonOperator,
@@ -267,10 +268,18 @@ def newton_partials(disc, q, lam):
     return disc.newton_partials(lam, disc.gradient(q, lam)[1])
 
 
+def filled_derivative_matrix(disc):
+    """The dense L1 matrix of ``disc``'s order with its first row filled like
+    the velocity: the matrix that ``disc`` applies by convolution."""
+    D = left_derivative_matrix(disc.grid, disc.problem.order)
+    D[:3] = fill_endpoints(D[:3])
+    return D
+
+
 def dense_reference(disc, q, lam):
     """The Newton matrix J and the gradient from dense products, with P and D
-    as full matrices: P = I and D = the L1 matrix at alpha < 1, the two-point
-    endpoint average and slope at alpha = 1.  Partials are taken at the
+    as full matrices: P = I and D = the filled L1 matrix at alpha < 1, the
+    two-point endpoint average and slope at alpha = 1.  Partials are taken at the
     points of ``disc``'s gradient, as the solver takes them, so that the
     comparison isolates the assembly."""
     p, w, h = disc.problem, disc.w, disc.grid.h
@@ -281,7 +290,7 @@ def dense_reference(disc, q, lam):
         D[idx, idx] = -1.0 / h
         D[idx, idx + 1] = 1.0 / h
     else:
-        P, D = np.eye(m + 1), disc.D
+        P, D = np.eye(m + 1), filled_derivative_matrix(disc)
     s = disc.gradient(q, lam)[1]
     t, x, v = s.t, s.x, s.v
     F = augmented_lagrangian(p, lam)
@@ -343,17 +352,44 @@ def test_structured_assembly_matches_dense_reference(make, alpha):
     (x_ref, v_ref), J_ref, G_ref = dense_reference(disc, q, lam)
     x, v = disc._points(q)
     J = _NewtonOperator(disc, *newton_partials(disc, q, lam)).matrix()
-    G = disc.gradient(q, lam)[0]
-    for got, ref in [(x, x_ref), (v, v_ref)]:
-        if alpha < 1.0:
-            assert np.array_equal(got, ref)
-        else:
-            assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
-    # at alpha < 1 the gradient samples the fields at the L1 kernel's v, which
-    # D q equals up to rounding
+    G, samples = disc.gradient(q, lam)
+    if alpha < 1.0:
+        # the Newton operator's D q is the gradient's v, the L1 kernel's,
+        # which the dense product equals up to rounding
+        assert np.array_equal(x, x_ref) and np.array_equal(v, samples.v)
+    else:
+        assert np.max(np.abs(x - x_ref)) <= 1e-15 * np.max(np.abs(x_ref))
+    assert np.max(np.abs(v - v_ref)) <= 1e-15 * np.max(np.abs(v_ref))
     assert np.max(np.abs(G - G_ref)) <= 1e-15 * np.max(np.abs(G_ref))
     # J is formed from the matrix-free product, which sums in another order
     assert np.max(np.abs(J - J_ref)) <= 1e-15 * np.max(np.abs(J_ref))
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9])
+@pytest.mark.parametrize("m", [50, _FFT_MIN_SIZE - 1, _FFT_MIN_SIZE, 3000])
+def test_convolved_products_match_the_filled_matrix(m, alpha):
+    """``_points`` and ``_pullback`` apply D and D^T W by convolution, direct
+    below _FFT_MIN_SIZE and by rfft from it on (m = 511 convolves 511 terms,
+    m = 512 convolves 512), for n = 1, 2 with and without a trailing column
+    axis.  Against the filled dense matrix each output is off by at most a
+    few ulps of its terms' scale, sum_j |D_ij| |q_j|, and the two products
+    are adjoint up to ulps of the scale of <|q|, |D|^T |W b|>.  Measured on
+    5 seeds per case: at most 7.6 ulps for D q, 14.9 for D^T W b (at m =
+    3000) and 1.1 for the adjoint identity."""
+    disc = _Discretization(benchmark_problem(m), alpha)
+    D = filled_derivative_matrix(disc)
+    A, eps = np.abs(D), np.finfo(float).eps
+    for shape in [(m + 1, 1), (m + 1, 2), (m + 1, 1, 3), (m + 1, 2, 3)]:
+        q, b = np.random.default_rng([m, len(shape), shape[1]]).standard_normal((2,) + shape)
+        x, v = disc._points(q)
+        pulled = disc._pullback(np.zeros(shape), b)
+        assert x is q and v.shape == pulled.shape == shape
+        q, v, pulled = (y.reshape(m + 1, -1) for y in (q, v, pulled))
+        wb = disc.w[:, None] * b.reshape(m + 1, -1)
+        assert np.all(np.abs(v - D @ q) <= 32.0 * eps * np.max(A @ np.abs(q), axis=0))
+        assert np.all(np.abs(pulled - D.T @ wb) <= 32.0 * eps * np.max(A.T @ np.abs(wb), axis=0))
+        adjoint = np.sum(v * wb, axis=0) - np.sum(q * pulled, axis=0)
+        assert np.all(np.abs(adjoint) <= 4.0 * eps * np.sum(np.abs(q) * (A.T @ np.abs(wb)), axis=0))
 
 
 @pytest.mark.parametrize("make, alpha", [(benchmark_problem, 0.5), (classical_problem, 1.0)])
@@ -370,6 +406,21 @@ def test_jacobian_peak_memory(make, alpha):
     finally:
         tracemalloc.stop()
     assert peak / (8.0 * J.shape[0] ** 2) <= 2.5
+
+
+def test_discretization_keeps_no_dense_matrix():
+    """At alpha < 1 the discretization keeps O(m) arrays: D is read for its
+    Toeplitz column, boundary column and row 0, then dropped (72 MB at m =
+    3000)."""
+    p = benchmark_problem(3000)
+    tracemalloc.start()
+    try:
+        disc = _Discretization(p, 0.5)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert disc.t_inv.size == 2999
+    assert kept < 1e6
 
 
 # -- matrix-free Newton --------------------------------------------------------
@@ -418,7 +469,7 @@ def test_toeplitz_inverse_and_preconditioner(alpha):
     disc = _Discretization(benchmark_problem(m), alpha)
     h, eps = disc.grid.h, np.finfo(float).eps
     if alpha < 1.0:
-        T = disc.D[1:m, 1:m]
+        T = filled_derivative_matrix(disc)[1:m, 1:m]
     else:  # the slopes of intervals 0..m-2, so T^-1 = h * lower ones
         T = (np.eye(m - 1) - np.eye(m - 1, k=-1)) / h
         assert np.max(np.abs(disc.t_inv - h)) <= 64.0 * eps * h
