@@ -15,7 +15,7 @@ from __future__ import annotations
 import ast
 import re
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 import numpy as np
@@ -154,6 +154,20 @@ def _compile(text: str, variables: Mapping[str, _Place]) -> Callable:
         del build
 
 
+# Compiled closures by (text, the variables' places), for _compile_once
+_Compiled = dict[tuple[str, tuple[tuple[str, _Place], ...]], Callable]
+
+
+def _compile_once(compiled: _Compiled, text: str, variables: Mapping[str, _Place]) -> Callable:
+    """``_compile(text, variables)``, kept in ``compiled`` and returned from
+    there for the same text and variable places: the closure is a function
+    of those alone.  A text that fails to compile is not kept."""
+    key = (text, tuple(variables.items()))
+    if key not in compiled:
+        compiled[key] = _compile(text, variables)
+    return compiled[key]
+
+
 def parse_expression(text: str, variables: tuple[str, ...] = ()) -> Callable:
     """Compile ``text``; call the result with a mapping from each variable to its value."""
     names = tuple(variables)
@@ -184,7 +198,11 @@ _BINDERS = {
 
 @dataclass
 class ProblemSpec:
-    """Parsed, validated contents of a problem spec file."""
+    """Parsed, validated contents of a problem spec file.
+
+    ``compiled`` keeps each expression's closures, those that ``parse_spec``
+    built to validate it among them, so that a command compiles no text
+    twice."""
 
     alpha: float
     a: float
@@ -204,6 +222,7 @@ class ProblemSpec:
     dynamics: list[str] | None
     control: list[str] | None
     costate: list[str] | None
+    compiled: _Compiled = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def is_control(self) -> bool:
@@ -240,10 +259,10 @@ class ProblemSpec:
         (``fields._pointwise``)."""
         variables = self.variables(key)
         if isinstance(text, str):
-            fn = _compile(text, variables)
+            fn = _compile_once(self.compiled, text, variables)
             value = lambda env: _filled(env[0], fn(env))
         else:
-            fns = [_compile(s, variables) for s in text]
+            fns = [_compile_once(self.compiled, s, variables) for s in text]
             value = lambda env: np.stack([_filled(env[0], f(env)) for f in fns], axis=-1)
         bound = _BINDERS[_ARITY[key]](value)
         bound.whole_array = True
@@ -277,15 +296,18 @@ def _read_pairs(path: str) -> dict[str, tuple[str, int]]:
     return pairs
 
 
-def _constant(key: str, value: str, lineno: int, integer: bool = False) -> float:
-    """The value of a constant expression; failing to parse or to evaluate it
-    (division by zero, overflow, a gamma pole, a complex power), a value that
-    is not finite, or one that is not an integer where ``integer`` asks for
-    one, is a SpecError.  numpy's floating-point warnings raise here, as
-    FloatingPointError, so that they become that SpecError too."""
+def _constant(
+    compiled: _Compiled, key: str, value: str, lineno: int, integer: bool = False
+) -> float:
+    """The value of a constant expression, compiled through ``compiled``;
+    failing to parse or to evaluate it (division by zero, overflow, a gamma
+    pole, a complex power), a value that is not finite, or one that is not
+    an integer where ``integer`` asks for one, is a SpecError.  numpy's
+    floating-point warnings raise here, as FloatingPointError, so that they
+    become that SpecError too."""
     try:
         with np.errstate(divide="raise", over="raise", invalid="raise"):
-            number = float(parse_expression(value)())
+            number = float(_compile_once(compiled, value, {})(()))
     except (ArithmeticError, ValueError, TypeError) as exc:
         raise SpecError(f"in {key}: {exc}", lineno) from exc
     if integer and not number.is_integer():
@@ -296,11 +318,11 @@ def _constant(key: str, value: str, lineno: int, integer: bool = False) -> float
 
 
 def _const(
-    pairs: dict, key: str, default: float | None = None, integer: bool = False
+    compiled: _Compiled, pairs: dict, key: str, default: float | None = None, integer: bool = False
 ) -> float | int | None:
     if key not in pairs:
         return default
-    number = _constant(key, *pairs.pop(key), integer=integer)
+    number = _constant(compiled, key, *pairs.pop(key), integer=integer)
     return int(number) if integer else number
 
 
@@ -324,17 +346,19 @@ def parse_spec(path: str) -> ProblemSpec:
     """Read and validate a spec file; raises SpecError with line info."""
     pairs = _read_pairs(path)
     lines = {key: lineno for key, (_, lineno) in pairs.items()}
+    compiled: _Compiled = {}
+    const = lambda *args, **kwargs: _const(compiled, pairs, *args, **kwargs)
 
-    alpha = _const(pairs, "alpha")
+    alpha = const("alpha")
     if alpha is None:
         raise SpecError("missing required key 'alpha'")
     if not 0.0 < alpha <= 1.0:
         raise SpecError(f"alpha must lie in (0, 1], got {alpha}")
-    a = _const(pairs, "a", 0.0)
-    b = _const(pairs, "b", 1.0)
-    m = _const(pairs, "m", 500, integer=True)
-    dim = _const(pairs, "dim", 1, integer=True)
-    control_dim = _const(pairs, "controls", 1, integer=True)
+    a = const("a", 0.0)
+    b = const("b", 1.0)
+    m = const("m", 500, integer=True)
+    dim = const("dim", 1, integer=True)
+    control_dim = const("controls", 1, integer=True)
     if a >= b:
         raise SpecError(f"need a < b, got [{a}, {b}]")
     if m < 2 or dim < 1 or control_dim < 1:
@@ -351,7 +375,7 @@ def parse_spec(path: str) -> ProblemSpec:
         return raw
 
     def const_list(stem: str, expected: int) -> list[float] | None:
-        return [_constant(*entry) for entry in entries(stem, expected)] or None
+        return [_constant(compiled, *entry) for entry in entries(stem, expected)] or None
 
     def expr_list(stem: str, expected: int) -> list[str] | None:
         return [value for _, value, _ in entries(stem, expected)] or None
@@ -362,7 +386,7 @@ def parse_spec(path: str) -> ProblemSpec:
         raise SpecError(
             f"{len(gs)} constraint expressions but {len(levels_raw)} levels"
         )
-    levels = [_constant(*entry) for entry in levels_raw]
+    levels = [_constant(compiled, *entry) for entry in levels_raw]
 
     q_a = const_list("q_a", dim)
     if q_a is None:
@@ -407,10 +431,11 @@ def parse_spec(path: str) -> ProblemSpec:
         dynamics=dynamics,
         control=control,
         costate=costate,
+        compiled=compiled,
     )
 
-    # compile every expression once, so that bad syntax or an unknown
-    # variable is a parse-time diagnostic with its line
+    # compile every expression, so that bad syntax or an unknown variable is
+    # a parse-time diagnostic with its line; the closures are kept for use
     groups = {"L": [lagrangian], "g": gs, "phi": dynamics, "tau": [tau] if tau else None,
               "xi": xi, "trajectory": trajectory, "control": control, "costate": costate}
     for stem, texts in groups.items():

@@ -3,7 +3,8 @@
 Analytic gradients are used when supplied; otherwise central finite
 differences with a relative step.  Second partials are forward differences
 of the gradients with the same step, from base partials at the point
-itself, which a per-point callable's kept sweep supplies.  A self-check
+itself: the caller's, when it holds them (the solver passes its gradient's
+samples), else one evaluation of each gradient there.  A self-check
 compares supplied gradients against the finite-difference ones on random
 probes.
 
@@ -166,7 +167,11 @@ class PointField:
         return _differences(lambda yy: self.evaluator(t, x, yy), y)
 
     def hessian(
-        self, t: float, x: np.ndarray, y: np.ndarray
+        self,
+        t: float,
+        x: np.ndarray,
+        y: np.ndarray,
+        base: Optional[tuple[np.ndarray, np.ndarray]] = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Second partials by forward differences of d_x and d_y, each of
         shape (n, n) at one point or (M, n, n) at M points:
@@ -174,15 +179,14 @@ class PointField:
         Hyy[..., k, i] = d(d_y)_k / dy_i.
 
         The step is the central differences' _FD_STEP * (1 + |x_i|), and the
-        error is O(step).  The base partials come from one d_x and one d_y
-        at (t, x, y) itself, taken first: a per-point callable whose last
-        sweep was at those points returns it without calling user code, so
-        after a sweep of the partials there the Hessian makes 3n sweeps of
-        them, all at perturbed points."""
+        error is O(step).  The base partials are ``base`` = (d_x, d_y) at
+        (t, x, y) when the caller holds them, else one d_x and one d_y taken
+        there first.  Either way the Hessian then makes 3n sweeps of the
+        partials, all at perturbed points."""
         x = np.asarray(x, float)
         y = np.asarray(y, float)
         n = x.shape[-1]
-        gx, gy = self.d_x(t, x, y), self.d_y(t, x, y)
+        gx, gy = base if base is not None else (self.d_x(t, x, y), self.d_y(t, x, y))
         Hxx = _differences(lambda xx: self.d_x(t, xx, y), x, gx)
         H = _differences(
             lambda yy: np.concatenate([self.d_x(t, x, yy), self.d_y(t, x, yy)], axis=-1),

@@ -116,21 +116,43 @@ def _direct_convolve(kernel: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
     return np.column_stack([np.convolve(kernel, col)[:n] for col in x.T])
 
 
-def _causal_convolve(kernel: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
-    """First n terms of kernel * x along axis 0, x of shape (M,) or (M, k).
+class _CausalKernel:
+    """A causal-convolution kernel that keeps its rfft spectrum per transform
+    length, for a caller that applies the same kernel many times.
+    ``convolve(x, n)`` is ``_causal_convolve(weights, x, n)`` bit for bit:
+    a kept spectrum is the one that call would compute again."""
 
-    With at least _FFT_MIN_SIZE terms in both operands this is an rfft
-    product at a power-of-two length, O(n log n); otherwise, and whenever an
-    operand is not finite, it is np.convolve.  Direct convolution keeps a NaN
-    marker at node j in outputs j and later; an FFT would spread it to all.
-    """
-    if min(len(kernel), len(x)) < _FFT_MIN_SIZE or not (
-        np.isfinite(kernel).all() and np.isfinite(x).all()
-    ):
-        return _direct_convolve(kernel, x, n)
-    size = 1 << (len(kernel) + len(x) - 2).bit_length()
-    spectrum = np.fft.rfft(kernel, size).reshape((-1,) + (1,) * (x.ndim - 1))
-    return np.fft.irfft(spectrum * np.fft.rfft(x, size, axis=0), size, axis=0)[:n]
+    def __init__(self, weights: np.ndarray):
+        self.weights = weights
+        self.finite = bool(np.isfinite(weights).all())
+        self._spectra: dict[int, np.ndarray] = {}
+
+    def convolve(self, x: np.ndarray, n: int) -> np.ndarray:
+        """First n terms of weights * x along axis 0, x of shape (M,) or
+        (M, k).
+
+        With at least _FFT_MIN_SIZE terms in both operands this is an rfft
+        product at a power-of-two length, O(n log n); otherwise, and whenever
+        an operand is not finite, it is np.convolve.  Direct convolution keeps
+        a NaN marker at node j in outputs j and later; an FFT would spread it
+        to all.
+        """
+        kernel = self.weights
+        if min(len(kernel), len(x)) < _FFT_MIN_SIZE or not (self.finite and np.isfinite(x).all()):
+            return _direct_convolve(kernel, x, n)
+        size = 1 << (len(kernel) + len(x) - 2).bit_length()
+        spectrum = self._spectra.get(size)
+        if spectrum is None:
+            spectrum = self._spectra[size] = np.fft.rfft(kernel, size)
+        spectrum = spectrum.reshape((-1,) + (1,) * (x.ndim - 1))
+        return np.fft.irfft(spectrum * np.fft.rfft(x, size, axis=0), size, axis=0)[:n]
+
+
+def _causal_convolve(kernel: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
+    """First n terms of kernel * x along axis 0, x of shape (M,) or (M, k),
+    by ``_CausalKernel.convolve``: rfft from _FFT_MIN_SIZE terms on, direct
+    below it and for non-finite operands."""
+    return _CausalKernel(kernel).convolve(x, n)
 
 
 # --------------------------------------------------------------------------
@@ -182,20 +204,26 @@ def _l1_weights(m: int, alpha: float) -> np.ndarray:
     return (r + 1.0) ** (1.0 - alpha) - r ** (1.0 - alpha)
 
 
-def _l1_left(f: np.ndarray, h: float, alpha: float) -> np.ndarray:
+def _l1_left(
+    f: np.ndarray, h: float, alpha: float, weights: _CausalKernel | None = None
+) -> np.ndarray:
     """L1 left RL derivative of the piecewise-linear interpolant, along axis 0.
 
     Splits off the boundary term f(a) (t-a)^(-alpha) / Gamma(1-alpha), then
     integrates the kernel exactly against the interpolant's slope.  NaN at
-    the first node.
+    the first node.  ``weights``, the kernel of _l1_weights(len(f) - 1,
+    alpha) kept by a caller that applies it many times, gives the same bits
+    as the kernel built here.
     """
     m = len(f) - 1
+    if weights is None:
+        weights = _CausalKernel(_l1_weights(m, alpha))
     out = np.empty(f.shape)
     out[0] = np.nan
     decay = (np.arange(1, m + 1, dtype=float) * h) ** (-alpha)
     out[1:] = f[0] * reciprocal_gamma(1.0 - alpha) * decay.reshape((m,) + (1,) * (f.ndim - 1))
     d = np.diff(f, axis=0)
-    out[1:] += (h ** (-alpha) / gamma(2.0 - alpha)) * _causal_convolve(_l1_weights(m, alpha), d, m)
+    out[1:] += (h ** (-alpha) / gamma(2.0 - alpha)) * weights.convolve(d, m)
     return out
 
 
@@ -270,7 +298,8 @@ def left_derivative_matrix(grid: Grid, order: FracOrder) -> np.ndarray:
     A[0] = np.nan
     A[1:, 0] = reciprocal_gamma(1.0 - alpha) * (np.arange(1, m + 1) * h) ** (-alpha) - c * b
     # columns 1..m are the response at node 1, c (b_k - b_(k-1)), shifted down
-    # (Toeplitz)
+    # (Toeplitz): row i is col1[i], ..., col1[0], 0, ..., the window at m-1-i
+    # of the reversed column, which is copied with a forward stride
     col1 = c * np.diff(b, prepend=0.0)
-    A[1:, 1:] = sliding_window_view(np.concatenate([np.zeros(m - 1), col1]), m)[:, ::-1]
+    A[1:, 1:] = sliding_window_view(np.concatenate([col1[::-1], np.zeros(m - 1)]), m)[::-1]
     return A

@@ -146,10 +146,13 @@ def frac_velocity(q: SampledFunction, order: FracOrder) -> SampledFunction:
 def _compose(lam: np.ndarray, of_L, of_gs) -> np.ndarray:
     """L's value or partial minus lambda . (each g_j's): F's at the same
     points.  The library's only composition of F, so F's values keep their
-    bits wherever they are formed."""
+    bits wherever they are formed.  A g_j whose lambda_j is 0 is left out:
+    with a finite g_j that changes no value, as x - 0 g_j = x, and a NaN or
+    inf in it does not reach F."""
     out = np.array(of_L, dtype=float)
     for lj, gj in zip(lam, of_gs):
-        out -= lj * gj
+        if lj != 0.0:
+            out -= lj * gj
     return out
 
 
@@ -159,10 +162,14 @@ def augmented_lagrangian(problem, lam: np.ndarray) -> PointField:
     ``problem`` is any object with ``lagrangian``, ``constraints`` and
     ``check_multipliers`` (a VariationalProblem, or a ControlProblem where v
     is the control u).  F takes M points at once, as L and every g_j do.
+    A constraint whose multiplier is 0 adds nothing to F and is never
+    evaluated, so F at lambda = 0 is L, and a NaN or inf that such a g_j
+    would return does not reach F.
     """
     lam = problem.check_multipliers(lam)
     L = problem.lagrangian
-    gs = list(problem.constraints)
+    active = np.flatnonzero(lam)
+    lam, gs = lam[active], [problem.constraints[j] for j in active]
 
     def ev(t, x, y):
         return _compose(lam, L(t, x, y), [gj(t, x, y) for gj in gs])

@@ -28,7 +28,6 @@ from .problems import (
     _node_points,
     _sample_fields,
     _trapezoid,
-    _velocity_filled,
     augmented_lagrangian,
 )
 
@@ -99,7 +98,7 @@ class _Discretization:
 
     Neither P nor D is kept as a matrix.  At alpha = 1 both are two-point
     stencils.  At alpha < 1, P is implicit and D is applied by convolution
-    (frac_kernels._causal_convolve, by rfft from _FFT_MIN_SIZE terms on):
+    (frac_kernels._CausalKernel, by rfft from _FFT_MIN_SIZE terms on):
     ``_points`` takes D q as the L1 kernel's filled velocity, and
     ``_pullback`` D^T as the reversed convolution of D's Toeplitz column
     plus its boundary column and row 0.  The dense D is built once per
@@ -107,15 +106,20 @@ class _Discretization:
     dropped.  A Newton step is a preconditioned Krylov solve
     (_NewtonOperator) that never forms the Newton matrix; of its
     preconditioner only the Toeplitz section T (``t_rows``, ``t_inv``)
-    depends on the order.
+    depends on the order.  Each fixed kernel, the L1 weights, D's Toeplitz
+    column and T^-1's column, keeps its rfft spectrum for the life of the
+    discretization, one solve stage, and gives the bits it would give
+    transformed afresh.
 
     The gradient takes its points from ``_points`` too.  At alpha < 1 its v
     is the public checks' (``problems._velocity_filled``), bit for bit, so
     ``solve`` certifies its result from the last gradient's samples.  The
     Newton partials are taken at the same points, the samples' own: F's
-    forward-difference Hessian starts from partials that each per-point
-    callable kept from that sweep, so it sweeps user code 3n times per
-    field, all at perturbed points.  ``problem`` is held at order alpha.
+    forward-difference Hessian starts from the samples' partials of F, so
+    it sweeps user code 3n times per field of F, all at perturbed points.
+    A constraint with a zero multiplier is not a field of F, so the first
+    Newton step of a cold solve, at lambda = 0, sweeps L's partials alone.
+    ``problem`` is held at order alpha.
     """
 
     def __init__(self, problem: VariationalProblem, alpha: float):
@@ -138,24 +142,30 @@ class _Discretization:
             self.theta = nodes
             self.w = _trapezoid_weights(self.grid)
             self.t_rows = slice(1, m)
-            # D^T's three parts, read from the filled matrix, which is then
-            # dropped: the first column of the Toeplitz block D[1:, 1:], the
-            # boundary column D[1:, 0] and row 0, nonzero in columns 0-2
+            # D^T's three parts, read from the filled matrix, which is
+            # dropped before T^-1's work arrays are allocated: the first
+            # column of the Toeplitz block D[1:, 1:], the boundary column
+            # D[1:, 0] and row 0, nonzero in columns 0-2
             D = fk.left_derivative_matrix(self.grid, FracOrder(alpha))
-            self.d_toeplitz, self.d_col0 = D[1:, 1].copy(), D[1:, 0].copy()
+            self.d_toeplitz = fk._CausalKernel(D[1:, 1].copy())
+            self.d_col0 = D[1:, 0].copy()
             self.d_row0 = fill_endpoints(D[:3, :3])[0]
-            t_col = self.d_toeplitz[: m - 1]
-        self.t_inv = _toeplitz_inverse(t_col)
+            del D
+            self.l1 = fk._CausalKernel(fk._l1_weights(m, alpha))
+            t_col = self.d_toeplitz.weights[: m - 1]
+        self.t_inv = _toeplitz_inverse(t_col, direct=self.midpoint)
+        self.t_inv_kernel = fk._CausalKernel(self.t_inv)
 
     def _points(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """x = P q and v = D q for q of shape (m + 1, n) or (m + 1, n, c).
-        At alpha < 1, D q is the L1 kernel's filled velocity, the checks'
-        ``problems._velocity_filled``: O(m log m) per column from
-        _FFT_MIN_SIZE nodes on."""
+        At alpha < 1, D q is the L1 kernel's filled velocity, bit for bit
+        the checks' ``problems._velocity_filled``, from the kernel's kept
+        spectrum: O(m log m) per column from _FFT_MIN_SIZE nodes on."""
         if self.midpoint:
             return 0.5 * (q[:-1] + q[1:]), np.diff(q, axis=0) / self.grid.h
         qs = SampledFunction(self.grid, q.reshape(len(q), -1))
-        return q, _velocity_filled(self.problem, qs).reshape(q.shape)
+        v = fk._l1_left(qs.values, self.grid.h, self.problem.order.alpha, self.l1)
+        return q, fill_endpoints(v).reshape(q.shape)
 
     def _pullback(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """P^T W a + D^T W b: node-space gradient of sum_s w_s f(x_s, v_s)
@@ -169,7 +179,7 @@ class _Discretization:
             y, m = wb.reshape(len(wb), -1), self.grid.m
             dty = np.empty_like(y)
             dty[0] = self.d_col0 @ y[1:]
-            dty[1:] = fk._causal_convolve(self.d_toeplitz, y[:0:-1], m)[::-1]
+            dty[1:] = self.d_toeplitz.convolve(y[:0:-1], m)[::-1]
             dty[:3] += self.d_row0[:, None] * y[0]
             return wa + dty.reshape(wb.shape)
         # each interval sends 0.5 w a -+ w b / h to its left/right node
@@ -196,28 +206,39 @@ class _Discretization:
         gradient's ``samples`` at (q, lambda): F's second partials (Hqq, Hqv,
         Hvv) at the samples' points, and one column P^T W g_q + D^T W g_v
         per constraint at the interior unknowns.  The Hessian's base
-        partials are the samples' sweep, which each per-point callable
-        kept, so only its perturbed sweeps call user code."""
+        partials are F's, composed from the samples, so only its perturbed
+        sweeps call user code, and only for L and the g_j whose multiplier
+        is not 0."""
         n = self.n
-        hessians = augmented_lagrangian(self.problem, lam).hessian(samples.t, samples.x, samples.v)
+        F = augmented_lagrangian(self.problem, lam)
+        base = (samples.F_dx(lam), samples.F_dy(lam))
+        hessians = F.hessian(samples.t, samples.x, samples.v, base=base)
         cols = np.empty(((self.grid.m - 1) * n, self.k))
         for r, (g_dx, g_dy) in enumerate(zip(samples.g_dx, samples.g_dy)):
             cols[:, r] = self._pullback(g_dx, g_dy).ravel()[n:-n]
         return hessians, cols
 
 
-def _toeplitz_inverse(col: np.ndarray) -> np.ndarray:
+def _toeplitz_inverse(col: np.ndarray, direct: bool) -> np.ndarray:
     """First column of T^-1 for the lower-triangular Toeplitz T with first
     column ``col``, by the Newton iteration u <- u + u (e_1 - T u) on leading
-    sections of doubling size.  The products are direct convolutions: with
-    rfft products the alpha = 1 inverse, h times ones, comes out 86 ulps of
-    h off at m = 2000, and the error compounds with each doubling."""
+    sections of doubling size.
+
+    The products are causal convolutions (fk._causal_convolve), by rfft once
+    a section has _FFT_MIN_SIZE terms, so the last doubling is O(m log m),
+    not O(m^2).  With ``direct`` they are np.convolve at every size: the
+    alpha = 1 inverse, h times ones, comes out 86 ulps of h off at m = 2000
+    with rfft products, and the error compounds with each doubling.  At
+    alpha < 1 the rfft column differs from the direct one by at most 6.4e-14
+    of its largest entry at m = 2000, and at m = 20000 by 2.2e-13 at
+    alpha = 0.9 and 3.8e-12 at alpha = 0.999."""
+    convolve = fk._direct_convolve if direct else fk._causal_convolve
     inv = np.array([1.0 / col[0]])
     while inv.size < col.size:
         size = min(2 * inv.size, col.size)
-        defect = np.convolve(col[:size], inv)[:size]
+        defect = convolve(col[:size], inv, size)
         defect[0] -= 1.0
-        inv = np.pad(inv, (0, size - inv.size)) - np.convolve(inv, defect)[:size]
+        inv = np.pad(inv, (0, size - inv.size)) - convolve(inv, defect, size)
     return inv
 
 
@@ -316,10 +337,10 @@ class _NewtonOperator:
         """h T^-1 C_vv^-1 T^-T r; T^-1 y is the causal convolution of its
         first column with y, and T^T is T conjugated by the reversal."""
         disc = self.disc
-        t_inv, size = disc.t_inv, len(disc.t_inv)
-        y = fk._causal_convolve(t_inv, r.reshape(-1, disc.n)[::-1], size)[::-1]
+        t_inv, size = disc.t_inv_kernel, len(disc.t_inv)
+        y = t_inv.convolve(r.reshape(-1, disc.n)[::-1], size)[::-1]
         y = np.einsum("sij,sj->si", self.cvv_inv, y)
-        return disc.grid.h * fk._causal_convolve(t_inv, y, size).ravel()
+        return disc.grid.h * t_inv.convolve(y, size).ravel()
 
     def step(self, G: np.ndarray) -> np.ndarray | None:
         """The Newton step -J^-1 G, or None if C_vv or the Schur complement

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fracnoether import Grid, SampledFunction, cli, gammafn, make_report
+from fracnoether import Grid, SampledFunction, cli, exprspec, gammafn, make_report
 from fracnoether.cli import _bundled_spec, main
 
 EX1 = _bundled_spec("example1.spec")
@@ -43,6 +43,28 @@ def test_check_el_passes(tmp_path):
     assert (out / "el_profile.csv").exists()
     header = (out / "el_profile.csv").read_text().splitlines()[0]
     assert header == "t,r1,abs_r"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["check", "--which", w, EX1] for w in ("el", "noether", "momentum", "invariance")]
+    + [["check", "--which", "hamiltonian", EX2], ["solve", "--grid", "100", EX1]],
+    ids=["el", "noether", "momentum", "invariance", "hamiltonian", "solve"],
+)
+def test_a_command_compiles_each_expression_once(tmp_path, monkeypatch, argv):
+    """The closures that parse_spec builds to validate each key are the ones
+    the command evaluates: no text is compiled twice for the same variables,
+    constants included."""
+    compiled = []
+    real = exprspec._compile
+
+    def counted(text, variables):
+        compiled.append((text, tuple(variables.items())))
+        return real(text, variables)
+
+    monkeypatch.setattr(exprspec, "_compile", counted)
+    assert run(*argv[:-1], "--out", str(tmp_path / "o"), argv[-1]) == 0
+    assert compiled and len(set(compiled)) == len(compiled)
 
 
 def test_check_noether_passes(tmp_path):

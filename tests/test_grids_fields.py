@@ -134,11 +134,18 @@ def test_point_field_hessian_evaluation_count():
     t = np.linspace(0.1, 0.9, M)
     X = np.linspace(-0.5, 0.5, M)[:, None]
     Y = np.linspace(0.2, 1.0, M)[:, None]
-    Hxx, Hxy, Hyy = PointField(ev).hessian(t, X, Y)
+    f = PointField(ev)
+    Hxx, Hxy, Hyy = f.hessian(t, X, Y)
     assert Hxx.shape == Hxy.shape == Hyy.shape == (M, 1, 1)
     # base d_x and d_y (2 calls each), then one forward step in x of d_x and
     # one in y of d_x and d_y, each of those a central difference (2 calls)
     assert ev.calls == 10 * M
+    # given the base partials, the Hessian makes only the perturbed calls
+    base = (f.d_x(t, X, Y), f.d_y(t, X, Y))
+    ev.calls = 0
+    for given, own in zip(f.hessian(t, X, Y, base=base), (Hxx, Hxy, Hyy)):
+        assert np.array_equal(given, own)
+    assert ev.calls == 6 * M
     assert Hxy[:, 0, 0] == pytest.approx(2.0 * np.sin(t) * X[:, 0], abs=1e-4)
     assert Hyy[:, 0, 0] == pytest.approx(6.0 * Y[:, 0], abs=1e-4)
 

@@ -21,7 +21,13 @@ from fracnoether import (
     right_rl_integral,
     sample,
 )
-from fracnoether.frac_kernels import _FFT_MIN_SIZE, _causal_convolve, _gl_left, _l1_weights
+from fracnoether.frac_kernels import (
+    _FFT_MIN_SIZE,
+    _CausalKernel,
+    _causal_convolve,
+    _gl_left,
+    _l1_weights,
+)
 
 HALF = FracOrder(0.5)
 
@@ -210,6 +216,16 @@ def test_derivative_matrix_matches_row_loop_oracle(alpha, m):
     assert np.max(np.abs(A[1:] - oracle[1:])) <= 1e-14 * scale
 
 
+@pytest.mark.parametrize("alpha", [0.1, 0.5, 0.999])
+@pytest.mark.parametrize("m", [17, 513, 2000])
+def test_derivative_matrix_toeplitz_block_is_the_row_loop_bitwise(alpha, m):
+    """Below row 0 and right of column 0, D is the row loop's, bit for bit:
+    writing the Toeplitz block from strided windows rounds nothing."""
+    grid = Grid(0.0, 1.0, m)
+    A = left_derivative_matrix(grid, FracOrder(alpha))
+    assert np.array_equal(A[1:, 1:], _row_loop_l1_matrix(grid, alpha)[1:, 1:])
+
+
 @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.999, 1.0])
 @pytest.mark.parametrize("m", [2, 3, 17, 200])
 def test_derivative_matrix_is_kernel_of_identity(alpha, m):
@@ -260,6 +276,21 @@ def test_causal_convolve_matches_np_convolve(n, columns):
     size = 1 << (2 * n - 2).bit_length()
     tol = 2.0 * np.finfo(float).eps * np.log2(size) * np.max(np.abs(ref))
     assert np.max(np.abs(got - ref)) <= tol
+
+
+def test_kept_kernel_spectra_give_the_bits_of_a_fresh_transform():
+    """A _CausalKernel applied many times, at two transform lengths in turn,
+    with a NaN operand in between and one or three columns, returns what
+    _causal_convolve returns for each call, bit for bit."""
+    rng = np.random.default_rng(3)
+    kernel = _CausalKernel(_l1_weights(600, 0.4))
+    for rows, columns in [(600, None), (1500, 3), (600, 3), (1500, None), (300, None)]:
+        x = rng.standard_normal(rows if columns is None else (rows, columns))
+        poisoned = x.copy()
+        poisoned[7] = np.nan
+        for operand in (x, poisoned):
+            got = kernel.convolve(operand, rows)
+            assert got.tobytes() == _causal_convolve(kernel.weights, operand, rows).tobytes()
 
 
 def test_nan_marker_stays_at_its_node_above_fft_threshold():

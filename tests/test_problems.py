@@ -17,6 +17,8 @@ from fracnoether import (
     sample,
 )
 
+from fracnoether.problems import _compose, _sample_fields
+
 from conftest import benchmark_extremal, benchmark_problem
 
 
@@ -116,3 +118,111 @@ def test_classical_el_reduces_to_second_order_equation():
     q = sample(p.grid, lambda t: 6.0 * t * (1.0 - t))
     rep = euler_lagrange_residual(p, np.array([24.0]), q)
     assert rep.sup_norm <= 1e-6
+
+
+def whole_array(fn):
+    fn.whole_array = True
+    return fn
+
+
+def two_constraint_problem(g2: PointField | None = None) -> VariationalProblem:
+    """Two states and two constraints with analytic partials, none of them 0
+    on the positive orthant:
+    L = exp(x1) y1^2 + sin(x2) y2 + t, g1 = x1 x2 + y1 y2^2 + 1 and
+    g2 = t x1^2 + x2^3 + exp(y2) + y1^3, unless ``g2`` is given."""
+    L = PointField(
+        whole_array(lambda t, x, y: np.exp(x[:, 0]) * y[:, 0] ** 2 + np.sin(x[:, 1]) * y[:, 1] + t),
+        grad_x=whole_array(
+            lambda t, x, y: np.column_stack([np.exp(x[:, 0]) * y[:, 0] ** 2, np.cos(x[:, 1]) * y[:, 1]])
+        ),
+        grad_y=whole_array(
+            lambda t, x, y: np.column_stack([2.0 * np.exp(x[:, 0]) * y[:, 0], np.sin(x[:, 1])])
+        ),
+    )
+    g1 = PointField(
+        whole_array(lambda t, x, y: x[:, 0] * x[:, 1] + y[:, 0] * y[:, 1] ** 2 + 1.0),
+        grad_x=whole_array(lambda t, x, y: x[:, ::-1].copy()),
+        grad_y=whole_array(lambda t, x, y: np.column_stack([y[:, 1] ** 2, 2.0 * y[:, 0] * y[:, 1]])),
+    )
+    if g2 is None:
+        g2 = PointField(
+            whole_array(lambda t, x, y: t * x[:, 0] ** 2 + x[:, 1] ** 3 + np.exp(y[:, 1]) + y[:, 0] ** 3),
+            grad_x=whole_array(lambda t, x, y: np.column_stack([2.0 * t * x[:, 0], 3.0 * x[:, 1] ** 2])),
+            grad_y=whole_array(lambda t, x, y: np.column_stack([3.0 * y[:, 0] ** 2, np.exp(y[:, 1])])),
+        )
+    return VariationalProblem(
+        FracOrder(0.5), L, Grid(0.0, 1.0, 10), [0.0, 0.0], [1.0, 1.0],
+        constraints=[g1, g2], constraint_levels=[0.1, 0.2],
+    )
+
+
+def positive_points(M: int = 40):
+    rng = np.random.default_rng(23)
+    return rng.uniform(0.1, 0.9, M), rng.uniform(0.2, 1.0, (M, 2)), rng.uniform(0.2, 1.0, (M, 2))
+
+
+def written_out(p: VariationalProblem, lam: np.ndarray) -> PointField:
+    """F = L - lam_1 g_1 - lam_2 g_2 with every constraint subtracted, zero
+    multipliers included."""
+
+    def composed(part: str):
+        def fn(t, x, y):
+            out = np.array(getattr(p.lagrangian, part)(t, x, y), dtype=float)
+            for lj, gj in zip(lam, p.constraints):
+                out -= lj * getattr(gj, part)(t, x, y)
+            return out
+
+        return whole_array(fn)
+
+    return PointField(composed("__call__"), grad_x=composed("d_x"), grad_y=composed("d_y"))
+
+
+@pytest.mark.parametrize("lam", [(0.0, 0.0), (0.0, 0.7), (0.3, 0.7)])
+def test_zero_multipliers_leave_F_bitwise_unchanged(lam):
+    """A constraint with a zero multiplier is left out of F, which changes no
+    bit of F, its partials, the solver's composition of them from samples, or
+    its Hessian with or without given base partials."""
+    p, lam = two_constraint_problem(), np.array(lam)
+    t, X, Y = positive_points()
+    F, ref = augmented_lagrangian(p, lam), written_out(p, lam)
+    samples = _sample_fields(p, t, X, Y)
+    for got, want in [
+        (F(t, X, Y), ref(t, X, Y)),
+        (F.d_x(t, X, Y), ref.d_x(t, X, Y)),
+        (F.d_y(t, X, Y), ref.d_y(t, X, Y)),
+        (samples.F_dx(lam), ref.d_x(t, X, Y)),
+        (samples.F_dy(lam), ref.d_y(t, X, Y)),
+    ]:
+        assert got.tobytes() == want.tobytes()
+    base = (samples.F_dx(lam), samples.F_dy(lam))
+    for given, own, want in zip(F.hessian(t, X, Y, base=base), F.hessian(t, X, Y), ref.hessian(t, X, Y)):
+        assert given.tobytes() == own.tobytes() == want.tobytes()
+
+
+def test_a_zero_multiplier_keeps_a_non_finite_constraint_out_of_F():
+    """g2 is NaN everywhere but at the sample points.  With its multiplier 0
+    it is never evaluated, so F's Hessian, whose perturbed points are off
+    the samples, stays finite (with every constraint subtracted, 0 NaN = NaN
+    would fill it)."""
+    t, X, Y = positive_points()
+
+    def nan_off_samples(width: int | None):
+        def fn(t, x, y):
+            at_samples = np.all(x == X, axis=-1) & np.all(y == Y, axis=-1)
+            if width is None:
+                return np.where(at_samples, 1.0, np.nan)
+            return np.where(at_samples[:, None], np.ones((len(t), width)), np.nan)
+
+        return whole_array(fn)
+
+    g2 = PointField(nan_off_samples(None), grad_x=nan_off_samples(2), grad_y=nan_off_samples(2))
+    p, lam = two_constraint_problem(g2), np.array([0.3, 0.0])
+    samples = _sample_fields(p, t, X, Y)
+    assert all(np.isfinite(a).all() for a in (*samples.g, *samples.g_dx, *samples.g_dy))
+    F = augmented_lagrangian(p, lam)
+    for H in F.hessian(t, X, Y, base=(samples.F_dx(lam), samples.F_dy(lam))):
+        assert np.isfinite(H).all()
+    assert np.isnan(written_out(p, lam).hessian(t, X, Y)[0]).all()
+    # nor does a NaN sample of g2 reach F's partials composed from samples
+    nan = np.full_like(samples.L_dx, np.nan)
+    assert np.isfinite(_compose(lam, samples.L_dx, [samples.g_dx[0], nan])).all()

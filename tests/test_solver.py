@@ -19,6 +19,7 @@ from fracnoether import (
     sample,
     solve,
 )
+from fracnoether import frac_kernels as fk
 from fracnoether import solver
 from fracnoether.frac_kernels import _FFT_MIN_SIZE, _causal_convolve, left_derivative_matrix
 from fracnoether.grids import fill_endpoints
@@ -27,6 +28,7 @@ from fracnoether.solver import (
     _NewtonOperator,
     _initial_state,
     _newton,
+    _toeplitz_inverse,
 )
 
 from conftest import (
@@ -464,14 +466,23 @@ def test_krylov_step_matches_dense_solve(make, alpha):
 
 
 @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9, 0.999, 1.0])
-def test_toeplitz_inverse_and_preconditioner(alpha):
+def test_toeplitz_inverse_and_preconditioner(alpha, monkeypatch):
     m = 2000
+    convolved = []
+    monkeypatch.setattr(fk, "_causal_convolve", lambda *args: convolved.append(1) or _causal_convolve(*args))
     disc = _Discretization(benchmark_problem(m), alpha)
     h, eps = disc.grid.h, np.finfo(float).eps
     if alpha < 1.0:
         T = filled_derivative_matrix(disc)[1:m, 1:m]
+        # T^-1 doubles by rfft products; the direct doubling's column is
+        # within 6.4e-14 of it, relative to its largest entry (measured worst,
+        # at alpha = 0.999)
+        direct = _toeplitz_inverse(T[:, 0], direct=True)
+        assert convolved
+        assert np.max(np.abs(disc.t_inv - direct)) <= 1e-13 * np.max(np.abs(direct))
     else:  # the slopes of intervals 0..m-2, so T^-1 = h * lower ones
         T = (np.eye(m - 1) - np.eye(m - 1, k=-1)) / h
+        assert not convolved  # doubled by direct convolution alone
         assert np.max(np.abs(disc.t_inv - h)) <= 64.0 * eps * h
     identity = T @ disc.t_inv  # T T^-1 is Toeplitz: its first column decides
     identity[0] -= 1.0
@@ -564,11 +575,14 @@ def test_discretization_holds_one_dense_derivative_matrix():
 # -- one field sweep per Newton iterate ----------------------------------------
 
 
-def counted_problem(alpha: float, dim: int, counter: SweepCounter) -> VariationalProblem:
+def counted_problem(
+    alpha: float, dim: int, counter: SweepCounter, g_counter: SweepCounter | None = None
+) -> VariationalProblem:
     """At alpha < 1 the benchmark in ``dim`` decoupled copies, L = t^4 + v.v and
     g = t^2 sum v; at alpha = 1 the classical problem, L = v^2 and g = q.  Every
-    callable is per point and counted."""
+    callable is per point and counted, g's by ``g_counter`` if given."""
     c, zeros = counter.wrap, np.zeros(dim)
+    cg = (g_counter or counter).wrap
     if alpha < 1.0:
         L = PointField(
             c(lambda t, q, v: t**4 + float(v @ v)),
@@ -576,9 +590,9 @@ def counted_problem(alpha: float, dim: int, counter: SweepCounter) -> Variationa
             grad_y=c(lambda t, q, v: 2.0 * v),
         )
         g = PointField(
-            c(lambda t, q, v: t * t * float(np.sum(v))),
-            grad_x=c(lambda t, q, v: zeros),
-            grad_y=c(lambda t, q, v: np.full(dim, t * t)),
+            cg(lambda t, q, v: t * t * float(np.sum(v))),
+            grad_x=cg(lambda t, q, v: zeros),
+            grad_y=cg(lambda t, q, v: np.full(dim, t * t)),
         )
         return VariationalProblem(
             FracOrder(alpha), L, Grid(0.0, 1.0, 100), zeros, np.full(dim, 0.3),
@@ -590,9 +604,9 @@ def counted_problem(alpha: float, dim: int, counter: SweepCounter) -> Variationa
         grad_y=c(lambda t, q, v: 2.0 * v),
     )
     g = PointField(
-        c(lambda t, q, v: float(q[0])),
-        grad_x=c(lambda t, q, v: np.ones(1)),
-        grad_y=c(lambda t, q, v: np.zeros(1)),
+        cg(lambda t, q, v: float(q[0])),
+        grad_x=cg(lambda t, q, v: np.ones(1)),
+        grad_y=cg(lambda t, q, v: np.zeros(1)),
     )
     return VariationalProblem(
         FracOrder(1.0), L, Grid(0.0, 1.0, 100), [0.0], [0.0],
@@ -600,12 +614,13 @@ def counted_problem(alpha: float, dim: int, counter: SweepCounter) -> Variationa
     )
 
 
-@pytest.mark.parametrize("alpha, dim, budget", [(0.5, 1, 16), (0.5, 2, 22), (1.0, 1, 21)])
+@pytest.mark.parametrize("alpha, dim, budget", [(0.5, 1, 13), (0.5, 2, 16), (1.0, 1, 18)])
 def test_field_sweeps_per_solve(alpha, dim, budget):
     """A one-iteration solve sweeps L and g once per gradient, plus the 3n
-    perturbed sweeps of each one's partials for F's forward-difference
-    Hessian; its certificate folds the last gradient's samples at alpha < 1
-    and samples once at the nodes at alpha = 1."""
+    perturbed sweeps of L's partials for F's forward-difference Hessian at
+    the cold start's lambda = 0, where F = L; its certificate folds the last
+    gradient's samples at alpha < 1 and samples once at the nodes at
+    alpha = 1."""
     counter = SweepCounter()
     sol = solve(counted_problem(alpha, dim, counter))
     assert sol.converged and sol.iterations == 1
@@ -629,22 +644,56 @@ class PointRecorder(SweepCounter):
         return recorded
 
 
+def newton_partials_calls(dim: int, lam: np.ndarray) -> tuple[PointRecorder, PointRecorder]:
+    """Recorders of the calls that newton_partials makes to L's and to g's
+    callables at the initial q and multiplier ``lam`` (101 nodes), after
+    asserting that none is at one of the gradient's points."""
+    L_calls, g_calls = PointRecorder(), PointRecorder()
+    p = counted_problem(0.5, dim, L_calls, g_calls)
+    disc = _Discretization(p, 0.5)
+    samples = disc.gradient(_initial_state(p, None)[0], lam)[1]
+    for recorder in (L_calls, g_calls):
+        recorder.sweeps, recorder.points = 0, []
+    disc.newton_partials(lam, samples)
+    base = {tuple(point) for point in np.column_stack([samples.t, samples.x, samples.v])}
+    for recorder in (L_calls, g_calls):
+        assert not any(tuple(point) in base for point in recorder.points)
+    return L_calls, g_calls
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_newton_partials_call_user_code_only_at_perturbed_points(dim):
     """F's forward-difference Hessian takes its base partials from the
-    gradient's sweep, which each per-point callable kept: newton_partials
-    makes 3n sweeps of L's and g's partials, all at perturbed points."""
-    recorder = PointRecorder()
-    p = counted_problem(0.5, dim, recorder)
+    gradient's samples: at lambda = 0.7 newton_partials makes 3n sweeps of
+    L's partials and 3n of g's, all at perturbed points."""
+    L_calls, g_calls = newton_partials_calls(dim, np.array([0.7]))
+    assert L_calls.sweeps == g_calls.sweeps == 3 * dim
+    assert len(L_calls.points) == len(g_calls.points) == 3 * dim * 101
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_cold_newton_partials_sweep_only_the_lagrangian(dim):
+    """At a cold start's lambda = 0, F = L: the Hessian makes L's 3n
+    perturbed sweeps and calls no callable of g."""
+    L_calls, g_calls = newton_partials_calls(dim, np.zeros(1))
+    assert L_calls.sweeps == 3 * dim and len(L_calls.points) == 3 * dim * 101
+    assert g_calls.sweeps == 0 and g_calls.points == []
+
+
+def test_newton_partials_take_the_base_partials_from_the_samples(monkeypatch):
+    """F's Hessian is given F's partials at the samples' points, composed
+    from the samples, so no field evaluates its partials there again."""
+    given = []
+    real = PointField.hessian
+    monkeypatch.setattr(
+        PointField, "hessian", lambda self, *args, base=None: given.append(base) or real(self, *args, base=base)
+    )
+    p, lam = benchmark_problem(200), np.array([0.7])
     disc = _Discretization(p, 0.5)
-    q, lam = _initial_state(p, None)
-    samples = disc.gradient(q, lam)[1]
-    recorder.sweeps, recorder.points = 0, []
+    samples = disc.gradient(_initial_state(p, None)[0], lam)[1]
     disc.newton_partials(lam, samples)
-    assert recorder.sweeps == 6 * dim
-    assert len(recorder.points) == 6 * dim * (p.grid.m + 1)
-    base = {tuple(point) for point in np.column_stack([samples.t, samples.x, samples.v])}
-    assert not any(tuple(point) in base for point in recorder.points)
+    [(dx, dy)] = given
+    assert np.array_equal(dx, samples.F_dx(lam)) and np.array_equal(dy, samples.F_dy(lam))
 
 
 def certificate_problem(alpha: float, dim: int) -> VariationalProblem:
