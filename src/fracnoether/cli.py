@@ -378,7 +378,8 @@ def _selftest_cases() -> list[tuple[str, float, float]]:
         ("kernel-constant-rule", float(np.max(np.abs(num[mask] - exact) / np.abs(exact))), 1e-3)
     )
 
-    # benchmark spec end to end: certification, constraint, conservation law
+    # benchmark spec end to end: certification, constraint, conservation law,
+    # and the order-1/2 solver, D^T included, recovering the multiplier
     spec = parse_spec(_bundled_spec("example1.spec"))
     problem = build_variational(spec)
     q = _candidate(spec)
@@ -395,6 +396,9 @@ def _selftest_cases() -> list[tuple[str, float, float]]:
     cases.append(
         ("benchmark-noether", noether_law_residual(problem, lam, q, _generator(spec)).sup_norm, tol)
     )
+    sol = solver.solve(problem)
+    lam_err = float(abs(sol.lam[0] - lam[0]) / abs(lam[0])) if sol.converged else math.inf
+    cases.append(("benchmark-solve", lam_err, tol))
 
     # classical limit: quadratic-velocity isoperimetric problem, exact parabola
     cgrid = Grid(0.0, 1.0, 500)

@@ -256,14 +256,16 @@ class ProblemSpec:
         at one point is a numpy scalar, so that ``^`` rounds as the scalar
         ``pow`` does.  The callable carries ``whole_array = True``, which
         tells the library not to wrap it in a per-point loop
-        (``fields._pointwise``)."""
-        variables = self.variables(key)
-        if isinstance(text, str):
-            fn = _compile_once(self.compiled, text, variables)
-            value = lambda env: _filled(env[0], fn(env))
-        else:
-            fns = [_compile_once(self.compiled, s, variables) for s in text]
-            value = lambda env: np.stack([_filled(env[0], f(env)) for f in fns], axis=-1)
+        (``fields._pointwise``).  A RecursionError from a tree that compiled
+        but is too deep to evaluate where it is called is a SpecError."""
+        texts = [text] if isinstance(text, str) else text
+        fns = [_compile_once(self.compiled, s, self.variables(key)) for s in texts]
+        def value(env):
+            try:
+                values = [_filled(env[0], f(env)) for f in fns]
+            except RecursionError:
+                raise SpecError(f"in {key}: expression nested too deeply to evaluate: {text!r}") from None
+            return values[0] if isinstance(text, str) else np.stack(values, axis=-1)
         bound = _BINDERS[_ARITY[key]](value)
         bound.whole_array = True
         return bound

@@ -101,15 +101,15 @@ class _Discretization:
     (frac_kernels._CausalKernel, by rfft from _FFT_MIN_SIZE terms on):
     ``_points`` takes D q as the L1 kernel's filled velocity, and
     ``_pullback`` D^T as the reversed convolution of D's Toeplitz column
-    plus its boundary column and row 0.  The dense D is built once per
-    order, by left_derivative_matrix, to read those O(m) parts and is then
-    dropped.  A Newton step is a preconditioned Krylov solve
-    (_NewtonOperator) that never forms the Newton matrix; of its
-    preconditioner only the Toeplitz section T (``t_rows``, ``t_inv``)
-    depends on the order.  Each fixed kernel, the L1 weights, D's Toeplitz
-    column and T^-1's column, keeps its rfft spectrum for the life of the
-    discretization, one solve stage, and gives the bits it would give
-    transformed afresh.
+    plus its boundary column and row 0.  The dense D is built once per order,
+    by left_derivative_matrix, to read those O(m) parts and is then dropped.
+    A Newton step is a preconditioned Krylov solve (_NewtonOperator) that
+    never forms the Newton matrix; of its preconditioner only the Toeplitz
+    section T (``t_rows``) and T^-1's column ``t_inv`` depend on the order:
+    h times ones at alpha = 1, doubled by _toeplitz_inverse at alpha < 1.  Each
+    fixed kernel, the L1 weights, D's Toeplitz column and T^-1's column,
+    keeps its rfft spectrum for the life of the discretization, one solve
+    stage, and gives the bits it would give transformed afresh.
 
     The gradient takes its points from ``_points`` too.  At alpha < 1 its v
     is the public checks' (``problems._velocity_filled``), bit for bit, so
@@ -130,14 +130,13 @@ class _Discretization:
         self.midpoint = alpha == 1.0
         m, nodes = self.grid.m, self.grid.nodes
         # T, the rows t_rows of v = D q on the interior nodes, is lower-
-        # triangular Toeplitz, and so is T^-1; its first column is D e_1
+        # triangular Toeplitz, and so is T^-1
         if self.midpoint:
             self.theta = 0.5 * (nodes[:-1] + nodes[1:])
             self.w = np.full(m, self.grid.h)
             self.t_rows = slice(0, m - 1)
-            unit = np.zeros((m + 1, 1))
-            unit[1] = 1.0
-            t_col = self._points(unit)[1][self.t_rows, 0]
+            # T = (I - S) / h with S the shift, so T^-1 is h times lower ones
+            self.t_inv = np.full(m - 1, self.grid.h)
         else:
             self.theta = nodes
             self.w = _trapezoid_weights(self.grid)
@@ -152,8 +151,7 @@ class _Discretization:
             self.d_row0 = fill_endpoints(D[:3, :3])[0]
             del D
             self.l1 = fk._CausalKernel(fk._l1_weights(m, alpha))
-            t_col = self.d_toeplitz.weights[: m - 1]
-        self.t_inv = _toeplitz_inverse(t_col, direct=self.midpoint)
+            self.t_inv = _toeplitz_inverse(self.d_toeplitz.weights[: m - 1])
         self.t_inv_kernel = fk._CausalKernel(self.t_inv)
 
     def _points(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -219,26 +217,21 @@ class _Discretization:
         return hessians, cols
 
 
-def _toeplitz_inverse(col: np.ndarray, direct: bool) -> np.ndarray:
+def _toeplitz_inverse(col: np.ndarray) -> np.ndarray:
     """First column of T^-1 for the lower-triangular Toeplitz T with first
     column ``col``, by the Newton iteration u <- u + u (e_1 - T u) on leading
-    sections of doubling size.
+    sections of doubling size (Ng, Iterative Methods for Toeplitz Systems).
 
     The products are causal convolutions (fk._causal_convolve), by rfft once
     a section has _FFT_MIN_SIZE terms, so the last doubling is O(m log m),
-    not O(m^2).  With ``direct`` they are np.convolve at every size: the
-    alpha = 1 inverse, h times ones, comes out 86 ulps of h off at m = 2000
-    with rfft products, and the error compounds with each doubling.  At
-    alpha < 1 the rfft column differs from the direct one by at most 6.4e-14
-    of its largest entry at m = 2000, and at m = 20000 by 2.2e-13 at
-    alpha = 0.9 and 3.8e-12 at alpha = 0.999."""
-    convolve = fk._direct_convolve if direct else fk._causal_convolve
+    not O(m^2).  Its column is within 6.4e-14 of np.convolve doubling's,
+    relative to its largest entry, at m = 2000 and alpha < 1."""
     inv = np.array([1.0 / col[0]])
     while inv.size < col.size:
         size = min(2 * inv.size, col.size)
-        defect = convolve(col[:size], inv, size)
+        defect = fk._causal_convolve(col[:size], inv, size)
         defect[0] -= 1.0
-        inv = np.pad(inv, (0, size - inv.size)) - convolve(inv, defect, size)
+        inv = np.pad(inv, (0, size - inv.size)) - fk._causal_convolve(inv, defect, size)
     return inv
 
 
@@ -290,8 +283,8 @@ class _NewtonOperator:
     D[1:m, 1:m] at alpha < 1, where P = I, and the slopes of intervals
     0..m-2 at alpha = 1.  With C_vv the blocks w_s Hvv[s] on those rows,
     T^T C_vv T / h is the leading term at alpha < 1 and all of D^T Cvv D but
-    interval m-1 at alpha = 1; h T^-1 C_vv^-1 T^-T is its exact inverse and
-    preconditions GMRES.
+    interval m-1 at alpha = 1, where T^-1 is exactly h times lower ones;
+    h T^-1 C_vv^-1 T^-T is its exact inverse and preconditions GMRES.
     """
 
     def __init__(self, disc: _Discretization, hessians, cols: np.ndarray):

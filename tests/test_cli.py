@@ -231,6 +231,28 @@ def test_960_term_sum_still_solves(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_sum_too_deep_to_evaluate_is_a_spec_error(tmp_path):
+    """A 980-term sum compiles, and the EL check evaluates it, but the
+    solver's Hessian calls it from deep enough in the stack to overflow the
+    recursion limit.  That solve either succeeds or is a spec error (exit 3),
+    never a traceback.  A fresh interpreter, as in the 960-term test."""
+    spec, _ = example1_with(tmp_path, "L", " + ".join(["t^4", "v1^2"] + ["0*t"] * 978))
+    root = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "fracnoether.cli", "solve", "--grid", "100",
+         "--out", str(tmp_path / "o"), spec],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode in (0, 3), proc.stderr[-2000:]
+    assert "Traceback" not in proc.stderr
+    if proc.returncode == 3:
+        assert proc.stderr.startswith("spec error: in L: expression nested too deeply to evaluate: ")
+
+
 @pytest.mark.parametrize(
     "trajectory", ["(-1)^0.5 * t + 2 * t^2.5 / gamma(3.5)", "gamma((-1)^0.5) * t"]
 )

@@ -15,6 +15,7 @@ from fracnoether import (
     euler_lagrange_residual,
     gamma,
     normality_check,
+    objective_value,
     refine,
     sample,
     solve,
@@ -323,6 +324,32 @@ def dense_reference(disc, q, lam):
     return (P @ q, D @ q), J, G
 
 
+@pytest.mark.parametrize(
+    "make, bound",
+    [(lambda: benchmark_problem(500), 1.8e-12), (lambda: coupled_problem(0.5), 3.6e-8)],
+    ids=["benchmark", "coupled"],
+)
+def test_multiplier_is_the_sensitivity_of_the_optimum(make, bound):
+    """For F = L - lambda g the multiplier is dJ*/dl, the derivative of the
+    optimal objective in the constraint level, so solve and objective_value
+    alone check it, with no closed form.  Central differences, delta = 1e-4;
+    each bound is 10 times the relative agreement measured (1.8e-13 and
+    3.6e-9).  alpha = 1 is left out: there the solver integrates g by the
+    midpoint rule and the constraint check by the trapezoid rule, and that
+    mismatch alone makes them differ by 1.2e-5 on classical_problem(500)."""
+    p, delta = make(), 1e-4
+    optima = []
+    for level in (p.constraint_levels + delta, p.constraint_levels - delta):
+        shifted = replace(p, constraint_levels=level)
+        sol = solve(shifted)
+        assert sol.converged
+        optima.append(objective_value(shifted, sol.q))
+    sol = solve(p)
+    assert sol.converged
+    sensitivity = (optima[0] - optima[1]) / (2.0 * delta)
+    assert abs(sensitivity - sol.lam[0]) <= bound * abs(sol.lam[0])
+
+
 def benchmark_at_order(alpha: float) -> VariationalProblem:
     return replace(benchmark_problem(500), order=FracOrder(alpha))
 
@@ -465,6 +492,17 @@ def test_krylov_step_matches_dense_solve(make, alpha):
     assert np.max(np.abs(step - dense)) <= tol * np.max(np.abs(dense))
 
 
+def direct_toeplitz_inverse(col: np.ndarray) -> np.ndarray:
+    """_toeplitz_inverse's doubling with np.convolve products at every size."""
+    inv = np.array([1.0 / col[0]])
+    while inv.size < col.size:
+        size = min(2 * inv.size, col.size)
+        defect = np.convolve(col[:size], inv)[:size]
+        defect[0] -= 1.0
+        inv = np.pad(inv, (0, size - inv.size)) - np.convolve(inv, defect)[:size]
+    return inv
+
+
 @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9, 0.999, 1.0])
 def test_toeplitz_inverse_and_preconditioner(alpha, monkeypatch):
     m = 2000
@@ -477,13 +515,14 @@ def test_toeplitz_inverse_and_preconditioner(alpha, monkeypatch):
         # T^-1 doubles by rfft products; the direct doubling's column is
         # within 6.4e-14 of it, relative to its largest entry (measured worst,
         # at alpha = 0.999)
-        direct = _toeplitz_inverse(T[:, 0], direct=True)
+        direct = direct_toeplitz_inverse(T[:, 0])
         assert convolved
         assert np.max(np.abs(disc.t_inv - direct)) <= 1e-13 * np.max(np.abs(direct))
+        assert np.array_equal(_toeplitz_inverse(T[:, 0]), disc.t_inv)
     else:  # the slopes of intervals 0..m-2, so T^-1 = h * lower ones
         T = (np.eye(m - 1) - np.eye(m - 1, k=-1)) / h
-        assert not convolved  # doubled by direct convolution alone
-        assert np.max(np.abs(disc.t_inv - h)) <= 64.0 * eps * h
+        assert not convolved
+        assert np.all(disc.t_inv == h) and disc.t_inv.shape == (m - 1,)
     identity = T @ disc.t_inv  # T T^-1 is Toeplitz: its first column decides
     identity[0] -= 1.0
     assert np.max(np.abs(identity)) <= 4.0 * eps * m
@@ -496,6 +535,17 @@ def test_toeplitz_inverse_and_preconditioner(alpha, monkeypatch):
     assert np.max(np.abs(op.precondition(leading) - x.ravel())) <= 1e-10 * np.max(np.abs(x))
     product = T @ x
     assert np.max(np.abs(_causal_convolve(T[:, 0], x, m - 1) - product)) <= 1e-12 * np.max(np.abs(product))
+
+
+def test_classical_setup_makes_no_convolution(monkeypatch):
+    """At alpha = 1, T^-1 is known in closed form: building the
+    discretization convolves nothing, directly or by rfft."""
+    calls = []
+    for name in ("_direct_convolve", "_causal_convolve"):
+        original = getattr(fk, name)
+        monkeypatch.setattr(fk, name, lambda *args, f=original: calls.append(1) or f(*args))
+    _Discretization(classical_problem(2000), 1.0)
+    assert calls == []
 
 
 def test_dense_fallback_only_where_krylov_cannot_solve(monkeypatch):
