@@ -24,6 +24,13 @@ Right operators are the left ones conjugated by the reflection
 t -> a + b - t, at every order, alpha = 1 included.  left_derivative_matrix
 is the matrix of left_rl_derivative, NaN first row included; callers that
 need a finite first row fill it like the velocity, with fill_endpoints.
+
+The solver's discrete derivative D is one operator per grid and order:
+_L1Operator (the filled L1 matrix) at alpha < 1, _SlopeOperator (the
+interval slopes of the midpoint rule) at alpha = 1.  Each gives D q, D^T y
+and the solves with D's lower-triangular Toeplitz section T and with T^T,
+from kept kernels.  Only _L1Operator's constructor knows where D's parts
+come from: it reads them from left_derivative_matrix.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .gammafn import GammaPoleError, _is_nonpositive_integer, gamma, reciprocal_gamma
-from .grids import FracOrder, Grid, SampledFunction
+from .grids import FracOrder, Grid, SampledFunction, fill_endpoints
 
 __all__ = [
     "UnsupportedOrderError",
@@ -204,26 +211,31 @@ def _l1_weights(m: int, alpha: float) -> np.ndarray:
     return (r + 1.0) ** (1.0 - alpha) - r ** (1.0 - alpha)
 
 
-def _l1_left(
-    f: np.ndarray, h: float, alpha: float, weights: _CausalKernel | None = None
-) -> np.ndarray:
-    """L1 left RL derivative of the piecewise-linear interpolant, along axis 0.
+class _L1Kernel(_CausalKernel):
+    """The L1 weights _l1_weights(m, alpha) as a kept kernel, with the
+    constants that apply them on step h: the boundary decay (k h)^(-alpha),
+    k = 1..m, 1/Gamma(1-alpha) and the slope scale h^(-alpha)/Gamma(2-alpha)."""
+
+    def __init__(self, m: int, h: float, alpha: float):
+        super().__init__(_l1_weights(m, alpha))
+        self.decay = (np.arange(1, m + 1, dtype=float) * h) ** (-alpha)
+        self.boundary = reciprocal_gamma(1.0 - alpha)
+        self.scale = h ** (-alpha) / gamma(2.0 - alpha)
+
+
+def _l1_left(f: np.ndarray, kernel: _L1Kernel) -> np.ndarray:
+    """L1 left RL derivative of the piecewise-linear interpolant, along axis 0,
+    with ``kernel`` the _L1Kernel of f's grid and order.
 
     Splits off the boundary term f(a) (t-a)^(-alpha) / Gamma(1-alpha), then
     integrates the kernel exactly against the interpolant's slope.  NaN at
-    the first node.  ``weights``, the kernel of _l1_weights(len(f) - 1,
-    alpha) kept by a caller that applies it many times, gives the same bits
-    as the kernel built here.
+    the first node.
     """
     m = len(f) - 1
-    if weights is None:
-        weights = _CausalKernel(_l1_weights(m, alpha))
     out = np.empty(f.shape)
     out[0] = np.nan
-    decay = (np.arange(1, m + 1, dtype=float) * h) ** (-alpha)
-    out[1:] = f[0] * reciprocal_gamma(1.0 - alpha) * decay.reshape((m,) + (1,) * (f.ndim - 1))
-    d = np.diff(f, axis=0)
-    out[1:] += (h ** (-alpha) / gamma(2.0 - alpha)) * weights.convolve(d, m)
+    out[1:] = f[0] * kernel.boundary * kernel.decay.reshape((m,) + (1,) * (f.ndim - 1))
+    out[1:] += kernel.scale * kernel.convolve(np.diff(f, axis=0), m)
     return out
 
 
@@ -264,7 +276,7 @@ def left_rl_derivative(
     if order.is_classical:
         vals = _classical_derivative(f.values, h)
     elif scheme == "l1":
-        vals = _l1_left(f.values, h, order.alpha)
+        vals = _l1_left(f.values, _L1Kernel(f.grid.m, h, order.alpha))
     elif scheme == "gl":
         vals = _gl_left(f.values, h, order.alpha)
     else:
@@ -289,17 +301,105 @@ def left_derivative_matrix(grid: Grid, order: FracOrder) -> np.ndarray:
     m, h = grid.m, grid.h
     if order.is_classical:
         return _classical_derivative(np.eye(m + 1), h)
-    alpha = order.alpha
     # the columns are the responses to unit vectors, written out from the L1
     # weights rather than convolved, so that no FFT rounding enters D
-    b = _l1_weights(m, alpha)
-    c = h ** (-alpha) / gamma(2.0 - alpha)
+    l1 = _L1Kernel(m, h, order.alpha)
+    b, c = l1.weights, l1.scale
     A = np.empty((m + 1, m + 1))
     A[0] = np.nan
-    A[1:, 0] = reciprocal_gamma(1.0 - alpha) * (np.arange(1, m + 1) * h) ** (-alpha) - c * b
+    A[1:, 0] = l1.boundary * l1.decay - c * b
     # columns 1..m are the response at node 1, c (b_k - b_(k-1)), shifted down
     # (Toeplitz): row i is col1[i], ..., col1[0], 0, ..., the window at m-1-i
     # of the reversed column, which is copied with a forward stride
     col1 = c * np.diff(b, prepend=0.0)
     A[1:, 1:] = sliding_window_view(np.concatenate([col1[::-1], np.zeros(m - 1)]), m)[::-1]
     return A
+
+
+# --------------------------------------------------------------------------
+# the solver's discrete derivative operators
+# --------------------------------------------------------------------------
+
+def _toeplitz_inverse(col: np.ndarray) -> np.ndarray:
+    """First column of T^-1 for the lower-triangular Toeplitz T with first
+    column ``col``, by the Newton iteration u <- u + u (e_1 - T u) on leading
+    sections of doubling size (Ng, Iterative Methods for Toeplitz Systems).
+
+    The products are causal convolutions (_causal_convolve), by rfft once a
+    section has _FFT_MIN_SIZE terms, so the last doubling is O(m log m), not
+    O(m^2).  Its column is within 6.4e-14 of np.convolve doubling's,
+    relative to its largest entry, at m = 2000 and alpha < 1."""
+    inv = np.array([1.0 / col[0]])
+    while inv.size < col.size:
+        size = min(2 * inv.size, col.size)
+        defect = _causal_convolve(col[:size], inv, size)
+        defect[0] -= 1.0
+        inv = np.pad(inv, (0, size - inv.size)) - _causal_convolve(inv, defect, size)
+    return inv
+
+
+class _DerivativeOperator:
+    """A discrete derivative D on a grid's m + 1 nodes, with the lower-
+    triangular Toeplitz section T of D that the solver preconditions with:
+    D on the rows ``t_rows`` and the interior nodes 1..m-1.  ``apply(q)`` is
+    D q and ``transpose(y)`` is D^T y, along axis 0 with any trailing axes.
+    T^-1 is kept as the causal kernel ``t_inv`` of its first column, so the
+    solves cost O(m log m) per column from _FFT_MIN_SIZE terms on."""
+
+    def t_solve(self, y: np.ndarray) -> np.ndarray:
+        """T^-1 y: the causal convolution of T^-1's first column with y."""
+        return self.t_inv.convolve(y, len(y))
+
+    def t_solve_transposed(self, y: np.ndarray) -> np.ndarray:
+        """T^-T y: T^T is T conjugated by the reversal."""
+        return self.t_inv.convolve(y[::-1], len(y))[::-1]
+
+
+class _L1Operator(_DerivativeOperator):
+    """D at alpha < 1: left_derivative_matrix with row 0 filled like the
+    velocity, applied by convolution.  D q is the filled _l1_left from the
+    kept L1 kernel, bit for bit ``problems._velocity_filled``, and rejects a
+    non-finite interior sample as SampledFunction does.  D^T y is the
+    reversed convolution of the Toeplitz column D[1:, 1] plus the boundary
+    column D[1:, 0] and row 0, nonzero in columns 0-2.  These parts are read
+    from the dense matrix, which is dropped before T^-1's work arrays are
+    allocated.  T = D[1:m, 1:m]; _toeplitz_inverse doubles T^-1's column."""
+
+    def __init__(self, grid: Grid, order: FracOrder):
+        m = grid.m
+        self.grid, self.t_rows = grid, slice(1, m)
+        self.l1 = _L1Kernel(m, grid.h, order.alpha)
+        D = left_derivative_matrix(grid, order)
+        self.toeplitz = _CausalKernel(D[1:, 1].copy())
+        self.col0 = D[1:, 0].copy()
+        self.row0 = fill_endpoints(D[:3, :3])[0]
+        del D
+        self.t_inv = _CausalKernel(_toeplitz_inverse(self.toeplitz.weights[: m - 1]))
+
+    def apply(self, q: np.ndarray) -> np.ndarray:
+        f = SampledFunction(self.grid, q.reshape(len(q), -1)).values
+        return fill_endpoints(_l1_left(f, self.l1)).reshape(q.shape)
+
+    def transpose(self, y: np.ndarray) -> np.ndarray:
+        y2, m = y.reshape(len(y), -1), len(y) - 1
+        out = np.empty_like(y2)
+        out[0] = self.col0 @ y2[1:]
+        out[1:] = self.toeplitz.convolve(y2[:0:-1], m)[::-1]
+        out[:3] += self.row0[:, None] * y2[0]
+        return out.reshape(y.shape)
+
+
+class _SlopeOperator(_DerivativeOperator):
+    """D at alpha = 1: the m x (m+1) matrix of the interval slopes
+    (q_(i+1) - q_i) / h.  T is the slopes of intervals 0..m-2, (I - S)/h
+    with S the shift, so T^-1 is exactly h times lower ones."""
+
+    def __init__(self, grid: Grid):
+        self.h, self.t_rows = grid.h, slice(0, grid.m - 1)
+        self.t_inv = _CausalKernel(np.full(grid.m - 1, grid.h))
+
+    def apply(self, q: np.ndarray) -> np.ndarray:
+        return np.diff(q, axis=0) / self.h
+
+    def transpose(self, y: np.ndarray) -> np.ndarray:
+        return -np.diff(y / self.h, axis=0, prepend=0.0, append=0.0)

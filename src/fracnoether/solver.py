@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import frac_kernels as fk
-from .grids import FracOrder, Grid, SampledFunction, fill_endpoints
+from .grids import FracOrder, Grid, SampledFunction
 from .problems import (
     ResidualReport,
     VariationalProblem,
@@ -96,20 +96,10 @@ class _Discretization:
     classical functional, which makes the classical benchmark solutions
     nodally exact.
 
-    Neither P nor D is kept as a matrix.  At alpha = 1 both are two-point
-    stencils.  At alpha < 1, P is implicit and D is applied by convolution
-    (frac_kernels._CausalKernel, by rfft from _FFT_MIN_SIZE terms on):
-    ``_points`` takes D q as the L1 kernel's filled velocity, and
-    ``_pullback`` D^T as the reversed convolution of D's Toeplitz column
-    plus its boundary column and row 0.  The dense D is built once per order,
-    by left_derivative_matrix, to read those O(m) parts and is then dropped.
-    A Newton step is a preconditioned Krylov solve (_NewtonOperator) that
-    never forms the Newton matrix; of its preconditioner only the Toeplitz
-    section T (``t_rows``) and T^-1's column ``t_inv`` depend on the order:
-    h times ones at alpha = 1, doubled by _toeplitz_inverse at alpha < 1.  Each
-    fixed kernel, the L1 weights, D's Toeplitz column and T^-1's column,
-    keeps its rfft spectrum for the life of the discretization, one solve
-    stage, and gives the bits it would give transformed afresh.
+    D is frac_kernels' discrete derivative operator (_L1Operator at alpha
+    < 1, _SlopeOperator at alpha = 1): it applies D and D^T and solves with
+    the Toeplitz section T of D that preconditions the Newton steps.  P is
+    implicit at alpha < 1 and a two-point stencil at alpha = 1.
 
     The gradient takes its points from ``_points`` too.  At alpha < 1 its v
     is the public checks' (``problems._velocity_filled``), bit for bit, so
@@ -128,64 +118,31 @@ class _Discretization:
         self.n = problem.dim
         self.k = problem.k
         self.midpoint = alpha == 1.0
-        m, nodes = self.grid.m, self.grid.nodes
-        # T, the rows t_rows of v = D q on the interior nodes, is lower-
-        # triangular Toeplitz, and so is T^-1
+        nodes = self.grid.nodes
         if self.midpoint:
             self.theta = 0.5 * (nodes[:-1] + nodes[1:])
-            self.w = np.full(m, self.grid.h)
-            self.t_rows = slice(0, m - 1)
-            # T = (I - S) / h with S the shift, so T^-1 is h times lower ones
-            self.t_inv = np.full(m - 1, self.grid.h)
+            self.w = np.full(self.grid.m, self.grid.h)
+            self.D = fk._SlopeOperator(self.grid)
         else:
             self.theta = nodes
             self.w = _trapezoid_weights(self.grid)
-            self.t_rows = slice(1, m)
-            # D^T's three parts, read from the filled matrix, which is
-            # dropped before T^-1's work arrays are allocated: the first
-            # column of the Toeplitz block D[1:, 1:], the boundary column
-            # D[1:, 0] and row 0, nonzero in columns 0-2
-            D = fk.left_derivative_matrix(self.grid, FracOrder(alpha))
-            self.d_toeplitz = fk._CausalKernel(D[1:, 1].copy())
-            self.d_col0 = D[1:, 0].copy()
-            self.d_row0 = fill_endpoints(D[:3, :3])[0]
-            del D
-            self.l1 = fk._CausalKernel(fk._l1_weights(m, alpha))
-            self.t_inv = _toeplitz_inverse(self.d_toeplitz.weights[: m - 1])
-        self.t_inv_kernel = fk._CausalKernel(self.t_inv)
+            self.D = fk._L1Operator(self.grid, self.problem.order)
 
     def _points(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """x = P q and v = D q for q of shape (m + 1, n) or (m + 1, n, c).
-        At alpha < 1, D q is the L1 kernel's filled velocity, bit for bit
-        the checks' ``problems._velocity_filled``, from the kernel's kept
-        spectrum: O(m log m) per column from _FFT_MIN_SIZE nodes on."""
-        if self.midpoint:
-            return 0.5 * (q[:-1] + q[1:]), np.diff(q, axis=0) / self.grid.h
-        qs = SampledFunction(self.grid, q.reshape(len(q), -1))
-        v = fk._l1_left(qs.values, self.grid.h, self.problem.order.alpha, self.l1)
-        return q, fill_endpoints(v).reshape(q.shape)
+        """x = P q and v = D q for q of shape (m + 1, n) or (m + 1, n, c)."""
+        return (0.5 * (q[:-1] + q[1:]) if self.midpoint else q), self.D.apply(q)
 
     def _pullback(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """P^T W a + D^T W b: node-space gradient of sum_s w_s f(x_s, v_s)
         from the point-space partials a = d_x f, b = d_v f, with the same
         trailing axes as ``_points``."""
         w = self.w.reshape((-1,) + (1,) * (a.ndim - 1))
-        wa, wb = w * a, w * b
-        if not self.midpoint:
-            # T^T is T conjugated by the reversal, so T^T y is a reversed
-            # causal convolution; then the boundary column and row 0
-            y, m = wb.reshape(len(wb), -1), self.grid.m
-            dty = np.empty_like(y)
-            dty[0] = self.d_col0 @ y[1:]
-            dty[1:] = self.d_toeplitz.convolve(y[:0:-1], m)[::-1]
-            dty[:3] += self.d_row0[:, None] * y[0]
-            return wa + dty.reshape(wb.shape)
-        # each interval sends 0.5 w a -+ w b / h to its left/right node
-        half, slope = 0.5 * wa, wb / self.grid.h
-        out = np.zeros((self.grid.m + 1,) + a.shape[1:])
-        out[:-1] += half - slope
-        out[1:] += half + slope
-        return out
+        wa = w * a
+        if self.midpoint:  # each interval sends half its w a to either node
+            half, wa = 0.5 * wa, np.zeros((self.grid.m + 1,) + a.shape[1:])
+            wa[:-1] += half
+            wa[1:] += half
+        return wa + self.D.transpose(w * b)
 
     def gradient(self, q: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, _FieldSamples]:
         """Stacked [dJd/dq_interior ; constraint defects], and the samples of
@@ -215,24 +172,6 @@ class _Discretization:
         for r, (g_dx, g_dy) in enumerate(zip(samples.g_dx, samples.g_dy)):
             cols[:, r] = self._pullback(g_dx, g_dy).ravel()[n:-n]
         return hessians, cols
-
-
-def _toeplitz_inverse(col: np.ndarray) -> np.ndarray:
-    """First column of T^-1 for the lower-triangular Toeplitz T with first
-    column ``col``, by the Newton iteration u <- u + u (e_1 - T u) on leading
-    sections of doubling size (Ng, Iterative Methods for Toeplitz Systems).
-
-    The products are causal convolutions (fk._causal_convolve), by rfft once
-    a section has _FFT_MIN_SIZE terms, so the last doubling is O(m log m),
-    not O(m^2).  Its column is within 6.4e-14 of np.convolve doubling's,
-    relative to its largest entry, at m = 2000 and alpha < 1."""
-    inv = np.array([1.0 / col[0]])
-    while inv.size < col.size:
-        size = min(2 * inv.size, col.size)
-        defect = fk._causal_convolve(col[:size], inv, size)
-        defect[0] -= 1.0
-        inv = np.pad(inv, (0, size - inv.size)) - fk._causal_convolve(inv, defect, size)
-    return inv
 
 
 def _gmres(apply, precondition, b: np.ndarray) -> np.ndarray | None:
@@ -279,12 +218,12 @@ class _NewtonOperator:
     Its interior block is P^T Cqq P + P^T Cqv D + D^T Cvq P + D^T Cvv D over
     h, applied through the discretization's ``_points`` and ``_pullback``,
     so that at alpha < 1 a product costs O(m log m) per column, not the
-    O(m^2) of a dense D.  T is D on rows ``t_rows`` and the interior nodes:
-    D[1:m, 1:m] at alpha < 1, where P = I, and the slopes of intervals
-    0..m-2 at alpha = 1.  With C_vv the blocks w_s Hvv[s] on those rows,
-    T^T C_vv T / h is the leading term at alpha < 1 and all of D^T Cvv D but
-    interval m-1 at alpha = 1, where T^-1 is exactly h times lower ones;
-    h T^-1 C_vv^-1 T^-T is its exact inverse and preconditions GMRES.
+    O(m^2) of a dense D.  T is the lower-triangular Toeplitz section of the
+    discretization's operator D: D on the rows ``D.t_rows`` and the interior
+    nodes.  With C_vv the blocks w_s Hvv[s] on those rows, T^T C_vv T / h is
+    the leading term at alpha < 1, where P = I, and all of D^T Cvv D but
+    interval m-1 at alpha = 1; h T^-1 C_vv^-1 T^-T is its exact inverse and
+    preconditions GMRES.
     """
 
     def __init__(self, disc: _Discretization, hessians, cols: np.ndarray):
@@ -294,7 +233,7 @@ class _NewtonOperator:
     @cached_property
     def cvv_inv(self) -> np.ndarray | None:
         """C_vv^-1 on the rows of T, or None if C_vv is singular on one."""
-        rows = self.disc.t_rows
+        rows = self.disc.D.t_rows
         try:
             inv = np.linalg.inv(self.disc.w[rows, None, None] * self.Hvv[rows])
         except np.linalg.LinAlgError:
@@ -327,13 +266,10 @@ class _NewtonOperator:
         return J
 
     def precondition(self, r: np.ndarray) -> np.ndarray:
-        """h T^-1 C_vv^-1 T^-T r; T^-1 y is the causal convolution of its
-        first column with y, and T^T is T conjugated by the reversal."""
-        disc = self.disc
-        t_inv, size = disc.t_inv_kernel, len(disc.t_inv)
-        y = t_inv.convolve(r.reshape(-1, disc.n)[::-1], size)[::-1]
-        y = np.einsum("sij,sj->si", self.cvv_inv, y)
-        return disc.grid.h * t_inv.convolve(y, size).ravel()
+        """h T^-1 C_vv^-1 T^-T r, by the operator's Toeplitz solves."""
+        D = self.disc.D
+        y = np.einsum("sij,sj->si", self.cvv_inv, D.t_solve_transposed(r.reshape(-1, self.disc.n)))
+        return self.disc.grid.h * D.t_solve(y).ravel()
 
     def step(self, G: np.ndarray) -> np.ndarray | None:
         """The Newton step -J^-1 G, or None if C_vv or the Schur complement

@@ -1,5 +1,5 @@
 """Every name the demos, the README and the benchmark tracer use from
-fracnoether exists."""
+fracnoether exists, and every name the package imports is used."""
 
 import ast
 import importlib
@@ -78,3 +78,28 @@ def test_numpy_is_the_only_runtime_dependency():
                 if top != "numpy" and top not in sys.stdlib_module_names:
                     outside.append(f"{path.name}: {module}")
     assert not outside, outside
+
+
+def test_every_imported_name_is_used():
+    """Each module of the package uses every name it imports, so a refactor
+    leaves no dead import behind.  ``__init__.py`` imports in order to
+    re-export, ``__future__`` imports are directives, and a name listed in a
+    module's ``__all__`` counts as used."""
+    unused, checked = [], 0
+    for path in sorted((ROOT / "src" / "fracnoether").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update({(a.asname or a.name.split(".")[0]): node.lineno for a in node.names})
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update({(a.asname or a.name): node.lineno for a in node.names})
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+                used.update(ast.literal_eval(node.value))
+        unused += [f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in used]
+        checked += len(imported)
+    assert checked > 0 and not unused, unused
