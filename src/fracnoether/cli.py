@@ -14,6 +14,7 @@ are documented in docs/formats.md.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import importlib.resources
 import json
 import math
@@ -67,21 +68,15 @@ _CHECK_KINDS = ("el", "noether", "momentum", "hamiltonian", "invariance")
 def _load_spec(args: argparse.Namespace) -> ProblemSpec:
     """The spec file ``args.spec`` with the command-line overrides applied; a
     path that cannot be read as UTF-8 text (missing, a directory, unreadable,
-    binary) or an override out of range is a SpecError."""
+    binary), an override that breaks a rule of the spec's values, or a bad
+    ``--tol`` is a SpecError."""
     try:
         spec = parse_spec(args.spec)
     except (OSError, UnicodeDecodeError) as exc:
         raise SpecError(str(exc)) from exc
-    if getattr(args, "grid", None) is not None:
-        spec.m = int(args.grid)
-        if spec.m < 2:
-            raise SpecError("--grid must be >= 2")
-    if getattr(args, "alpha", None) is not None:
-        spec.alpha = float(args.alpha)
-        if not 0.0 < spec.alpha <= 1.0:
-            raise SpecError("--alpha must lie in (0, 1]")
-    tol = getattr(args, "tol", None)
-    if tol is not None and not (math.isfinite(tol) and tol >= 0.0):
+    overrides = {"m": args.grid, "alpha": args.alpha}
+    spec = dataclasses.replace(spec, **{k: v for k, v in overrides.items() if v is not None})
+    if args.tol is not None and not (math.isfinite(args.tol) and args.tol >= 0.0):
         raise SpecError("--tol must be finite and >= 0")
     return spec
 
@@ -99,19 +94,24 @@ def _generator(spec: ProblemSpec) -> SymmetryGenerator:
     )
 
 
+def _isoperimetric(spec: ProblemSpec) -> dict:
+    """The arguments that variational and control problems share."""
+    return dict(
+        order=FracOrder(spec.alpha),
+        lagrangian=PointField(spec.compile("L", spec.lagrangian)),
+        grid=Grid(spec.a, spec.b, spec.m),
+        constraints=[PointField(spec.compile("g", g)) for g in spec.constraints],
+        constraint_levels=np.array(spec.levels),
+    )
+
+
 def build_variational(spec: ProblemSpec) -> VariationalProblem:
     if spec.is_control:
         raise SpecError("spec declares dynamics (phi1..); use a control check instead")
     if spec.q_b is None:
         raise SpecError("variational specs need final boundary values 'q_b1..'")
     return VariationalProblem(
-        order=FracOrder(spec.alpha),
-        lagrangian=PointField(spec.compile("L", spec.lagrangian)),
-        grid=Grid(spec.a, spec.b, spec.m),
-        boundary_a=np.array(spec.q_a),
-        boundary_b=np.array(spec.q_b),
-        constraints=[PointField(spec.compile("g", g)) for g in spec.constraints],
-        constraint_levels=np.array(spec.levels),
+        boundary_a=np.array(spec.q_a), boundary_b=np.array(spec.q_b), **_isoperimetric(spec)
     )
 
 
@@ -119,14 +119,10 @@ def build_control(spec: ProblemSpec) -> ControlProblem:
     if not spec.is_control:
         raise SpecError("hamiltonian checks need dynamics expressions 'phi1..'")
     return ControlProblem(
-        order=FracOrder(spec.alpha),
-        lagrangian=PointField(spec.compile("L", spec.lagrangian)),
         dynamics=VectorField(spec.compile("phi", spec.dynamics)),
-        grid=Grid(spec.a, spec.b, spec.m),
         initial=np.array(spec.q_a),
         control_dim=spec.control_dim,
-        constraints=[PointField(spec.compile("g", g)) for g in spec.constraints],
-        constraint_levels=np.array(spec.levels),
+        **_isoperimetric(spec),
     )
 
 
@@ -217,13 +213,50 @@ def _report_entry(name: str, report: ResidualReport, tol: float, profile: str | 
     return entry
 
 
-def _grid_meta(spec: ProblemSpec) -> dict:
-    return {"a": spec.a, "b": spec.b, "m": spec.m, "h": (spec.b - spec.a) / spec.m}
+def _spec_fields(args: argparse.Namespace, spec: ProblemSpec) -> dict:
+    """The report fields that check and solve share."""
+    grid = {"a": spec.a, "b": spec.b, "m": spec.m, "h": (spec.b - spec.a) / spec.m}
+    return {"spec": args.spec, "alpha": spec.alpha, "grid": grid}
+
+
+def _write_report(out: str, doc: dict, lines: list[str]) -> None:
+    """Write ``doc`` as ``out``/report.json, then print ``lines`` and the
+    report's path."""
+    path = os.path.join(out, "report.json")
+    _write_json(path, doc)
+    for line in lines:
+        print(line)
+    print(f"report: {path}")
 
 
 # --------------------------------------------------------------------------
 # commands
 # --------------------------------------------------------------------------
+
+
+def _check_reports(
+    which: str, spec: ProblemSpec, problem: VariationalProblem | ControlProblem, band: int
+) -> list[tuple[str, ResidualReport]]:
+    """(name, report) pairs of the check ``which``: three for hamiltonian,
+    one for the others."""
+    if which == "hamiltonian":
+        reps = pontryagin_residuals(problem, _extremal(spec), band=band)
+        return [(f"hamiltonian_{part}", rep)
+                for part, rep in zip(("state", "costate", "stationarity"), reps)]
+    q = _candidate(spec)
+    lam = _multipliers(spec)
+    if which == "el":
+        rep = euler_lagrange_residual(problem, lam, q, band=band)
+    elif which == "noether":
+        rep = noether_law_residual(problem, lam, q, _generator(spec), band=band)
+    elif which == "momentum":
+        # the momentum law is the tau == 0 specialization; ignore any
+        # declared time component of the generator
+        gen = SymmetryGenerator(tau=spec.compile("tau", "0"), xi=_generator(spec).xi)
+        rep = momentum_law_residual(problem, lam, q, gen, band=band)
+    else:
+        rep = invariance_first_order_check(problem, lam, q, _generator(spec))
+    return [(which, rep)]
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -233,52 +266,26 @@ def cmd_check(args: argparse.Namespace) -> int:
     problem = build_control(spec) if which == "hamiltonian" else build_variational(spec)
     default = INVARIANCE_TOLERANCE if which == "invariance" else certification_tolerance(problem)
     tol = args.tol if args.tol is not None else default
-    band = endpoint_band(spec.m)
 
     entries = []
-    if which == "hamiltonian":
-        ext = _extremal(spec)
-        names = ("state", "costate", "stationarity")
-        for name, rep in zip(names, pontryagin_residuals(problem, ext, band=band)):
-            profile = os.path.join(out, f"hamiltonian_{name}_profile.csv")
-            _write_profile(profile, rep)
-            entries.append(_report_entry(f"hamiltonian_{name}", rep, tol, profile))
-    else:
-        q = _candidate(spec)
-        lam = _multipliers(spec)
-        if which == "el":
-            rep = euler_lagrange_residual(problem, lam, q, band=band)
-        elif which == "noether":
-            rep = noether_law_residual(problem, lam, q, _generator(spec), band=band)
-        elif which == "momentum":
-            # the momentum law is the tau == 0 specialization; ignore any
-            # declared time component of the generator
-            gen = SymmetryGenerator(tau=spec.compile("tau", "0"), xi=_generator(spec).xi)
-            rep = momentum_law_residual(problem, lam, q, gen, band=band)
-        elif which == "invariance":
-            rep = invariance_first_order_check(problem, lam, q, _generator(spec))
-        else:
-            raise SpecError(f"unknown check kind {which!r}")
-        profile = os.path.join(out, f"{which}_profile.csv")
+    for name, rep in _check_reports(which, spec, problem, endpoint_band(spec.m)):
+        profile = os.path.join(out, f"{name}_profile.csv")
         _write_profile(profile, rep)
-        entries.append(_report_entry(which, rep, tol, profile))
+        entries.append(_report_entry(name, rep, tol, profile))
 
     passed = all(e["pass"] for e in entries)
     doc = {
         "command": "check",
         "which": which,
-        "spec": args.spec,
-        "alpha": spec.alpha,
-        "grid": _grid_meta(spec),
+        **_spec_fields(args, spec),
         "checks": entries,
         "passed": passed,
     }
-    report_path = os.path.join(out, "report.json")
-    _write_json(report_path, doc)
-    for e in entries:
-        print(f"{e['name']:<26} sup = {e['sup_norm']:.3e}  tol = {e['tolerance']:.3e}  "
-              f"{'PASS' if e['pass'] else 'FAIL'}")
-    print(f"report: {report_path}")
+    _write_report(out, doc, [
+        f"{e['name']:<26} sup = {e['sup_norm']:.3e}  tol = {e['tolerance']:.3e}  "
+        f"{'PASS' if e['pass'] else 'FAIL'}"
+        for e in entries
+    ])
     return EXIT_PASS if passed else EXIT_RESIDUAL
 
 
@@ -308,9 +315,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     tol = args.tol if args.tol is not None else certification_tolerance(problem)
     doc = {
         "command": "solve",
-        "spec": args.spec,
-        "alpha": spec.alpha,
-        "grid": _grid_meta(spec),
+        **_spec_fields(args, spec),
         "converged": bool(sol.converged),
         "iterations": sol.iterations,
         "stationarity_norm": sol.stationarity_norm,
@@ -325,13 +330,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
         scale = max(1.0, float(np.nanmax(np.abs(reference.values))))
         doc["max_deviation"] = float(dev)
         doc["scaled_max_deviation"] = float(dev / scale)
-    report_path = os.path.join(out, "report.json")
-    _write_json(report_path, doc)
-
-    print(f"converged = {sol.converged} after {sol.iterations} iterations")
-    print(f"multipliers = {[float(v) for v in sol.lam]}")
-    print(f"el sup = {sol.el_report.sup_norm:.3e}  tol = {tol:.3e}")
-    print(f"report: {report_path}")
+    _write_report(out, doc, [
+        f"converged = {sol.converged} after {sol.iterations} iterations",
+        f"multipliers = {doc['multipliers']}",
+        f"el sup = {sol.el_report.sup_norm:.3e}  tol = {tol:.3e}",
+    ])
     if not sol.converged:
         print(f"solver did not converge: {sol.stop_reason}", file=sys.stderr)
         return EXIT_COMPUTE
@@ -438,8 +441,9 @@ def _selftest_cases() -> list[tuple[str, float, float]]:
         constraints=[PointField(lambda tt, x, y: tt * tt * float(y[0]))],
         constraint_levels=np.array(spec.levels),
     )
-    spec.control, spec.costate = ["t^2"], ["0"]
-    reps = pontryagin_residuals(lift, _extremal(spec))
+    reps = pontryagin_residuals(
+        lift, _extremal(dataclasses.replace(spec, control=["t^2"], costate=["0"]))
+    )
     cases.append(("pontryagin-system", max(r.sup_norm for r in reps), tol))
 
     # autonomous control spec: energy law holds exactly along its extremal
@@ -451,17 +455,17 @@ def _selftest_cases() -> list[tuple[str, float, float]]:
 
 def cmd_selftest(args: argparse.Namespace) -> int:
     out = _output_dir(args.out)
-    cases = _selftest_cases()
-    entries = []
-    for name, value, threshold in cases:
-        ok = value <= threshold
-        entries.append({"name": name, "value": value, "threshold": threshold, "pass": ok})
-        print(f"{name:<26} {value:.3e} <= {threshold:.3e}  {'PASS' if ok else 'FAIL'}")
+    entries = [
+        {"name": name, "value": value, "threshold": threshold, "pass": value <= threshold}
+        for name, value, threshold in _selftest_cases()
+    ]
     passed = all(e["pass"] for e in entries)
     doc = {"command": "selftest", "checks": entries, "passed": passed}
-    report_path = os.path.join(out, "report.json")
-    _write_json(report_path, doc)
-    print(f"report: {report_path}")
+    _write_report(out, doc, [
+        f"{e['name']:<26} {e['value']:.3e} <= {e['threshold']:.3e}  "
+        f"{'PASS' if e['pass'] else 'FAIL'}"
+        for e in entries
+    ])
     return EXIT_PASS if passed else EXIT_RESIDUAL
 
 
@@ -479,12 +483,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser, needs_spec: bool) -> None:
-        p.add_argument("--grid", type=int, default=None, help="override grid size m")
-        p.add_argument("--alpha", type=float, default=None, help="override the order alpha")
-        p.add_argument("--tol", type=float, default=None, help="override residual tolerance")
-        p.add_argument("--out", default="out", help="output directory (default: out)")
         if needs_spec:
             p.add_argument("spec", help="problem spec file")
+            p.add_argument("--grid", type=int, default=None, help="override grid size m")
+            p.add_argument("--alpha", type=float, default=None, help="override the order alpha")
+            p.add_argument("--tol", type=float, default=None, help="override residual tolerance")
+        p.add_argument("--out", default="out", help="output directory (default: out)")
 
     pc = sub.add_parser("check", help="evaluate residuals along a candidate trajectory")
     pc.add_argument(

@@ -196,13 +196,15 @@ _BINDERS = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProblemSpec:
     """Parsed, validated contents of a problem spec file.
 
-    ``compiled`` keeps each expression's closures, those that ``parse_spec``
-    built to validate it among them, so that a command compiles no text
-    twice."""
+    The value rules are checked on construction, so that a spec made by
+    ``dataclasses.replace`` meets them too.  ``compiled`` keeps each
+    expression's closures, those that ``parse_spec`` built to validate it
+    among them, so that a command compiles no text twice; ``replace`` shares
+    it."""
 
     alpha: float
     a: float
@@ -223,6 +225,14 @@ class ProblemSpec:
     control: list[str] | None
     costate: list[str] | None
     compiled: _Compiled = field(default_factory=dict, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.alpha <= 1.0:
+            raise SpecError(f"alpha must lie in (0, 1], got {self.alpha}")
+        if self.a >= self.b:
+            raise SpecError(f"need a < b, got [{self.a}, {self.b}]")
+        if self.m < 2 or self.dim < 1 or self.control_dim < 1:
+            raise SpecError("m must be >= 2 and dimensions >= 1")
 
     @property
     def is_control(self) -> bool:
@@ -354,17 +364,11 @@ def parse_spec(path: str) -> ProblemSpec:
     alpha = const("alpha")
     if alpha is None:
         raise SpecError("missing required key 'alpha'")
-    if not 0.0 < alpha <= 1.0:
-        raise SpecError(f"alpha must lie in (0, 1], got {alpha}")
     a = const("a", 0.0)
     b = const("b", 1.0)
     m = const("m", 500, integer=True)
     dim = const("dim", 1, integer=True)
     control_dim = const("controls", 1, integer=True)
-    if a >= b:
-        raise SpecError(f"need a < b, got [{a}, {b}]")
-    if m < 2 or dim < 1 or control_dim < 1:
-        raise SpecError("m must be >= 2 and dimensions >= 1")
 
     if "L" not in pairs:
         raise SpecError("missing required key 'L'")

@@ -16,7 +16,7 @@ import numpy as np
 
 from .fields import _pointwise
 
-__all__ = ["FracOrder", "Grid", "SampledFunction", "sample"]
+__all__ = ["FracOrder", "Grid", "SampledFunction", "sample", "fill_endpoints"]
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,9 @@
+import argparse
 import csv
+import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +13,7 @@ import pytest
 
 from fracnoether import Grid, SampledFunction, cli, exprspec, gammafn, make_report
 from fracnoether.cli import _bundled_spec, main
+from fracnoether.exprspec import SpecError, parse_spec
 
 EX1 = _bundled_spec("example1.spec")
 EX2 = _bundled_spec("example2.spec")
@@ -302,6 +306,74 @@ def test_tolerance_that_is_not_finite_and_nonnegative_exits_3(tmp_path, capsys, 
     assert run(command, "--tol", tol, "--out", str(out), EX1) == 3
     assert "--tol must be finite and >= 0" in capsys.readouterr().err
     assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "option, value, message",
+    [
+        ("--grid", "1", "m must be >= 2"),
+        ("--alpha", "0", "alpha must lie in (0, 1], got 0.0"),
+        ("--alpha", "1.5", "alpha must lie in (0, 1], got 1.5"),
+        ("--alpha", "nan", "alpha must lie in (0, 1], got nan"),
+    ],
+    ids=["grid-1", "alpha-0", "alpha-1.5", "alpha-nan"],
+)
+@pytest.mark.parametrize("command", ["check", "solve"])
+def test_override_out_of_range_exits_3_by_the_spec_rule(
+    tmp_path, capsys, command, option, value, message
+):
+    """--grid and --alpha replace the spec's m and alpha, so they meet the
+    spec's own rules, with its messages, before the output directory exists."""
+    field, kind = {"--grid": ("m", int), "--alpha": ("alpha", float)}[option]
+    with pytest.raises(SpecError) as rule:
+        dataclasses.replace(parse_spec(EX1), **{field: kind(value)})
+    out = tmp_path / "o"
+    assert run(command, option, value, "--out", str(out), EX1) == 3
+    assert capsys.readouterr().err == f"spec error: {rule.value}\n"
+    assert str(rule.value).startswith(message)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "option", [["--alpha", "0.3"], ["--grid", "7"], ["--tol", "1e9"]], ids=["alpha", "grid", "tol"]
+)
+def test_selftest_rejects_spec_options(capsys, option):
+    """selftest runs a fixed suite: a spec override or --tol is a usage
+    error there, not an option it would ignore."""
+    with pytest.raises(SystemExit) as info:
+        run("selftest", *option)
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def _documented_synopsis():
+    """Command -> (options, whether it takes SPEC, the --which choices) from
+    the fenced synopsis under "CLI commands" in docs/formats.md."""
+    text = (Path(__file__).resolve().parent.parent / "docs" / "formats.md").read_text()
+    section = text.split("## CLI commands and exit codes", 1)[1]
+    block = re.search(r"```\n(.*?)```", section, re.S).group(1)
+    commands = {}
+    for entry in re.split(r"\n(?=fracnoether )", block.strip()):
+        name = entry.split()[1]
+        options = dict(re.findall(r"\[(--[\w-]+)(?: ([^\]]*))?\]", entry))
+        which = options.get("--which")
+        commands[name] = (set(options), entry.split()[-1] == "SPEC", which and which.split("|"))
+    return commands
+
+
+def test_parser_offers_the_documented_options():
+    """Each command takes exactly the options its synopsis in docs/formats.md
+    lists, SPEC where it says so, and --which exactly the check kinds."""
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    offered = {}
+    for name, p in sub.choices.items():
+        options = {s for a in p._actions for s in a.option_strings if s.startswith("--")}
+        positionals = [a.dest for a in p._actions if not a.option_strings]
+        which = next((list(a.choices) for a in p._actions if "--which" in a.option_strings), None)
+        offered[name] = (options - {"--help"}, positionals == ["spec"], which)
+    assert offered == _documented_synopsis()
+    assert offered["check"][2] == list(cli._CHECK_KINDS)
 
 
 def test_grid_and_alpha_overrides(tmp_path):

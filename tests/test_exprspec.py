@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import operator
@@ -356,6 +357,32 @@ def test_sizes_must_be_integers(tmp_path, line):
 def test_integral_float_sizes_accepted(tmp_path):
     spec = parse_spec(write(tmp_path, MINIMAL + "m = 1e3\ndim = 1.0\n"))
     assert spec.m == 1000 and isinstance(spec.m, int) and spec.dim == 1
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"alpha": 0.0}, "alpha must lie in (0, 1], got 0.0"),
+        ({"alpha": 1.5}, "alpha must lie in (0, 1], got 1.5"),
+        ({"alpha": math.nan}, "alpha must lie in (0, 1], got nan"),
+        ({"a": 1.0}, "need a < b, got [1.0, 1.0]"),
+        ({"m": 1}, "m must be >= 2 and dimensions >= 1"),
+        ({"dim": 0}, "m must be >= 2 and dimensions >= 1"),
+        ({"control_dim": 0}, "m must be >= 2 and dimensions >= 1"),
+    ],
+    ids=["alpha-0", "alpha-1.5", "alpha-nan", "a-equals-b", "m-1", "dim-0", "controls-0"],
+)
+def test_value_rules_hold_for_a_replaced_spec(tmp_path, change, message):
+    """The spec's value rules belong to ProblemSpec, so a spec changed by
+    ``dataclasses.replace`` meets the same rule, with the same message, as
+    one read from a file; its fields cannot be assigned."""
+    spec = parse_spec(write(tmp_path, MINIMAL))
+    with pytest.raises(SpecError) as info:
+        dataclasses.replace(spec, **change)
+    assert str(info.value) == message
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.alpha = 0.25
+    assert dataclasses.replace(spec, m=2, alpha=1.0).compiled is spec.compiled
 
 
 @pytest.mark.parametrize(

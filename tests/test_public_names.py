@@ -3,6 +3,7 @@ fracnoether exists, and every name the package imports is used."""
 
 import ast
 import importlib
+import inspect
 import re
 import sys
 from pathlib import Path
@@ -103,3 +104,41 @@ def test_every_imported_name_is_used():
         unused += [f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in used]
         checked += len(imported)
     assert checked > 0 and not unused, unused
+
+
+def test_each_public_name_is_declared_once_in_its_module():
+    """The package re-exports its library modules with star imports, so a
+    name in two modules' ``__all__`` would silently shadow the earlier one,
+    and a name imported into a module's ``__all__`` would be declared twice.
+    ``fracnoether.__all__`` is the star-imported modules' lists and
+    ``__version__``, each name once, and every name resolves."""
+    modules = [
+        importlib.import_module(f"fracnoether.{path.stem}")
+        for path in sorted((ROOT / "src" / "fracnoether").glob("*.py"))
+        if path.name != "__init__.py"
+    ]
+    owner, clashes, foreign = {}, [], []
+    for module in modules:
+        for name in module.__all__:
+            if name in owner:
+                clashes.append(f"{name}: {owner[name]} and {module.__name__}")
+            owner[name] = module.__name__
+            value = getattr(module, name)
+            is_code = inspect.isclass(value) or inspect.isfunction(value)
+            if is_code and value.__module__ != module.__name__:
+                foreign.append(f"{module.__name__}.{name} is defined in {value.__module__}")
+    assert not clashes, clashes
+    assert not foreign, foreign
+
+    init = ast.parse((ROOT / "src" / "fracnoether" / "__init__.py").read_text())
+    starred = [
+        node.module for node in init.body
+        if isinstance(node, ast.ImportFrom) and [alias.name for alias in node.names] == ["*"]
+    ]
+    expected = [
+        name for module in starred for name in importlib.import_module(f"fracnoether.{module}").__all__
+    ]
+    names = fracnoether.__all__
+    assert starred and sorted(names) == sorted(expected + ["__version__"])
+    assert len(names) == len(set(names))
+    assert [name for name in names if not hasattr(fracnoether, name)] == []
