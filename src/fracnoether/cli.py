@@ -94,13 +94,19 @@ def _generator(spec: ProblemSpec) -> SymmetryGenerator:
     )
 
 
+def _point_field(spec: ProblemSpec, key: str, text: str) -> PointField:
+    """The field of ``text`` under ``key``, with its exact partials where the
+    expression has them."""
+    return PointField(spec.compile(key, text), *spec.partials(key, text))
+
+
 def _isoperimetric(spec: ProblemSpec) -> dict:
     """The arguments that variational and control problems share."""
     return dict(
         order=FracOrder(spec.alpha),
-        lagrangian=PointField(spec.compile("L", spec.lagrangian)),
+        lagrangian=_point_field(spec, "L", spec.lagrangian),
         grid=Grid(spec.a, spec.b, spec.m),
-        constraints=[PointField(spec.compile("g", g)) for g in spec.constraints],
+        constraints=[_point_field(spec, "g", g) for g in spec.constraints],
         constraint_levels=np.array(spec.levels),
     )
 
@@ -119,7 +125,9 @@ def build_control(spec: ProblemSpec) -> ControlProblem:
     if not spec.is_control:
         raise SpecError("hamiltonian checks need dynamics expressions 'phi1..'")
     return ControlProblem(
-        dynamics=VectorField(spec.compile("phi", spec.dynamics)),
+        dynamics=VectorField(
+            spec.compile("phi", spec.dynamics), *spec.partials("phi", spec.dynamics)
+        ),
         initial=np.array(spec.q_a),
         control_dim=spec.control_dim,
         **_isoperimetric(spec),

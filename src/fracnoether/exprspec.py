@@ -4,10 +4,11 @@ binding of each spec expression to a callable.
 The expression grammar is deliberately tiny so spec files stay portable:
 +, -, *, /, ^ (right-associative), parentheses, numeric literals, named
 variables, and the gamma() function.  The standard library's ``ast`` parses
-it, and one walk of the tree builds closures.  Specs are flat `key = value`
+it, one walk of the tree builds closures for its value, and a second walk
+builds closures for its exact first partials.  Specs are flat `key = value`
 files; see docs/formats.md for the full key reference.  `ProblemSpec.compile`
-is the one place where a key's variable names are resolved to its call
-arguments.
+and `ProblemSpec.partials` are the one place where a key's variable names
+are resolved to its call arguments.
 """
 
 from __future__ import annotations
@@ -15,7 +16,9 @@ from __future__ import annotations
 import ast
 import re
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Mapping
 
 import numpy as np
@@ -41,7 +44,8 @@ class SpecError(ValueError):
 # ast parses it.  What Python accepts beyond it is shut out by the characters
 # allowed (no ',', ':', '[', quotes, non-ASCII), by the number pattern each
 # literal's text must match (no 1_0, 0x10, 1j or True), and by the node types
-# that _compile walks.  Offsets into the ASCII source are character offsets.
+# that _Expression._build walks.  Offsets into the ASCII source are character
+# offsets.
 _FOREIGN = re.compile(r"[^A-Za-z0-9_.^+\-*/() ]")
 _NUMBER = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 # Python rejects leading zeros in an integer literal, such as 05
@@ -93,43 +97,75 @@ def _folded(node: Callable) -> Callable:
     return lambda env: value
 
 
-def _compile(text: str, variables: Mapping[str, _Place]) -> Callable:
-    source = " ".join(text.split())
-    foreign = _FOREIGN.search(source)
-    if foreign:
-        raise SpecError(f"unexpected character {foreign.group()!r} in expression {text!r}")
-    if "**" in source:
-        raise SpecError(f"unexpected '**' in {text!r} (a power is written ^)")
-    source = _LEADING_ZEROS.sub("", source.replace("^", "**"))
+def _evaluated(node: Callable) -> float | None:
+    """The value of ``node``, which reads no variable, or None where
+    ``_folded`` keeps it."""
+    folded = _folded(node)
+    return None if folded is node else folded(())
 
-    def piece(node: ast.expr) -> str:
-        return source[node.col_offset : node.end_col_offset].replace("**", "^")
 
-    def constant(node: ast.expr) -> bool:
-        return not any(isinstance(n, ast.Name) and n.id in variables for n in ast.walk(node))
+def _one(env) -> float:
+    """The partial of a variable in itself."""
+    return 1.0
 
-    def build(node: ast.expr) -> Callable:
+
+def _zero(env) -> float:
+    """A partial that is structurally zero."""
+    return 0.0
+
+
+def _times(a: Callable, b: Callable) -> Callable:
+    """``a * b``, or the other factor where one is ``_one``."""
+    return b if a is _one else a if b is _one else _OPERATORS[ast.Mult](a, b)
+
+
+def _negated(a: Callable) -> Callable:
+    return lambda env: -a(env)
+
+
+# An expression's partials by place: the q and y components it reads.  A
+# partial that is structurally zero is absent.
+_Gradient = dict[_Place, Callable]
+
+
+class _Expression:
+    """A spec expression's text, its source and its tree, parsed by
+    ``_compile`` over the whitelist.  ``value``, a function of the
+    environment tuple, evaluates the text: the closures that one walk of the
+    tree builds when it is compiled.  ``gradient``, a second walk of the
+    same tree, builds its exact first partials on first use."""
+
+    def __init__(self, text: str, variables: Mapping[str, _Place], source: str, tree: ast.expr):
+        self.text, self.variables, self.source, self.tree = text, variables, source, tree
+        self.value: Callable | None = None
+
+    def _piece(self, node: ast.expr) -> str:
+        return self.source[node.col_offset : node.end_col_offset].replace("**", "^")
+
+    def _constant(self, node: ast.expr) -> bool:
+        return not any(isinstance(n, ast.Name) and n.id in self.variables for n in ast.walk(node))
+
+    def _build(self, node: ast.expr) -> Callable:
         match node:
             case ast.BinOp(left, ast.Pow(), right):
-                power = _power(build(left), build(right), piece(node), text)
-                return _folded(power) if constant(node) else power
+                power = _power(self._build(left), self._build(right), self._piece(node), self.text)
+                return _folded(power) if self._constant(node) else power
             case ast.BinOp(left, op, right) if type(op) in _OPERATORS:
-                return _OPERATORS[type(op)](build(left), build(right))
+                return _OPERATORS[type(op)](self._build(left), self._build(right))
             case ast.UnaryOp(ast.USub(), operand):
-                inner = build(operand)
-                return lambda env: -inner(env)
+                return _negated(self._build(operand))
             case ast.UnaryOp(ast.UAdd(), operand):
-                return build(operand)
-            case ast.Constant() if _NUMBER.fullmatch(literal := piece(node)):
+                return self._build(operand)
+            case ast.Constant() if _NUMBER.fullmatch(literal := self._piece(node)):
                 value = float(literal)
                 return lambda env: value
             case ast.Name(name) if name not in _FUNCTIONS:
-                if name not in variables:
+                if name not in self.variables:
                     raise SpecError(
-                        f"unknown variable {name!r} in {text!r} "
-                        f"(allowed: {', '.join(sorted(variables)) or 'none'})"
+                        f"unknown variable {name!r} in {self.text!r} "
+                        f"(allowed: {', '.join(sorted(self.variables)) or 'none'})"
                     )
-                slot, index = variables[name]
+                slot, index = self.variables[name]
                 if index is None:
                     return lambda env: env[slot]
                 return lambda env: env[slot].T[index]
@@ -137,31 +173,121 @@ def _compile(text: str, variables: Mapping[str, _Place]) -> Callable:
             case ast.Call(ast.Name(name), [arg], []) if (
                 name in _FUNCTIONS and node.col_offset == node.func.col_offset
             ):
-                fn, inner = _FUNCTIONS[name], build(arg)
+                fn, inner = _FUNCTIONS[name], self._build(arg)
                 call = lambda env: fn(inner(env))
-                return _folded(call) if constant(arg) else call
-        raise SpecError(f"unexpected {piece(node)!r} in {text!r}")
+                return _folded(call) if self._constant(arg) else call
+        raise SpecError(f"unexpected {self._piece(node)!r} in {self.text!r}")
 
+    @cached_property
+    def gradient(self) -> _Gradient | None:
+        """The exact first partials in the q and y components, by forward-mode
+        rules on the tree (``+ - * /``, unary signs, ``^`` of a constant
+        exponent).  A subtree that reads none of them has partial zero, so
+        its terms drop out.  None where the text holds a power whose exponent
+        reads a variable, or gamma of an argument that reads one, ``t``
+        included: its partials are then finite differences of its values.
+        A tree too deep to differentiate from where this is first read falls
+        back too, and evaluating its values then reports the depth, as
+        ``ProblemSpec.compile`` does."""
+        for node in ast.walk(self.tree):
+            match node:
+                case ast.BinOp(_, ast.Pow(), exponent) if not self._constant(exponent):
+                    return None
+                case ast.Call(_, [arg]) if not self._constant(arg):
+                    return None
+        try:
+            return self._partials(self.tree)
+        except RecursionError:
+            return None
+
+    def _partials(self, node: ast.expr) -> _Gradient:
+        match node:
+            case ast.BinOp(left, ast.Pow(), right):
+                da = self._partials(left)
+                exponent = self._build(right)
+                if not da or _evaluated(exponent) == 0.0:
+                    return {}
+                lowered = _power(self._build(left), lambda env: exponent(env) - 1.0,
+                                 self._piece(node), self.text)
+                slope = _OPERATORS[ast.Mult](exponent, lowered)
+                return {place: _times(slope, d) for place, d in da.items()}
+            case ast.BinOp(left, ast.Add() | ast.Sub() as op, right):
+                da, db = self._partials(left), self._partials(right)
+                out = dict(da)
+                for place, d in db.items():
+                    if place in da:
+                        out[place] = _OPERATORS[type(op)](da[place], d)
+                    else:
+                        out[place] = d if isinstance(op, ast.Add) else _negated(d)
+                return out
+            case ast.BinOp(left, ast.Mult(), right):
+                da, db = self._partials(left), self._partials(right)
+                a = self._build(left) if db else None
+                b = self._build(right) if da else None
+                out = {place: _times(d, b) for place, d in da.items()}
+                for place, d in db.items():
+                    term = _times(a, d)
+                    out[place] = _OPERATORS[ast.Add](out[place], term) if place in out else term
+                return out
+            case ast.BinOp(left, ast.Div(), right):
+                # (a / b)' = (a' - (a / b) b') / b
+                da, db = self._partials(left), self._partials(right)
+                if not (da or db):
+                    return {}
+                b = self._build(right)
+                quotient = _OPERATORS[ast.Div](self._build(left), b) if db else None
+                out = {}
+                for place in da.keys() | db.keys():
+                    if place not in db:
+                        numerator = da[place]
+                    else:
+                        term = _times(quotient, db[place])
+                        numerator = (_OPERATORS[ast.Sub](da[place], term) if place in da
+                                     else _negated(term))
+                    out[place] = _OPERATORS[ast.Div](numerator, b)
+                return out
+            case ast.UnaryOp(ast.USub(), operand):
+                return {place: _negated(d) for place, d in self._partials(operand).items()}
+            case ast.UnaryOp(ast.UAdd(), operand):
+                return self._partials(operand)
+            case ast.Name(name) if self.variables[name][0] > 0:  # q or y, not t
+                return {self.variables[name]: _one}
+        # a literal, t, or gamma of a constant
+        return {}
+
+
+def _compile(text: str, variables: Mapping[str, _Place]) -> _Expression:
+    """``text`` compiled with each variable name read from its place."""
+    source = " ".join(text.split())
+    foreign = _FOREIGN.search(source)
+    if foreign:
+        raise SpecError(f"unexpected character {foreign.group()!r} in expression {text!r}")
+    if "**" in source:
+        raise SpecError(f"unexpected '**' in {text!r} (a power is written ^)")
+    source = _LEADING_ZEROS.sub("", source.replace("^", "**"))
     try:
-        return build(ast.parse(source, mode="eval").body)
+        expression = _Expression(text, variables, source, ast.parse(source, mode="eval").body)
+        # built here, not in __init__: constructing a class takes a level of
+        # the recursion limit in the interpreter, which a deep tree needs
+        expression.value = expression._build(expression.tree)
     except SyntaxError as exc:  # among them "too many nested parentheses", past 200
         raise SpecError(f"{exc.msg} in {text!r}") from exc
     # ast raises RecursionError or MemoryError for a tree too deep to build,
-    # and build raises RecursionError for one too deep to walk
+    # and _build raises RecursionError for one too deep to walk
     except (RecursionError, MemoryError):
         raise SpecError(f"expression nested too deeply: {text!r}") from None
-    finally:  # break build's reference to itself: free it now, not by the cyclic gc
-        del build
+    return expression
 
 
-# Compiled closures by (text, the variables' places), for _compile_once
-_Compiled = dict[tuple[str, tuple[tuple[str, _Place], ...]], Callable]
+# Compiled expressions by (text, the variables' places), for _compile_once
+_Compiled = dict[tuple[str, tuple[tuple[str, _Place], ...]], _Expression]
 
 
-def _compile_once(compiled: _Compiled, text: str, variables: Mapping[str, _Place]) -> Callable:
+def _compile_once(compiled: _Compiled, text: str, variables: Mapping[str, _Place]) -> _Expression:
     """``_compile(text, variables)``, kept in ``compiled`` and returned from
-    there for the same text and variable places: the closure is a function
-    of those alone.  A text that fails to compile is not kept."""
+    there for the same text and variable places: the expression, and the
+    partials it builds on first use, are functions of those alone.  A text
+    that fails to compile is not kept."""
     key = (text, tuple(variables.items()))
     if key not in compiled:
         compiled[key] = _compile(text, variables)
@@ -171,7 +297,7 @@ def _compile_once(compiled: _Compiled, text: str, variables: Mapping[str, _Place
 def parse_expression(text: str, variables: tuple[str, ...] = ()) -> Callable:
     """Compile ``text``; call the result with a mapping from each variable to its value."""
     names = tuple(variables)
-    fn = _compile(text, {name: (i, None) for i, name in enumerate(names)})
+    fn = _compile(text, {name: (i, None) for i, name in enumerate(names)}).value
     return lambda env=None: fn(tuple((env or {})[name] for name in names))
 
 
@@ -231,8 +357,8 @@ class ProblemSpec:
             raise SpecError(f"alpha must lie in (0, 1], got {self.alpha}")
         if self.a >= self.b:
             raise SpecError(f"need a < b, got [{self.a}, {self.b}]")
-        if self.m < 2 or self.dim < 1 or self.control_dim < 1:
-            raise SpecError("m must be >= 2 and dimensions >= 1")
+        for name, value in (("m", self.m), ("dim", self.dim), ("controls", self.control_dim)):
+            _check_size(name, value)
 
     @property
     def is_control(self) -> bool:
@@ -269,16 +395,73 @@ class ProblemSpec:
         (``fields._pointwise``).  A RecursionError from a tree that compiled
         but is too deep to evaluate where it is called is a SpecError."""
         texts = [text] if isinstance(text, str) else text
-        fns = [_compile_once(self.compiled, s, self.variables(key)) for s in texts]
+        fns = [_compile_once(self.compiled, s, self.variables(key)).value for s in texts]
+
         def value(env):
-            try:
+            with _evaluating(key, text):
                 values = [_filled(env[0], f(env)) for f in fns]
-            except RecursionError:
-                raise SpecError(f"in {key}: expression nested too deeply to evaluate: {text!r}") from None
             return values[0] if isinstance(text, str) else np.stack(values, axis=-1)
-        bound = _BINDERS[_ARITY[key]](value)
-        bound.whole_array = True
-        return bound
+
+        return _bound(key, value)
+
+    def partials(self, key: str, text: str | list[str]) -> tuple[Callable | None, Callable | None]:
+        """The exact first partials of the expression under `key` (L, g or
+        phi) in q and in y, as callables of (t, q, y): the ``grad_x`` and
+        ``grad_y`` of a ``PointField``, or for a list of expressions the
+        ``jac_x`` and ``jac_y`` of a ``VectorField``.
+
+        At one point they return shape (n,), or (k, n) for a list of k
+        expressions, n being the dimension of q or of y; over M points,
+        points first, (M, n) or (M, k, n).  A partial that is structurally
+        zero broadcasts to M.  The callables are marked ``whole_array``, as
+        ``compile``'s are.  (None, None) when any of the expressions holds a
+        power with a variable exponent, or gamma of a variable
+        (``_Expression.gradient``): the field then takes finite differences
+        of its values."""
+        places = self.variables(key)
+        texts = [text] if isinstance(text, str) else text
+        gradients = [_compile_once(self.compiled, s, places).gradient for s in texts]
+        if any(gradient is None for gradient in gradients):
+            return None, None
+
+        def jacobian(slot: int) -> Callable:
+            table = [[g.get(p, _zero) for p in places.values() if p[0] == slot] for g in gradients]
+
+            def value(env):
+                with _evaluating(key, text):
+                    rows = [np.stack([_filled(env[0], f(env)) for f in row], axis=-1) for row in table]
+                return rows[0] if isinstance(text, str) else np.stack(rows, axis=-2)
+
+            return _bound(key, value)
+
+        return jacobian(1), jacobian(2)
+
+
+# The least value of each size, by its key
+_LEAST_SIZE = {"m": 2, "dim": 1, "controls": 1}
+
+
+def _check_size(name: str, value: int) -> None:
+    if value < _LEAST_SIZE[name]:
+        raise SpecError(f"{name} must be >= {_LEAST_SIZE[name]}, got {value}")
+
+
+@contextmanager
+def _evaluating(key: str, text: str | list[str]):
+    """A RecursionError inside, from a tree that compiled but is too deep to
+    evaluate where it is called, is a SpecError naming ``key``."""
+    try:
+        yield
+    except RecursionError:
+        raise SpecError(f"in {key}: expression nested too deeply to evaluate: {text!r}") from None
+
+
+def _bound(key: str, value: Callable) -> Callable:
+    """``value`` of the environment tuple as a callable of the key's
+    arguments, marked ``whole_array``."""
+    bound = _BINDERS[_ARITY[key]](value)
+    bound.whole_array = True
+    return bound
 
 
 def _filled(t, value) -> float | np.ndarray:
@@ -319,7 +502,7 @@ def _constant(
     become that SpecError too."""
     try:
         with np.errstate(divide="raise", over="raise", invalid="raise"):
-            number = float(_compile_once(compiled, value, {})(()))
+            number = float(_compile_once(compiled, value, {}).value(()))
     except (ArithmeticError, ValueError, TypeError) as exc:
         raise SpecError(f"in {key}: {exc}", lineno) from exc
     if integer and not number.is_integer():
@@ -369,6 +552,9 @@ def parse_spec(path: str) -> ProblemSpec:
     m = const("m", 500, integer=True)
     dim = const("dim", 1, integer=True)
     control_dim = const("controls", 1, integer=True)
+    # the sizes count the indexed keys read below
+    _check_size("dim", dim)
+    _check_size("controls", control_dim)
 
     if "L" not in pairs:
         raise SpecError("missing required key 'L'")

@@ -241,11 +241,15 @@ class VectorField:
         return np.atleast_1d(np.asarray(self.evaluator(t, np.asarray(x, float), np.asarray(y, float)), float))
 
     def d_x(self, t: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, float)
+        y = np.asarray(y, float)
         if self.jac_x is not None:
             return np.atleast_2d(np.asarray(self.jac_x(t, x, y), float))
-        return _differences(lambda xx: self(t, xx, y), np.asarray(x, float))
+        return _differences(lambda xx: self(t, xx, y), x)
 
     def d_y(self, t: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, float)
+        y = np.asarray(y, float)
         if self.jac_y is not None:
             return np.atleast_2d(np.asarray(self.jac_y(t, x, y), float))
-        return _differences(lambda yy: self(t, x, yy), np.asarray(y, float))
+        return _differences(lambda yy: self(t, x, yy), y)

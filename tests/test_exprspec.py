@@ -366,9 +366,9 @@ def test_integral_float_sizes_accepted(tmp_path):
         ({"alpha": 1.5}, "alpha must lie in (0, 1], got 1.5"),
         ({"alpha": math.nan}, "alpha must lie in (0, 1], got nan"),
         ({"a": 1.0}, "need a < b, got [1.0, 1.0]"),
-        ({"m": 1}, "m must be >= 2 and dimensions >= 1"),
-        ({"dim": 0}, "m must be >= 2 and dimensions >= 1"),
-        ({"control_dim": 0}, "m must be >= 2 and dimensions >= 1"),
+        ({"m": 1}, "m must be >= 2, got 1"),
+        ({"dim": 0}, "dim must be >= 1, got 0"),
+        ({"control_dim": 0}, "controls must be >= 1, got 0"),
     ],
     ids=["alpha-0", "alpha-1.5", "alpha-nan", "a-equals-b", "m-1", "dim-0", "controls-0"],
 )
@@ -383,6 +383,23 @@ def test_value_rules_hold_for_a_replaced_spec(tmp_path, change, message):
     with pytest.raises(dataclasses.FrozenInstanceError):
         spec.alpha = 0.25
     assert dataclasses.replace(spec, m=2, alpha=1.0).compiled is spec.compiled
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ("dim = 0\n", "dim must be >= 1, got 0"),
+        ("dim = -1\nq_a2 = 0\n", "dim must be >= 1, got -1"),
+        ("controls = 0\nphi1 = u1\ncontrol1 = 1\n", "controls must be >= 1, got 0"),
+    ],
+    ids=["dim-0", "dim-negative", "controls-0"],
+)
+def test_size_rule_is_reported_before_the_keys_it_counts(tmp_path, extra, message):
+    """dim and controls count the indexed keys, so they are checked before
+    those keys are read: the message names the size, not a miscount."""
+    with pytest.raises(SpecError) as info:
+        parse_spec(write(tmp_path, MINIMAL + extra))
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize(

@@ -1,0 +1,234 @@
+"""Exact first partials of spec expressions (``ProblemSpec.partials``).
+
+The oracle shares no code with them: mpmath differentiates the expression
+text, evaluated by Python's own ``eval`` with ``^`` read as ``**``, at 40
+digits.  A key whose text holds a power with a variable exponent, or gamma
+of a variable, keeps finite differences.
+"""
+
+import json
+
+import mpmath
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_whole_array import EX1, EX2, _positive_expressions, _signed_expressions, points, spec_for
+
+from fracnoether import VectorField
+from fracnoether.cli import _point_field, build_control, build_variational, main
+from fracnoether.exprspec import parse_spec
+
+# exact partials against the oracle, relative to the scale of the values
+RTOL = 1e-9
+
+
+def oracle(text, t, q, y, stem="v"):
+    """(d/dq_i, d/dy_i) of ``text`` at one point, by mpmath, as floats."""
+    names = {"t": t}
+    names.update({f"q{i + 1}": x for i, x in enumerate(q)})
+    names.update({f"{stem}{i + 1}": x for i, x in enumerate(y)})
+
+    def value(**env):
+        return eval(text.replace("^", "**"), {"__builtins__": {}, "gamma": mpmath.gamma}, env)
+
+    def partial(name):
+        point = {k: mpmath.mpf(float(v)) for k, v in names.items()}
+        at = point.pop(name)
+        return float(mpmath.diff(lambda s: value(**point, **{name: s}), at))
+
+    with mpmath.workdps(40):
+        return (
+            np.array([partial(f"q{i + 1}") for i in range(len(q))]),
+            np.array([partial(f"{stem}{i + 1}") for i in range(len(y))]),
+        )
+
+
+def assert_matches_oracle(spec, key, text, t, q, y, stem="v"):
+    """The exact partials of ``text`` at M points against the oracle at each."""
+    dq, dy = spec.partials(key, text)
+    assert dq is not None and dy is not None, text
+    value = spec.compile(key, text)(t, q, y)
+    with np.errstate(all="ignore"):
+        got_q, got_y = dq(t, q, y), dy(t, q, y)
+    assert got_q.shape == q.shape and got_y.shape == y.shape
+    for s in range(len(t)):
+        want_q, want_y = oracle(text, t[s], q[s], y[s], stem)
+        for got, want in ((got_q[s], want_q), (got_y[s], want_y)):
+            scale = 1.0 + abs(value[s]) + np.max(np.abs(want))
+            assert np.all(np.abs(got - want) <= RTOL * scale), (text, s, got, want)
+
+
+def bundled_fields():
+    """(spec, key, text, stem) of every L, g_j and phi_i of the bundled specs."""
+    out = []
+    for name, path in (("example1", EX1), ("example2", EX2)):
+        spec = parse_spec(path)
+        stem = "u" if spec.is_control else "v"
+        keyed = [("L", "L", spec.lagrangian)]
+        keyed += [(f"g{j}", "g", g) for j, g in enumerate(spec.constraints, 1)]
+        keyed += [(f"phi{i}", "phi", phi) for i, phi in enumerate(spec.dynamics or (), 1)]
+        out += [pytest.param(spec, key, text, stem, id=f"{name}-{label}")
+                for label, key, text in keyed]
+    return out
+
+
+@pytest.mark.parametrize("spec, key, text, stem", bundled_fields())
+def test_bundled_partials_match_mpmath(spec, key, text, stem):
+    rng = np.random.default_rng(7)
+    t = rng.uniform(spec.a, spec.b, 6)
+    q = rng.uniform(-2.0, 2.0, (6, spec.dim))
+    y = rng.uniform(-2.0, 2.0, (6, spec.control_dim if spec.is_control else spec.dim))
+    if key == "phi":
+        # one phi_i as its own list: a Jacobian row, shapes (M, 1, n)
+        dq, dy = spec.partials(key, [text])
+        single_q, single_y = spec.partials(key, text)
+        assert np.array_equal(dq(t, q, y)[:, 0], single_q(t, q, y))
+        assert np.array_equal(dy(t, q, y)[:, 0], single_y(t, q, y))
+    assert_matches_oracle(spec, key, text, t, q, y, stem)
+
+
+def test_bundled_specs_get_exact_partials():
+    """Every L, g_j and phi_i of the bundled specs is differentiated from
+    its tree: none falls back to finite differences, so a grammar change
+    that would make one fall back fails here."""
+    variational = build_variational(parse_spec(EX1))
+    control = build_control(parse_spec(EX2))
+    fields = [variational.lagrangian, *variational.constraints,
+              control.lagrangian, *control.constraints]
+    assert len(fields) == 4
+    for f in fields:
+        assert f.grad_x is not None and f.grad_y is not None
+    assert control.dynamics.jac_x is not None and control.dynamics.jac_y is not None
+    for param in bundled_fields():
+        spec, key, text, _ = param.values
+        assert all(d is not None for d in spec.partials(key, text)), text
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "v1^2 - v1 * q1 + v2",
+        "(q1 * v1) * (v1 - q2) - -q2",
+        "q1 / (q1 + v1) + 3 / v2",
+        "-(v2 - v2^3) / q1^0.5 + (2 * q2)^-1.5",
+        "t^2 * v1 / gamma(3.5) + +q1^1",
+    ],
+)
+def test_each_rule_matches_mpmath(text):
+    """Each rule with a variable on both sides of its operator, where a
+    sign or a dropped term would show."""
+    t, q, v = points(np.random.default_rng(13), count=4)
+    assert_matches_oracle(spec_for(control=False), "L", text, t, q, v)
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(st.one_of(_signed_expressions(), _positive_expressions().map(lambda case: case[0])),
+       st.integers(0, 2**32 - 1))
+def test_random_expressions_match_mpmath(text, seed):
+    """Random grammar expressions: those without gamma of a variable get
+    exact partials, which match the oracle where the expression is finite."""
+    spec = spec_for(control=False)
+    dq, dv = spec.partials("L", text)
+    if dq is None:
+        assert "gamma" in text
+        return
+    rng = np.random.default_rng(seed)
+    t = rng.uniform(0.25, 1.0, 3)
+    q, v = rng.uniform(0.5, 2.0, (3, 2)), rng.uniform(0.5, 2.0, (3, 2))
+    try:
+        with np.errstate(all="ignore"):
+            value, gq, gv = spec.compile("L", text)(t, q, v), dq(t, q, v), dv(t, q, v)
+    except (ArithmeticError, ValueError):  # a gamma pole of a constant, say
+        return
+    # finite and far from a pole, where mpmath's step stays on one side of it
+    keep = (np.abs(value) < 1e6) & np.isfinite(gq).all(axis=1) & np.isfinite(gv).all(axis=1)
+    if keep.any():
+        assert_matches_oracle(spec, "L", text, t[keep], q[keep], v[keep])
+
+
+def test_one_point_and_many_points_agree():
+    """At one point the partials have the shapes of one row of the M-point
+    call, and the same values within the power's 1-ulp rounding."""
+    t, q, y = points(np.random.default_rng(11), count=41)
+    texts = {
+        "L": "t^4 + v1^2 * q2 - q1^3 / (1 + v2^2) + gamma(2.5) * v1",
+        "g": "-(q1 - v2) * t^0.5",
+        "phi": ["u1 * q2^2 - t", "q1 * u2^3", "+u1 / q2"],
+    }
+    for key, text in texts.items():
+        spec = spec_for(control=key == "phi")
+        for d in spec.partials(key, text):
+            batch = d(t, q, y)
+            rows = np.array([d(t[s], q[s], y[s]) for s in range(len(t))])
+            assert batch.shape == rows.shape == ((41, 2) if key != "phi" else (41, 3, 2))
+            assert np.all(np.abs(batch - rows) <= 4 * np.spacing(np.abs(rows))), key
+
+
+def test_zero_partial_broadcasts_to_every_point():
+    """t^4 + v1^2 reads no q and not v2: those partials are zeros of shape
+    (M,) per component, and floats at one point."""
+    spec = spec_for(control=False)
+    dq, dv = spec.partials("L", "t^4 + v1^2")
+    t, q, v = points(np.random.default_rng(12), count=5)
+    assert np.array_equal(dq(t, q, v), np.zeros((5, 2)))
+    assert np.array_equal(dv(t, q, v), np.column_stack([2.0 * v[:, 0], np.zeros(5)]))
+    assert np.array_equal(dq(0.5, q[0], v[0]), np.zeros(2))
+    dq, du = spec_for(control=True).partials("phi", ["1", "u2"])
+    assert np.array_equal(dq(t, q, v), np.zeros((5, 2, 2)))
+    assert np.array_equal(du(t, q, v)[:, 1], np.tile([0.0, 1.0], (5, 1)))
+
+
+def test_zero_exponent_has_partial_zero_not_nan():
+    """d(v1^0)/dv1 is 0 at v1 = 0 too, where 0 * v1^-1 would be NaN."""
+    dq, dv = spec_for(control=False).partials("L", "v1^0 + q1^(1 - 1)")
+    zero = np.zeros(2)
+    assert np.array_equal(dv(0.5, zero, zero), zero) and np.array_equal(dq(0.5, zero, zero), zero)
+
+
+@pytest.mark.parametrize(
+    "text", ["v1^q1", "gamma(v1)", "gamma(1.5 + t * v1)", "2^-t * q2", "t^4 + v1^2 + gamma(t)"]
+)
+def test_variable_exponent_or_gamma_keeps_finite_differences(text):
+    """The whole key falls back: L's field, and a phi list of which one
+    expression falls back."""
+    spec = spec_for(control=False)
+    assert spec.partials("L", text) == (None, None)
+    L = _point_field(spec, "L", text)
+    assert L.grad_x is None and L.grad_y is None
+    assert spec_for(control=True).partials("phi", ["u1", text.replace("v1", "u1")]) == (None, None)
+
+
+def test_vector_field_converts_lists_for_an_exact_jacobian():
+    """One point given as lists: the spec Jacobian reads q.T[i], so the
+    field converts x and y first, as PointField does."""
+    spec = spec_for(control=True)
+    texts = ["u1 * q2^2 - t", "q1 * u2^3"]
+    phi = VectorField(spec.compile("phi", texts), *spec.partials("phi", texts))
+    x, u = [0.5, 2.0], [0.25, -1.0]
+    assert np.array_equal(phi.d_x(0.5, x, u), np.array([[0.0, 2.0 * 0.25 * 2.0], [-1.0, 0.0]]))
+    assert np.array_equal(phi.d_y(0.5, x, u), np.array([[4.0, 0.0], [0.0, 3.0 * 0.5]]))
+
+
+# -- spec results ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("grid", [100, 500, None])
+def test_spec_solve_converges_in_one_newton_iteration(tmp_path, grid):
+    """L = t^4 + v1^2 with g = t^2 v1 is quadratic: with exact partials
+    Newton lands in one step.  ``None`` keeps the spec's m = 2000."""
+    argv = ["solve", "--out", str(tmp_path / "o"), EX1]
+    if grid is not None:
+        argv[1:1] = ["--grid", str(grid)]
+    assert main(argv) == 0
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert report["converged"] and report["iterations"] == 1
+
+
+def test_hamiltonian_stationarity_of_example2_is_exactly_zero(tmp_path):
+    """F_u + phi_u p = 2 (u - 1) + 4 + 0 vanishes at u = -1 in exact
+    arithmetic, and so in floating point from exact partials."""
+    assert main(["check", "--which", "hamiltonian", "--out", str(tmp_path / "o"), EX2]) == 0
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    sups = {entry["name"]: entry["sup_norm"] for entry in report["checks"]}
+    assert sups["hamiltonian_stationarity"] == 0.0
