@@ -4,11 +4,11 @@ binding of each spec expression to a callable.
 The expression grammar is deliberately tiny so spec files stay portable:
 +, -, *, /, ^ (right-associative), parentheses, numeric literals, named
 variables, and the gamma() function.  The standard library's ``ast`` parses
-it, one walk of the tree builds closures for its value, and a second walk
-builds closures for its exact first partials.  Specs are flat `key = value`
-files; see docs/formats.md for the full key reference.  `ProblemSpec.compile`
-and `ProblemSpec.partials` are the one place where a key's variable names
-are resolved to its call arguments.
+it, and one walk of the tree builds closures for its value and for its
+exact first partials, each construct's two rules side by side.  Specs are
+flat `key = value` files; see docs/formats.md for the full key reference.
+`ProblemSpec.compile` and `ProblemSpec.partials` are the one place where a
+key's variable names are resolved to its call arguments.
 """
 
 from __future__ import annotations
@@ -16,14 +16,13 @@ from __future__ import annotations
 import ast
 import re
 import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Mapping
 
 import numpy as np
 
 from .gammafn import gamma
+from .problems import DEFAULT_BAND
 
 __all__ = ["SpecError", "parse_expression", "ProblemSpec", "parse_spec"]
 
@@ -123,21 +122,21 @@ def _negated(a: Callable) -> Callable:
     return lambda env: -a(env)
 
 
-# An expression's partials by place: the q and y components it reads.  A
-# partial that is structurally zero is absent.
+# An expression's exact first partials by place: the q and y components it
+# reads.  A partial that is structurally zero is absent.
 _Gradient = dict[_Place, Callable]
 
 
 class _Expression:
-    """A spec expression's text, its source and its tree, parsed by
-    ``_compile`` over the whitelist.  ``value``, a function of the
-    environment tuple, evaluates the text: the closures that one walk of the
-    tree builds when it is compiled.  ``gradient``, a second walk of the
-    same tree, builds its exact first partials on first use."""
+    """A spec expression's text and its source, parsed by ``_compile`` over
+    the whitelist.  ``value``, a function of the environment tuple,
+    evaluates the text, and ``gradient`` holds its exact first partials:
+    one walk of the tree builds both when it is compiled."""
 
-    def __init__(self, text: str, variables: Mapping[str, _Place], source: str, tree: ast.expr):
-        self.text, self.variables, self.source, self.tree = text, variables, source, tree
+    def __init__(self, text: str, variables: Mapping[str, _Place], source: str):
+        self.text, self.variables, self.source = text, variables, source
         self.value: Callable | None = None
+        self.gradient: _Gradient | None = None
 
     def _piece(self, node: ast.expr) -> str:
         return self.source[node.col_offset : node.end_col_offset].replace("**", "^")
@@ -145,115 +144,91 @@ class _Expression:
     def _constant(self, node: ast.expr) -> bool:
         return not any(isinstance(n, ast.Name) and n.id in self.variables for n in ast.walk(node))
 
-    def _build(self, node: ast.expr) -> Callable:
+    def _build(self, node: ast.expr) -> tuple[Callable, _Gradient | None]:
+        """The value of ``node`` and its exact first partials in the q and y
+        components, by forward-mode rules (``+ - * /``, unary signs, ``^`` of
+        a constant exponent) that read the operands' values.  A subtree that
+        reads none of those components has partial zero, so its terms drop
+        out.  The partials are None where the subtree holds a power whose
+        exponent reads a variable, or gamma of an argument that reads one,
+        ``t`` included: its partials are then finite differences of its
+        values.  The rules next to the leaves loop rather than use a
+        comprehension, which takes a level of the recursion limit in the
+        interpreter, so that the partials reach no deeper than the values."""
         match node:
             case ast.BinOp(left, ast.Pow(), right):
-                power = _power(self._build(left), self._build(right), self._piece(node), self.text)
-                return _folded(power) if self._constant(node) else power
+                (base, da), (exponent, _) = self._build(left), self._build(right)
+                power = _power(base, exponent, self._piece(node), self.text)
+                if self._constant(node):
+                    return _folded(power), {}
+                if da is None or not self._constant(right):
+                    return power, None
+                if not da or _evaluated(exponent) == 0.0:
+                    return power, {}
+                lowered = _power(base, lambda env: exponent(env) - 1.0, self._piece(node), self.text)
+                slope = _OPERATORS[ast.Mult](exponent, lowered)
+                return power, {place: _times(slope, d) for place, d in da.items()}
             case ast.BinOp(left, op, right) if type(op) in _OPERATORS:
-                return _OPERATORS[type(op)](self._build(left), self._build(right))
+                (a, da), (b, db) = self._build(left), self._build(right)
+                value = _OPERATORS[type(op)](a, b)
+                if da is None or db is None:
+                    return value, None
+                match op:
+                    case ast.Add() | ast.Sub():
+                        out = dict(da)
+                        for place, d in db.items():
+                            if place in da:
+                                out[place] = _OPERATORS[type(op)](da[place], d)
+                            else:
+                                out[place] = d if isinstance(op, ast.Add) else _negated(d)
+                    case ast.Mult():
+                        out = {}
+                        for place, d in da.items():
+                            out[place] = _times(d, b)
+                        for place, d in db.items():
+                            term = _times(a, d)
+                            out[place] = _OPERATORS[ast.Add](out[place], term) if place in out else term
+                    case ast.Div():  # (a / b)' = (a' - (a / b) b') / b
+                        out = {}
+                        for place in da.keys() | db.keys():
+                            if place not in db:
+                                numerator = da[place]
+                            else:
+                                term = _times(value, db[place])
+                                numerator = (_OPERATORS[ast.Sub](da[place], term) if place in da
+                                             else _negated(term))
+                            out[place] = _OPERATORS[ast.Div](numerator, b)
+                return value, out
             case ast.UnaryOp(ast.USub(), operand):
-                return _negated(self._build(operand))
+                value, out = self._build(operand)
+                # negated in place: each walk returns a dict of its own
+                for place, d in (out or {}).items():
+                    out[place] = _negated(d)
+                return _negated(value), out
             case ast.UnaryOp(ast.UAdd(), operand):
                 return self._build(operand)
             case ast.Constant() if _NUMBER.fullmatch(literal := self._piece(node)):
-                value = float(literal)
-                return lambda env: value
+                number = float(literal)
+                return (lambda env: number), {}
             case ast.Name(name) if name not in _FUNCTIONS:
                 if name not in self.variables:
                     raise SpecError(
                         f"unknown variable {name!r} in {self.text!r} "
                         f"(allowed: {', '.join(sorted(self.variables)) or 'none'})"
                     )
-                slot, index = self.variables[name]
+                slot, index = place = self.variables[name]
+                gradient = {place: _one} if slot > 0 else {}  # q or y, not t
                 if index is None:
-                    return lambda env: env[slot]
-                return lambda env: env[slot].T[index]
+                    return (lambda env: env[slot]), gradient
+                return (lambda env: env[slot].T[index]), gradient
             # gamma(x) written by name: not (gamma)(x), whose tree is the same
             case ast.Call(ast.Name(name), [arg], []) if (
                 name in _FUNCTIONS and node.col_offset == node.func.col_offset
             ):
-                fn, inner = _FUNCTIONS[name], self._build(arg)
+                fn, (inner, _) = _FUNCTIONS[name], self._build(arg)
                 call = lambda env: fn(inner(env))
-                return _folded(call) if self._constant(arg) else call
+                return (_folded(call), {}) if self._constant(arg) else (call, None)
         raise SpecError(f"unexpected {self._piece(node)!r} in {self.text!r}")
-
-    @cached_property
-    def gradient(self) -> _Gradient | None:
-        """The exact first partials in the q and y components, by forward-mode
-        rules on the tree (``+ - * /``, unary signs, ``^`` of a constant
-        exponent).  A subtree that reads none of them has partial zero, so
-        its terms drop out.  None where the text holds a power whose exponent
-        reads a variable, or gamma of an argument that reads one, ``t``
-        included: its partials are then finite differences of its values.
-        A tree too deep to differentiate from where this is first read falls
-        back too, and evaluating its values then reports the depth, as
-        ``ProblemSpec.compile`` does."""
-        for node in ast.walk(self.tree):
-            match node:
-                case ast.BinOp(_, ast.Pow(), exponent) if not self._constant(exponent):
-                    return None
-                case ast.Call(_, [arg]) if not self._constant(arg):
-                    return None
-        try:
-            return self._partials(self.tree)
-        except RecursionError:
-            return None
-
-    def _partials(self, node: ast.expr) -> _Gradient:
-        match node:
-            case ast.BinOp(left, ast.Pow(), right):
-                da = self._partials(left)
-                exponent = self._build(right)
-                if not da or _evaluated(exponent) == 0.0:
-                    return {}
-                lowered = _power(self._build(left), lambda env: exponent(env) - 1.0,
-                                 self._piece(node), self.text)
-                slope = _OPERATORS[ast.Mult](exponent, lowered)
-                return {place: _times(slope, d) for place, d in da.items()}
-            case ast.BinOp(left, ast.Add() | ast.Sub() as op, right):
-                da, db = self._partials(left), self._partials(right)
-                out = dict(da)
-                for place, d in db.items():
-                    if place in da:
-                        out[place] = _OPERATORS[type(op)](da[place], d)
-                    else:
-                        out[place] = d if isinstance(op, ast.Add) else _negated(d)
-                return out
-            case ast.BinOp(left, ast.Mult(), right):
-                da, db = self._partials(left), self._partials(right)
-                a = self._build(left) if db else None
-                b = self._build(right) if da else None
-                out = {place: _times(d, b) for place, d in da.items()}
-                for place, d in db.items():
-                    term = _times(a, d)
-                    out[place] = _OPERATORS[ast.Add](out[place], term) if place in out else term
-                return out
-            case ast.BinOp(left, ast.Div(), right):
-                # (a / b)' = (a' - (a / b) b') / b
-                da, db = self._partials(left), self._partials(right)
-                if not (da or db):
-                    return {}
-                b = self._build(right)
-                quotient = _OPERATORS[ast.Div](self._build(left), b) if db else None
-                out = {}
-                for place in da.keys() | db.keys():
-                    if place not in db:
-                        numerator = da[place]
-                    else:
-                        term = _times(quotient, db[place])
-                        numerator = (_OPERATORS[ast.Sub](da[place], term) if place in da
-                                     else _negated(term))
-                    out[place] = _OPERATORS[ast.Div](numerator, b)
-                return out
-            case ast.UnaryOp(ast.USub(), operand):
-                return {place: _negated(d) for place, d in self._partials(operand).items()}
-            case ast.UnaryOp(ast.UAdd(), operand):
-                return self._partials(operand)
-            case ast.Name(name) if self.variables[name][0] > 0:  # q or y, not t
-                return {self.variables[name]: _one}
-        # a literal, t, or gamma of a constant
-        return {}
 
 
 def _compile(text: str, variables: Mapping[str, _Place]) -> _Expression:
@@ -266,10 +241,12 @@ def _compile(text: str, variables: Mapping[str, _Place]) -> _Expression:
         raise SpecError(f"unexpected '**' in {text!r} (a power is written ^)")
     source = _LEADING_ZEROS.sub("", source.replace("^", "**"))
     try:
-        expression = _Expression(text, variables, source, ast.parse(source, mode="eval").body)
+        expression = _Expression(text, variables, source)
         # built here, not in __init__: constructing a class takes a level of
         # the recursion limit in the interpreter, which a deep tree needs
-        expression.value = expression._build(expression.tree)
+        expression.value, expression.gradient = expression._build(
+            ast.parse(source, mode="eval").body
+        )
     except SyntaxError as exc:  # among them "too many nested parentheses", past 200
         raise SpecError(f"{exc.msg} in {text!r}") from exc
     # ast raises RecursionError or MemoryError for a tree too deep to build,
@@ -285,9 +262,9 @@ _Compiled = dict[tuple[str, tuple[tuple[str, _Place], ...]], _Expression]
 
 def _compile_once(compiled: _Compiled, text: str, variables: Mapping[str, _Place]) -> _Expression:
     """``_compile(text, variables)``, kept in ``compiled`` and returned from
-    there for the same text and variable places: the expression, and the
-    partials it builds on first use, are functions of those alone.  A text
-    that fails to compile is not kept."""
+    there for the same text and variable places: the expression's value and
+    partials are functions of those alone.  A text that fails to compile is
+    not kept."""
     key = (text, tuple(variables.items()))
     if key not in compiled:
         compiled[key] = _compile(text, variables)
@@ -395,14 +372,8 @@ class ProblemSpec:
         (``fields._pointwise``).  A RecursionError from a tree that compiled
         but is too deep to evaluate where it is called is a SpecError."""
         texts = [text] if isinstance(text, str) else text
-        fns = [_compile_once(self.compiled, s, self.variables(key)).value for s in texts]
-
-        def value(env):
-            with _evaluating(key, text):
-                values = [_filled(env[0], f(env)) for f in fns]
-            return values[0] if isinstance(text, str) else np.stack(values, axis=-1)
-
-        return _bound(key, value)
+        return _bound(key, text, [_compile_once(self.compiled, s, self.variables(key)).value
+                                  for s in texts])
 
     def partials(self, key: str, text: str | list[str]) -> tuple[Callable | None, Callable | None]:
         """The exact first partials of the expression under `key` (L, g or
@@ -416,29 +387,24 @@ class ProblemSpec:
         zero broadcasts to M.  The callables are marked ``whole_array``, as
         ``compile``'s are.  (None, None) when any of the expressions holds a
         power with a variable exponent, or gamma of a variable
-        (``_Expression.gradient``): the field then takes finite differences
+        (``_Expression._build``): the field then takes finite differences
         of its values."""
         places = self.variables(key)
         texts = [text] if isinstance(text, str) else text
         gradients = [_compile_once(self.compiled, s, places).gradient for s in texts]
         if any(gradient is None for gradient in gradients):
             return None, None
-
-        def jacobian(slot: int) -> Callable:
-            table = [[g.get(p, _zero) for p in places.values() if p[0] == slot] for g in gradients]
-
-            def value(env):
-                with _evaluating(key, text):
-                    rows = [np.stack([_filled(env[0], f(env)) for f in row], axis=-1) for row in table]
-                return rows[0] if isinstance(text, str) else np.stack(rows, axis=-2)
-
-            return _bound(key, value)
-
-        return jacobian(1), jacobian(2)
+        return tuple(
+            _bound(key, text, [[g.get(p, _zero) for p in places.values() if p[0] == slot]
+                               for g in gradients])
+            for slot in (1, 2)
+        )
 
 
-# The least value of each size, by its key
-_LEAST_SIZE = {"m": 2, "dim": 1, "controls": 1}
+# The least value of each size, by its key.  A residual report leaves out
+# DEFAULT_BAND nodes at each end, so m >= 2 * DEFAULT_BAND keeps a node to
+# fold its norms over.
+_LEAST_SIZE = {"m": 2 * DEFAULT_BAND, "dim": 1, "controls": 1}
 
 
 def _check_size(name: str, value: int) -> None:
@@ -446,19 +412,27 @@ def _check_size(name: str, value: int) -> None:
         raise SpecError(f"{name} must be >= {_LEAST_SIZE[name]}, got {value}")
 
 
-@contextmanager
-def _evaluating(key: str, text: str | list[str]):
-    """A RecursionError inside, from a tree that compiled but is too deep to
-    evaluate where it is called, is a SpecError naming ``key``."""
-    try:
-        yield
-    except RecursionError:
-        raise SpecError(f"in {key}: expression nested too deeply to evaluate: {text!r}") from None
+def _bound(key: str, text: str | list[str], table: list) -> Callable:
+    """A callable of the key's arguments, marked ``whole_array``, that
+    evaluates ``table``: for each text of ``text``, a function of the
+    environment tuple, or a row of them.  Each result is a float at one
+    point, or filled to t's shape (M,).  A row's results stack, and then the
+    entries of a list of texts, on axis 0 at one point and on axis 1 at M
+    points.  A RecursionError inside, from a tree that compiled but is too
+    deep to evaluate where it is called, is a SpecError naming ``key``."""
 
+    def value(env):
+        t = env[0]
+        try:
+            entries = [
+                np.stack([_filled(t, f(env)) for f in entry], np.ndim(t))
+                if isinstance(entry, list) else _filled(t, entry(env))
+                for entry in table
+            ]
+        except RecursionError:
+            raise SpecError(f"in {key}: expression nested too deeply to evaluate: {text!r}") from None
+        return entries[0] if isinstance(text, str) else np.stack(entries, np.ndim(t))
 
-def _bound(key: str, value: Callable) -> Callable:
-    """``value`` of the environment tuple as a callable of the key's
-    arguments, marked ``whole_array``."""
     bound = _BINDERS[_ARITY[key]](value)
     bound.whole_array = True
     return bound

@@ -3,9 +3,11 @@
 The discrete unknowns are the interior node values of q (boundaries pinned)
 plus the multiplier vector lambda.  The stationarity system is the exact
 gradient of the discretized augmented objective: the right RL derivative in
-the Euler-Lagrange residual is realized by the transpose of the left
-derivative matrix, so damped Newton converges on a true stationary point of
-the discrete problem.
+the Euler-Lagrange residual is realized as D^T, the adjoint of the discrete
+left derivative D, so damped Newton converges on a true stationary point of
+the discrete problem.  frac_kernels' derivative operator applies D^T with no
+matrix product: by a reversed convolution at alpha < 1 and by a difference
+at alpha = 1.
 """
 
 from __future__ import annotations

@@ -197,6 +197,59 @@ def test_solve_infeasible_exits_2(tmp_path):
     assert read_report(tmp_path / "o")["stop_reason"] == "line search stalled"
 
 
+def edited(tmp_path, path, drop=(), add=()):
+    """``path`` without the lines whose key is in ``drop`` and with the lines
+    ``add`` appended: (path of the copy, its lines)."""
+    lines = [line for line in Path(path).read_text(encoding="utf-8").splitlines()
+             if line.split("=")[0].strip() not in drop] + list(add)
+    spec = tmp_path / "edited.spec"
+    spec.write_text("\n".join(lines) + "\n")
+    return str(spec), lines
+
+
+@pytest.mark.parametrize(
+    "base, which, drop, add, message, line_of",
+    [
+        (EX1, "noether", ("tau", "xi1"), (),
+         "this check needs symmetry generators: add 'tau' and/or 'xi1..'", None),
+        (EX1, "el", ("q_b1",), (), "variational specs need final boundary values 'q_b1..'", None),
+        (EX1, "hamiltonian", (), (), "hamiltonian checks need dynamics expressions 'phi1..'", None),
+        (EX1, "el", ("lambda1",), (), "this check needs multipliers ('lambda1..')", None),
+        (EX2, "hamiltonian", ("costate1",), (),
+         "hamiltonian checks need 'control1..' and 'costate1..'", None),
+        (EX1, "el", (), ("bogus",), "expected 'key = value', got 'bogus'", "bogus"),
+        (EX1, "el", (), ("= 1",), "empty key or value in '= 1'", "= 1"),
+        (EX1, "el", ("L",), (), "missing required key 'L'", None),
+        (EX1, "el", (), ("lambda2 = 1",), "expected 1 'lambda' entries, got 2", "lambda1 = 2"),
+        (EX1, "el", ("q_a1",), (), "missing required key(s) 'q_a1..'", None),
+    ],
+    ids=["no-generator", "no-q_b", "no-phi", "no-lambda", "no-costate", "no-equals",
+         "empty-key", "no-L", "entry-count", "no-q_a"],
+)
+def test_spec_diagnostic_exits_3_with_its_message(
+    tmp_path, capsys, base, which, drop, add, message, line_of
+):
+    """Each missing or malformed key is a spec error with its message, and
+    with the line it is on where the message names one."""
+    spec, lines = edited(tmp_path, base, drop, add)
+    if line_of is not None:
+        message = f"line {lines.index(line_of) + 1}: {message}"
+    assert run("check", "--which", which, "--out", str(tmp_path / "o"), spec) == 3
+    assert capsys.readouterr().err == f"spec error: {message}\n"
+
+
+def test_spec_without_constraints_checks_and_solves(tmp_path):
+    """k = 0: no g, l or lambda keys.  L = t^4 + (v1 - t^2)^2 has the
+    example's trajectory as its unconstrained extremal."""
+    spec, _ = edited(tmp_path, EX1, drop=("L", "g1", "l1", "lambda1"), add=("L = t^4 + (v1 - t^2)^2",))
+    assert run("check", "--which", "el", "--out", str(tmp_path / "c"), spec) == 0
+    assert read_report(tmp_path / "c")["passed"]
+    assert run("solve", "--grid", "200", "--out", str(tmp_path / "s"), spec) == 0
+    report = read_report(tmp_path / "s")
+    assert report["converged"] and report["multipliers"] == [] == report["constraint_residual"]
+    assert report["scaled_max_deviation"] < 1e-3
+
+
 def test_solve_control_spec_exits_3(tmp_path, capsys):
     assert run("solve", "--out", str(tmp_path / "o"), EX2) == 3
     assert "spec declares dynamics" in capsys.readouterr().err
@@ -311,12 +364,13 @@ def test_tolerance_that_is_not_finite_and_nonnegative_exits_3(tmp_path, capsys, 
 @pytest.mark.parametrize(
     "option, value, message",
     [
-        ("--grid", "1", "m must be >= 2"),
+        ("--grid", "1", "m must be >= 4, got 1"),
+        ("--grid", "3", "m must be >= 4, got 3"),
         ("--alpha", "0", "alpha must lie in (0, 1], got 0.0"),
         ("--alpha", "1.5", "alpha must lie in (0, 1], got 1.5"),
         ("--alpha", "nan", "alpha must lie in (0, 1], got nan"),
     ],
-    ids=["grid-1", "alpha-0", "alpha-1.5", "alpha-nan"],
+    ids=["grid-1", "grid-3", "alpha-0", "alpha-1.5", "alpha-nan"],
 )
 @pytest.mark.parametrize("command", ["check", "solve"])
 def test_override_out_of_range_exits_3_by_the_spec_rule(

@@ -366,11 +366,12 @@ def test_integral_float_sizes_accepted(tmp_path):
         ({"alpha": 1.5}, "alpha must lie in (0, 1], got 1.5"),
         ({"alpha": math.nan}, "alpha must lie in (0, 1], got nan"),
         ({"a": 1.0}, "need a < b, got [1.0, 1.0]"),
-        ({"m": 1}, "m must be >= 2, got 1"),
+        ({"m": 1}, "m must be >= 4, got 1"),
+        ({"m": 3}, "m must be >= 4, got 3"),
         ({"dim": 0}, "dim must be >= 1, got 0"),
         ({"control_dim": 0}, "controls must be >= 1, got 0"),
     ],
-    ids=["alpha-0", "alpha-1.5", "alpha-nan", "a-equals-b", "m-1", "dim-0", "controls-0"],
+    ids=["alpha-0", "alpha-1.5", "alpha-nan", "a-equals-b", "m-1", "m-3", "dim-0", "controls-0"],
 )
 def test_value_rules_hold_for_a_replaced_spec(tmp_path, change, message):
     """The spec's value rules belong to ProblemSpec, so a spec changed by
@@ -382,7 +383,7 @@ def test_value_rules_hold_for_a_replaced_spec(tmp_path, change, message):
     assert str(info.value) == message
     with pytest.raises(dataclasses.FrozenInstanceError):
         spec.alpha = 0.25
-    assert dataclasses.replace(spec, m=2, alpha=1.0).compiled is spec.compiled
+    assert dataclasses.replace(spec, m=4, alpha=1.0).compiled is spec.compiled
 
 
 @pytest.mark.parametrize(

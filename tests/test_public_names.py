@@ -106,6 +106,45 @@ def test_every_imported_name_is_used():
     assert checked > 0 and not unused, unused
 
 
+def _private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def test_every_private_definition_is_used():
+    """Each private module-level name and private method of the package is
+    referenced somewhere in the package outside its own definition, so a
+    refactor leaves no dead helper behind.  A recursive helper that nothing
+    else calls counts as unused."""
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted((ROOT / "src" / "fracnoether").glob("*.py"))}
+    definitions, references = [], []
+    for module, tree in trees.items():
+        methods = [member for cls in tree.body if isinstance(cls, ast.ClassDef)
+                   for member in cls.body if isinstance(member, ast.FunctionDef)]
+        for node in tree.body + methods:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            definitions += [(module, name, node.lineno, node.end_lineno)
+                            for name in names if _private(name)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                references.append((module, node.id, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                references.append((module, node.attr, node.lineno))
+    unused = [
+        f"{module}:{first}: {name}"
+        for module, name, first, last in definitions
+        if not any(ref == name and not (where == module and first <= line <= last)
+                   for where, ref, line in references)
+    ]
+    assert definitions and not unused, unused
+
+
 def test_each_public_name_is_declared_once_in_its_module():
     """The package re-exports its library modules with star imports, so a
     name in two modules' ``__all__`` would silently shadow the earlier one,

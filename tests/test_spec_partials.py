@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_whole_array import EX1, EX2, _positive_expressions, _signed_expressions, points, spec_for
 
-from fracnoether import VectorField
+from fracnoether import VectorField, exprspec
 from fracnoether.cli import _point_field, build_control, build_variational, main
 from fracnoether.exprspec import parse_spec
 
@@ -184,6 +184,36 @@ def test_zero_exponent_has_partial_zero_not_nan():
     dq, dv = spec_for(control=False).partials("L", "v1^0 + q1^(1 - 1)")
     zero = np.zeros(2)
     assert np.array_equal(dv(0.5, zero, zero), zero) and np.array_equal(dq(0.5, zero, zero), zero)
+
+
+@pytest.mark.parametrize("text", ["v1^2 * q1 / gamma(3.5)", "(q1 * v1)^gamma(2.5)"])
+def test_constant_gamma_is_evaluated_once_for_value_and_partials(monkeypatch, text):
+    """One walk builds the value and the partials, so a constant gamma is
+    folded once, and evaluating them calls it no more."""
+    calls = []
+    real = exprspec._FUNCTIONS["gamma"]
+    monkeypatch.setitem(exprspec._FUNCTIONS, "gamma", lambda x: calls.append(x) or real(x))
+    spec = spec_for(control=False)
+    value, (dq, dv) = spec.compile("L", text), spec.partials("L", text)
+    assert len(calls) == 1
+    t, q, v = points(np.random.default_rng(14), count=3)
+    value(t, q, q), dq(t, q, q), dv(t, q, q)  # q > 0, so the power is real
+    assert len(calls) == 1
+
+
+def test_each_node_is_built_once(monkeypatch):
+    """Compiling and differentiating a product of 128 factors, 255 nodes,
+    visits each node once: no derivative rule rebuilds an operand."""
+    calls = []
+    real = exprspec._Expression._build
+    monkeypatch.setattr(exprspec._Expression, "_build",
+                        lambda self, node: calls.append(node) or real(self, node))
+    spec = spec_for(control=False)
+    text = " * ".join(["q1"] * 128)
+    spec.compile("L", text)
+    dq, _ = spec.partials("L", text)
+    assert len(calls) == 255 and len(set(map(id, calls))) == 255
+    assert dq(0.5, np.array([1.0, 0.0]), np.zeros(2))[0] == 128.0
 
 
 @pytest.mark.parametrize(
