@@ -5,8 +5,9 @@ The expression grammar is deliberately tiny so spec files stay portable:
 +, -, *, /, ^ (right-associative), parentheses, numeric literals, named
 variables, and the gamma() function.  The standard library's ``ast`` parses
 it, and one walk of the tree builds closures for its value and for its
-exact first partials, each construct's two rules side by side.  Specs are
-flat `key = value` files; see docs/formats.md for the full key reference.
+exact first partials, each construct's two rules side by side, and decides
+which subtrees read no variable.  Specs are flat `key = value` files; see
+docs/formats.md for the full key reference.
 `ProblemSpec.compile` and `ProblemSpec.partials` are the one place where a
 key's variable names are resolved to its call arguments.
 """
@@ -141,38 +142,37 @@ class _Expression:
     def _piece(self, node: ast.expr) -> str:
         return self.source[node.col_offset : node.end_col_offset].replace("**", "^")
 
-    def _constant(self, node: ast.expr) -> bool:
-        return not any(isinstance(n, ast.Name) and n.id in self.variables for n in ast.walk(node))
-
-    def _build(self, node: ast.expr) -> tuple[Callable, _Gradient | None]:
-        """The value of ``node`` and its exact first partials in the q and y
-        components, by forward-mode rules (``+ - * /``, unary signs, ``^`` of
-        a constant exponent) that read the operands' values.  A subtree that
-        reads none of those components has partial zero, so its terms drop
-        out.  The partials are None where the subtree holds a power whose
-        exponent reads a variable, or gamma of an argument that reads one,
-        ``t`` included: its partials are then finite differences of its
-        values.  The rules next to the leaves loop rather than use a
-        comprehension, which takes a level of the recursion limit in the
+    def _build(self, node: ast.expr) -> tuple[Callable, _Gradient | None, bool]:
+        """The value of ``node``, its exact first partials in the q and y
+        components, and whether it reads any variable, ``t`` included: a
+        ``^`` or gamma call that reads none is evaluated here, once.  The
+        partials follow forward-mode rules (``+ - * /``, unary signs, ``^``
+        of a constant exponent) that read the operands' values; a subtree
+        that reads no q or y component has partial zero, so its terms drop
+        out.  They are None where the subtree holds a power whose exponent
+        reads a variable, or gamma of an argument that reads one: finite
+        differences of its values stand in.  The rules next to the leaves
+        loop, as a comprehension takes a level of the recursion limit in the
         interpreter, so that the partials reach no deeper than the values."""
         match node:
             case ast.BinOp(left, ast.Pow(), right):
-                (base, da), (exponent, _) = self._build(left), self._build(right)
+                base, da, base_reads = self._build(left)
+                exponent, _, exponent_reads = self._build(right)
                 power = _power(base, exponent, self._piece(node), self.text)
-                if self._constant(node):
-                    return _folded(power), {}
-                if da is None or not self._constant(right):
-                    return power, None
+                if not (base_reads or exponent_reads):
+                    return _folded(power), {}, False
+                if da is None or exponent_reads:
+                    return power, None, True
                 if not da or _evaluated(exponent) == 0.0:
-                    return power, {}
+                    return power, {}, True
                 lowered = _power(base, lambda env: exponent(env) - 1.0, self._piece(node), self.text)
                 slope = _OPERATORS[ast.Mult](exponent, lowered)
-                return power, {place: _times(slope, d) for place, d in da.items()}
+                return power, {place: _times(slope, d) for place, d in da.items()}, True
             case ast.BinOp(left, op, right) if type(op) in _OPERATORS:
-                (a, da), (b, db) = self._build(left), self._build(right)
+                (a, da, reads_a), (b, db, reads_b) = self._build(left), self._build(right)
                 value = _OPERATORS[type(op)](a, b)
                 if da is None or db is None:
-                    return value, None
+                    return value, None, reads_a or reads_b
                 match op:
                     case ast.Add() | ast.Sub():
                         out = dict(da)
@@ -198,18 +198,18 @@ class _Expression:
                                 numerator = (_OPERATORS[ast.Sub](da[place], term) if place in da
                                              else _negated(term))
                             out[place] = _OPERATORS[ast.Div](numerator, b)
-                return value, out
+                return value, out, reads_a or reads_b
             case ast.UnaryOp(ast.USub(), operand):
-                value, out = self._build(operand)
+                value, out, reads = self._build(operand)
                 # negated in place: each walk returns a dict of its own
                 for place, d in (out or {}).items():
                     out[place] = _negated(d)
-                return _negated(value), out
+                return _negated(value), out, reads
             case ast.UnaryOp(ast.UAdd(), operand):
                 return self._build(operand)
             case ast.Constant() if _NUMBER.fullmatch(literal := self._piece(node)):
                 number = float(literal)
-                return (lambda env: number), {}
+                return (lambda env: number), {}, False
             case ast.Name(name) if name not in _FUNCTIONS:
                 if name not in self.variables:
                     raise SpecError(
@@ -219,15 +219,15 @@ class _Expression:
                 slot, index = place = self.variables[name]
                 gradient = {place: _one} if slot > 0 else {}  # q or y, not t
                 if index is None:
-                    return (lambda env: env[slot]), gradient
-                return (lambda env: env[slot].T[index]), gradient
+                    return (lambda env: env[slot]), gradient, True
+                return (lambda env: env[slot].T[index]), gradient, True
             # gamma(x) written by name: not (gamma)(x), whose tree is the same
             case ast.Call(ast.Name(name), [arg], []) if (
                 name in _FUNCTIONS and node.col_offset == node.func.col_offset
             ):
-                fn, (inner, _) = _FUNCTIONS[name], self._build(arg)
+                fn, (inner, _, reads) = _FUNCTIONS[name], self._build(arg)
                 call = lambda env: fn(inner(env))
-                return (_folded(call), {}) if self._constant(arg) else (call, None)
+                return (call, None, True) if reads else (_folded(call), {}, False)
         raise SpecError(f"unexpected {self._piece(node)!r} in {self.text!r}")
 
 
@@ -244,7 +244,7 @@ def _compile(text: str, variables: Mapping[str, _Place]) -> _Expression:
         expression = _Expression(text, variables, source)
         # built here, not in __init__: constructing a class takes a level of
         # the recursion limit in the interpreter, which a deep tree needs
-        expression.value, expression.gradient = expression._build(
+        expression.value, expression.gradient, _ = expression._build(
             ast.parse(source, mode="eval").body
         )
     except SyntaxError as exc:  # among them "too many nested parentheses", past 200
@@ -291,13 +291,6 @@ BUILTIN_TRAJECTORIES = {
 # expression key (or indexed stem) takes.  q stands for q1..qn, and y for the
 # fractional velocity v1..vn, or for the control u1..uk in control specs.
 _ARITY = {"L": 3, "g": 3, "phi": 3, "tau": 2, "xi": 2, "trajectory": 1, "control": 1, "costate": 1}
-
-_BINDERS = {
-    3: lambda fn: lambda t, q, y: fn((t, q, y)),
-    2: lambda fn: lambda t, q: fn((t, q)),
-    1: lambda fn: lambda t: fn((t,)),
-}
-
 
 @dataclass(frozen=True)
 class ProblemSpec:
@@ -414,12 +407,13 @@ def _check_size(name: str, value: int) -> None:
 
 def _bound(key: str, text: str | list[str], table: list) -> Callable:
     """A callable of the key's arguments, marked ``whole_array``, that
-    evaluates ``table``: for each text of ``text``, a function of the
-    environment tuple, or a row of them.  Each result is a float at one
-    point, or filled to t's shape (M,).  A row's results stack, and then the
-    entries of a list of texts, on axis 0 at one point and on axis 1 at M
-    points.  A RecursionError inside, from a tree that compiled but is too
-    deep to evaluate where it is called, is a SpecError naming ``key``."""
+    evaluates ``table`` with those arguments as the environment tuple: for
+    each text of ``text``, a function of that tuple, or a row of them.  Each
+    result is a float at one point, or filled to t's shape (M,).  A row's
+    results stack, and then the entries of a list of texts, on axis 0 at one
+    point and on axis 1 at M points.  A RecursionError inside, from a tree
+    that compiled but is too deep to evaluate where it is called, is a
+    SpecError naming ``key``."""
 
     def value(env):
         t = env[0]
@@ -433,7 +427,9 @@ def _bound(key: str, text: str | list[str], table: list) -> Callable:
             raise SpecError(f"in {key}: expression nested too deeply to evaluate: {text!r}") from None
         return entries[0] if isinstance(text, str) else np.stack(entries, np.ndim(t))
 
-    bound = _BINDERS[_ARITY[key]](value)
+    def bound(*args):
+        return value(args)
+
     bound.whole_array = True
     return bound
 
@@ -486,15 +482,6 @@ def _constant(
     return number
 
 
-def _const(
-    compiled: _Compiled, pairs: dict, key: str, default: float | None = None, integer: bool = False
-) -> float | int | None:
-    if key not in pairs:
-        return default
-    number = _constant(compiled, key, *pairs.pop(key), integer=integer)
-    return int(number) if integer else number
-
-
 def _indexed(pairs: dict, stem: str) -> list[tuple[str, str, int]]:
     """Pop stem1, stem2, ... as (key, value, line) triples."""
     out = []
@@ -516,7 +503,12 @@ def parse_spec(path: str) -> ProblemSpec:
     pairs = _read_pairs(path)
     lines = {key: lineno for key, (_, lineno) in pairs.items()}
     compiled: _Compiled = {}
-    const = lambda *args, **kwargs: _const(compiled, pairs, *args, **kwargs)
+
+    def const(key: str, default: float | None = None, integer: bool = False) -> float | int | None:
+        if key not in pairs:
+            return default
+        number = _constant(compiled, key, *pairs.pop(key), integer=integer)
+        return int(number) if integer else number
 
     alpha = const("alpha")
     if alpha is None:

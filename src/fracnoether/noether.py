@@ -62,9 +62,13 @@ class SymmetryGenerator:
 
     def sampled_along(self, grid: Grid, q: SampledFunction) -> tuple[np.ndarray, np.ndarray]:
         """(tau, xi) at the nodes, shapes (M,) and (M, dim), each from one
-        call on all nodes; xi must have q's dim components."""
+        call on all nodes; tau must have one value per node, as a float or a
+        one-element array, and xi q's dim components."""
         t, Q = grid.nodes, q.values
         taus = np.asarray(self.tau(t, Q), float)
+        if taus.size != t.size:
+            raise ValueError(f"tau has shape {taus.shape} but there are {t.size} nodes")
+        taus = taus.reshape(t.size)
         xis = np.asarray(self.xi(t, Q), float).reshape(t.size, -1)
         if xis.shape[1] != q.dim:
             raise ValueError(f"xi has {xis.shape[1]} components but q has {q.dim}")

@@ -45,7 +45,7 @@ DEFAULT_BAND = 2
 #: Pass/fail bound on the invariance probe's dI/d(eps) estimates.
 INVARIANCE_TOLERANCE = 1e-2
 
-# The constant c of certification_tolerance's c * h^min(1, 2 - alpha).
+# The constant c of certification_tolerance's c * h.
 _CERTIFICATION_FACTOR = 10.0
 
 
@@ -129,13 +129,14 @@ def make_report(grid: Grid, residual: np.ndarray, band: int = DEFAULT_BAND) -> R
 
 
 def certification_tolerance(problem) -> float:
-    """Scheme-order residual tolerance 10 * h^min(1, 2 - alpha).
+    """Scheme-order residual tolerance 10 * h.
 
-    ``problem`` is any object with ``order`` and ``grid``; on a
-    ControlProblem (alpha <= 1) this is 10 * h.
+    ``problem`` is any object with a ``grid``.  The scheme-order exponent
+    min(1, 2 - alpha) is 1 at every order a residual is taken at: alpha
+    <= 1, and a derivative of a higher order raises
+    ``UnsupportedOrderError``.
     """
-    expo = min(1.0, 2.0 - problem.order.alpha)
-    return _CERTIFICATION_FACTOR * problem.grid.h**expo
+    return _CERTIFICATION_FACTOR * problem.grid.h
 
 
 def frac_velocity(q: SampledFunction, order: FracOrder) -> SampledFunction:

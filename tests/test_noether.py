@@ -118,6 +118,26 @@ def test_generator_xi_must_match_the_state_dimension(check):
         check(problem, np.array([2.0]), benchmark_extremal(problem.grid), gen)
 
 
+@pytest.mark.parametrize(
+    "check",
+    [noether_law_residual, invariance_first_order_check, _hamiltonian_noether_on_lift],
+    ids=["noether", "invariance-first-order", "hamiltonian"],
+)
+def test_generator_tau_may_be_a_one_element_array(check):
+    """tau returning np.ones(1), as xi returns its components, gives the
+    report of tau = 1.0 bitwise, and two values per node are an error
+    naming tau's shape, not a broadcast over every pair of nodes."""
+    problem = benchmark_problem(200)
+    lam, q = np.array([2.0]), benchmark_extremal(problem.grid)
+    xi = lambda t, x: np.ones(1)
+    scalar = check(problem, lam, q, SymmetryGenerator(tau=lambda t, x: 1.0, xi=xi))
+    array = check(problem, lam, q, SymmetryGenerator(tau=lambda t, x: np.ones(1), xi=xi))
+    assert array.sup_norm == scalar.sup_norm
+    assert np.array_equal(array.pointwise.values, scalar.pointwise.values, equal_nan=True)
+    with pytest.raises(ValueError, match=r"tau has shape \(201, 2\) but there are 201 nodes"):
+        check(problem, lam, q, SymmetryGenerator(tau=lambda t, x: np.ones(2), xi=xi))
+
+
 def test_tau_zero_reduction(bench2000, bench2000_q):
     """With tau == 0 the full law reduces exactly to the momentum law."""
     lam = np.array([2.0])

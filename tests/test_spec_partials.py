@@ -216,6 +216,24 @@ def test_each_node_is_built_once(monkeypatch):
     assert dq(0.5, np.array([1.0, 0.0]), np.zeros(2))[0] == 128.0
 
 
+@pytest.mark.parametrize("text", ["v1" + "^1" * 200, "gamma(gamma(gamma(2)))"])
+def test_constants_are_decided_without_a_second_walk(monkeypatch, text):
+    """Whether a subtree reads a variable comes from the one walk that
+    builds it, so compiling a power chain or nested gamma calls walks no
+    subtree again, and takes time linear in the tree."""
+    calls = []
+    real = exprspec.ast.walk
+    monkeypatch.setattr(exprspec.ast, "walk", lambda node: calls.append(node) or real(node))
+    spec = spec_for(control=False)
+    value = spec.compile("L", text)
+    dq, dv = spec.partials("L", text)
+    assert calls == []
+    t, q, v = points(np.random.default_rng(15), count=3)
+    chain = text.startswith("v1")  # v1^1 = v1, and gamma(gamma(gamma(2))) = 1
+    assert np.array_equal(value(t, q, v), v[:, 0] if chain else np.ones(3))
+    assert np.array_equal(dv(t, q, v)[:, 0], np.ones(3) if chain else np.zeros(3))
+
+
 @pytest.mark.parametrize(
     "text", ["v1^q1", "gamma(v1)", "gamma(1.5 + t * v1)", "2^-t * q2", "t^4 + v1^2 + gamma(t)"]
 )
