@@ -66,10 +66,12 @@ rep_n = noether_law_residual(problem, lam, q, gen)
 print(f"law residual sup = {rep_n.sup_norm:.3e}   ({'passes' if rep_n.passes(tol) else 'fails'})")
 
 print()
-print("= First-order invariance probe =")
+print("= First-order invariance =")
+print("dI/d(eps) at eps = 0, linearized: [tau F] at each window's ends plus the")
+print("integral of d_q F . eta + d_v F . (D^alpha eta + moving-limit term),")
+print("eta = xi - tau q'.  Under time translation (tau = 1, xi = 0):")
 gen_shift = SymmetryGenerator(tau=lambda t, x: 1.0, xi=lambda t, x: np.zeros(1))
 est = invariance_first_order_check(problem, lam, q, gen_shift)
-print(f"dI/d(eps) of the augmented functional under time translation:")
 print(f"  along the extremal with lambda = 2: {est.sup_norm:.3e} (near zero)")
 est_bad = invariance_first_order_check(problem, np.array([0.0]), q, gen_shift)
 print(f"  unaugmented (lambda = 0):           {est_bad.sup_norm:.3e} (not invariant)")

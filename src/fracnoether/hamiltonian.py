@@ -18,7 +18,8 @@ from .fields import PointField, VectorField
 from .grids import FracOrder, Grid, SampledFunction
 from .noether import SymmetryGenerator, _noether_fold
 from .problems import (
-    DEFAULT_BAND, ResidualReport, VariationalProblem, _node_points, augmented_lagrangian, make_report
+    DEFAULT_BAND, ResidualReport, VariationalProblem, _check_candidate, _checked_levels, _node_points,
+    augmented_lagrangian, make_report,
 )
 
 __all__ = [
@@ -60,9 +61,7 @@ class ControlProblem:
         if self.order.alpha > 1.0:
             raise ValueError("control layer needs 0 < alpha <= 1")
         object.__setattr__(self, "initial", np.atleast_1d(np.asarray(self.initial, float)))
-        object.__setattr__(self, "constraint_levels", np.atleast_1d(np.asarray(self.constraint_levels, float)))
-        if len(self.constraints) != self.constraint_levels.size:
-            raise ValueError("constraint/level count mismatch")
+        object.__setattr__(self, "constraint_levels", _checked_levels(self.constraints, self.constraint_levels))
 
     @property
     def dim(self) -> int:
@@ -113,10 +112,7 @@ def _checked_dynamics(cp: ControlProblem, ext: PontryaginExtremal) -> np.ndarray
     the problem: its grid is cp.grid, its state has cp.dim components, its
     control cp.control_dim, and phi returns cp.dim components.  A mismatch
     is a ValueError that names it."""
-    if ext.q.grid != cp.grid:
-        raise ValueError(f"candidate grid {ext.q.grid} is not the problem's {cp.grid}")
-    if ext.q.dim != cp.dim:
-        raise ValueError(f"state has {ext.q.dim} components but the problem has {cp.dim}")
+    _check_candidate(cp, ext.q)
     if ext.u.dim != cp.control_dim:
         raise ValueError(
             f"control has {ext.u.dim} components but the problem has {cp.control_dim}"

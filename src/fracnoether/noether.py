@@ -19,15 +19,17 @@ from typing import Callable
 import numpy as np
 
 from . import frac_kernels as fk
-from .fields import PointField, _pointwise
-from .grids import FracOrder, Grid, SampledFunction
+from .fields import _pointwise
+from .gammafn import reciprocal_gamma
+from .grids import FracOrder, Grid, SampledFunction, fill_endpoints
 from .problems import (
     DEFAULT_BAND,
     ResidualReport,
     VariationalProblem,
     _node_points,
-    _velocity_filled,
+    _trapezoid,
     augmented_lagrangian,
+    frac_velocity,
     make_report,
 )
 
@@ -116,6 +118,34 @@ def _zero_tau_xis(gen: SymmetryGenerator, grid: Grid, q: SampledFunction, law: s
     return xis
 
 
+def _invariance_integrand(
+    problem: VariationalProblem, lam: np.ndarray, q: SampledFunction, taus: np.ndarray, xis: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(tau F, r) at the nodes, so that dI/d(eps) over [t_i, t_j] is
+    [tau F]_i^j + int_i^j r dt.  With Olver's characteristic eta = xi - tau q',
+
+        r = d_q F . eta + d_v F . (D^alpha eta + alpha tau(a) q(a) (t - a)^(-alpha-1) / Gamma(1 - alpha)),
+
+    the last term from the moving lower limit, added at nodes 1..m; node 0
+    is filled as the velocity is.  With tau == 0 at every node, eta is xi
+    and F's value is not sampled.
+    """
+    t, x, v = _node_points(problem, q)
+    F, alpha = augmented_lagrangian(problem, lam), problem.order.alpha
+    eta, tau_F = xis, np.zeros(t.size)
+    if np.any(taus != 0.0):
+        eta = xis - taus[:, None] * fk.left_rl_derivative(q, FracOrder(1.0)).values
+        tau_F = taus * F(t, x, v)
+    d_eta = frac_velocity(SampledFunction(problem.grid, eta), problem.order).values
+    lower = taus[0] * q.values[0]
+    if alpha < 1.0 and np.any(lower != 0.0):
+        limit = alpha * reciprocal_gamma(1.0 - alpha) * lower
+        d_eta[1:] += limit * (t[1:, None] - t[0]) ** (-alpha - 1.0)
+    d_eta = fill_endpoints(d_eta)
+    r = np.sum(F.d_x(t, x, v) * eta, axis=1) + np.sum(F.d_y(t, x, v) * d_eta, axis=1)
+    return tau_F, r
+
+
 def invariance_necessary_condition(
     problem: VariationalProblem,
     lam: np.ndarray,
@@ -126,15 +156,12 @@ def invariance_necessary_condition(
     """Residual of d_q F . xi + d_v F . D^alpha[xi(t, q(t))].
 
     Requires tau == 0: this is the no-time-transformation notion of
-    invariance.  xi(t, q(t)) is differentiated as a sampled composite
-    function of t (there is no fractional chain rule to apply instead).
+    invariance, the invariance integrand r with eta = xi.  xi(t, q(t)) is
+    differentiated as a sampled composite function of t (there is no
+    fractional chain rule to apply instead).
     """
     xis = _zero_tau_xis(gen, problem.grid, q, "the necessary condition of invariance")
-    F = augmented_lagrangian(problem, lam)
-    t, x, v = _node_points(problem, q)
-    a, b = F.d_x(t, x, v), F.d_y(t, x, v)
-    dxi = _velocity_filled(problem, SampledFunction(problem.grid, xis))
-    r = np.sum(a * xis, axis=1) + np.sum(b * dxi, axis=1)
+    _, r = _invariance_integrand(problem, lam, q, np.zeros(len(xis)), xis)
     return make_report(problem.grid, r, band=band)
 
 
@@ -171,54 +198,8 @@ def noether_law_residual(
     return _noether_fold(problem.grid, problem.order, energy, taus, b, xis, band)
 
 
-# --------------------------------------------------------------------------
-# first-order invariance probe
-# --------------------------------------------------------------------------
-
-#: Nested subintervals (as fractions of [a, b]) over which dI/d(eps) is probed.
+#: Nested subintervals (as fractions of [a, b]) over which dI/d(eps) is taken.
 _SUBINTERVALS = ((0.05, 0.95), (0.1, 0.9), (0.2, 0.8))
-_EPS = 1e-4
-
-
-def _transformed_value(
-    problem: VariationalProblem,
-    F: PointField,
-    q: SampledFunction,
-    taus: np.ndarray,
-    xis: np.ndarray,
-    eps: float,
-    first: int,
-    last: int,
-) -> np.ndarray:
-    """Integrand of the transformed functional, in the original parameter.
-
-    Builds (t-bar, q-bar) samples, resamples q-bar on a uniform grid over the
-    transformed window (the fractional operator's lower limit moves with the
-    window, matching the time-translation computation for autonomous data),
-    and returns F(t-bar, q-bar, D^alpha q-bar) * dt-bar/dt at the original
-    nodes first..last, ready for quadrature over any subinterval there.  F
-    is evaluated only at the resampling nodes that bracket those t-bar.
-    """
-    grid = problem.grid
-    t = grid.nodes
-    tbar = t + eps * taus
-    if np.any(np.diff(tbar) <= 0.0):
-        raise ValueError("transformed time map is not monotone for the probe eps")
-    qbar = q.values + eps * xis
-
-    tgrid = Grid(float(tbar[0]), float(tbar[-1]), grid.m)
-    s = tgrid.nodes
-    qres = np.column_stack(
-        [np.interp(s, tbar, qbar[:, i]) for i in range(qbar.shape[1])]
-    )
-    vres = _velocity_filled(problem, SampledFunction(tgrid, qres))
-    # s[0] = tbar[0] and s[-1] = tbar[-1], so the bracket is inside the grid;
-    # interpolating between the same two nodes keeps np.interp's bits
-    lo = np.searchsorted(s, tbar[first], side="right") - 1
-    hi = np.searchsorted(s, tbar[last], side="left") + 1
-    fres = F(s[lo:hi], qres[lo:hi], vres[lo:hi])
-    fbar = np.interp(tbar[first : last + 1], s[lo:hi], fres)
-    return fbar * np.gradient(tbar, t)[first : last + 1]
 
 
 def invariance_first_order_check(
@@ -227,38 +208,18 @@ def invariance_first_order_check(
     q: SampledFunction,
     gen: SymmetryGenerator,
 ) -> ResidualReport:
-    """Centered, Richardson-combined estimate of dI/d(eps) at eps = 0.
+    """dI/d(eps) at eps = 0 over each nested subinterval [t_i, t_j]:
+    [tau F]_i^j plus the trapezoid integral of the invariance integrand.
 
-    One estimate per nested subinterval; the report's pointwise samples hold
-    the per-subinterval values (not a time profile) and the sup norm is
-    their largest magnitude.  Near-zero certifies first-order invariance.
+    The report's pointwise samples hold the per-subinterval values (not a
+    time profile) and the sup norm is their largest magnitude.  Near-zero
+    certifies first-order invariance.
     """
-    F = augmented_lagrangian(problem, lam)
     grid = problem.grid
-    t = grid.nodes
-    taus, xis = gen.sampled_along(grid, q)
-    windows = [(round(lo_f * grid.m), round(hi_f * grid.m)) for lo_f, hi_f in _SUBINTERVALS]
-    first = min(j0 for j0, _ in windows)
-    last = max(j1 for _, j1 in windows)
-
-    integrands = {
-        eps: _transformed_value(problem, F, q, taus, xis, eps, first, last)
-        for eps in (_EPS, -_EPS, _EPS / 2.0, -_EPS / 2.0)
-    }
-
-    estimates = []
-    for j0, j1 in windows:
-
-        def ival(eps: float) -> float:
-            values = integrands[eps][j0 - first : j1 - first + 1]
-            return float(np.trapezoid(values, t[j0 : j1 + 1]))
-
-        d1 = (ival(_EPS) - ival(-_EPS)) / (2.0 * _EPS)
-        d2 = (ival(_EPS / 2.0) - ival(-_EPS / 2.0)) / _EPS
-        estimates.append((4.0 * d2 - d1) / 3.0)
-
-    est = np.array(estimates)
-    probe_grid = Grid(0.0, 1.0, len(estimates) - 1)
+    tau_F, r = _invariance_integrand(problem, lam, q, *gen.sampled_along(grid, q))
+    windows = [(round(lo * grid.m), round(hi * grid.m)) for lo, hi in _SUBINTERVALS]
+    est = np.array([tau_F[j] - tau_F[i] + _trapezoid(problem, r[i : j + 1]) for i, j in windows])
+    rows = Grid(0.0, 1.0, len(est) - 1)
     sup = float(np.max(np.abs(est)))
     l2 = float(np.sqrt(np.mean(est * est)))
-    return ResidualReport(probe_grid, SampledFunction(probe_grid, est), sup, l2, 0)
+    return ResidualReport(rows, SampledFunction(rows, est), sup, l2, 0)

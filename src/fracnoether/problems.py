@@ -42,7 +42,8 @@ __all__ = [
 #: Nodes dropped at each end of the grid when taking residual norms.
 DEFAULT_BAND = 2
 
-#: Pass/fail bound on the invariance probe's dI/d(eps) estimates.
+#: Pass/fail bound on invariance_first_order_check's linearized dI/d(eps),
+#: one value per subinterval.
 INVARIANCE_TOLERANCE = 1e-2
 
 # The constant c of certification_tolerance's c * h.
@@ -56,6 +57,15 @@ def endpoint_band(m: int) -> int:
     weak power singularity there; norms are then taken on the inner 90%.
     """
     return max(DEFAULT_BAND, round(0.05 * m))
+
+
+def _checked_levels(constraints: Sequence, levels) -> np.ndarray:
+    """The constraint levels as a 1-d float array, one per constraint (a
+    variational or a control problem's)."""
+    levels = np.atleast_1d(np.asarray(levels, float))
+    if len(constraints) != levels.size:
+        raise ValueError(f"{len(constraints)} constraints but {levels.size} levels")
+    return levels
 
 
 @dataclass(frozen=True)
@@ -73,14 +83,9 @@ class VariationalProblem:
     def __post_init__(self) -> None:
         object.__setattr__(self, "boundary_a", np.atleast_1d(np.asarray(self.boundary_a, float)))
         object.__setattr__(self, "boundary_b", np.atleast_1d(np.asarray(self.boundary_b, float)))
-        object.__setattr__(self, "constraint_levels", np.atleast_1d(np.asarray(self.constraint_levels, float)))
         if self.boundary_a.shape != self.boundary_b.shape:
             raise ValueError("boundary value dimensions disagree")
-        if len(self.constraints) != self.constraint_levels.size:
-            raise ValueError(
-                f"{len(self.constraints)} constraints but "
-                f"{self.constraint_levels.size} levels"
-            )
+        object.__setattr__(self, "constraint_levels", _checked_levels(self.constraints, self.constraint_levels))
 
     @property
     def dim(self) -> int:
@@ -234,9 +239,20 @@ def _velocity_filled(problem: VariationalProblem, q: SampledFunction) -> np.ndar
 # last gradient took at the same points.
 
 
+def _check_candidate(problem: VariationalProblem, q: SampledFunction) -> None:
+    """A ValueError naming the mismatch unless q lives on ``problem.grid``
+    with ``problem.dim`` components (a variational or a control problem)."""
+    if q.grid != problem.grid:
+        raise ValueError(f"candidate grid {q.grid} is not the problem's {problem.grid}")
+    if q.dim != problem.dim:
+        raise ValueError(f"state has {q.dim} components but the problem has {problem.dim}")
+
+
 def _node_points(problem: VariationalProblem, q: SampledFunction):
     """(t, x, v) at q's nodes: t, q and its filled velocity of order
-    ``problem.order`` (a variational or a control problem)."""
+    ``problem.order`` (a variational or a control problem), once q is
+    checked to fit the problem."""
+    _check_candidate(problem, q)
     return q.grid.nodes, q.values, _velocity_filled(problem, q)
 
 

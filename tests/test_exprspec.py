@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import math
 import operator
+import sys
 
 import numpy as np
 import pytest
@@ -276,6 +277,29 @@ def test_bundled_benchmark_spec():
     assert spec.levels == [0.2]
     assert spec.multipliers == [2.0]
     assert spec.q_b[0] == pytest.approx(0.6018022225, rel=1e-9)
+
+
+def test_sum_too_deep_to_evaluate_where_it_is_called_is_a_spec_error(tmp_path):
+    """A 300-term sum compiles and evaluates at the top of the stack, but
+    called about 200 frames below the recursion limit it overflows it.  That
+    RecursionError is a SpecError naming the key, not a traceback."""
+    text = " + ".join(["v1^2"] * 300)
+    spec = parse_spec(write(tmp_path, MINIMAL.replace("t + v1^2", text)))
+    L = spec.compile("L", spec.lagrangian)
+    one = np.array([1.0])
+    assert L(0.5, one, one) == 300.0
+
+    def depth():
+        frame, n = sys._getframe(), 0
+        while frame is not None:
+            frame, n = frame.f_back, n + 1
+        return n
+
+    def below(n):
+        return L(0.5, one, one) if n <= 0 else below(n - 1)
+
+    with pytest.raises(SpecError, match=r"^in L: expression nested too deeply to evaluate: 'v1\^2 \+ "):
+        below(sys.getrecursionlimit() - 200 - depth())
 
 
 def test_empty_file_rejected(tmp_path):

@@ -34,6 +34,8 @@ def test_grid_nodes_and_refinement():
             Grid(a, b, 10)
     with pytest.raises(ValueError, match="integer"):
         Grid(0.0, 1.0, 10.0)
+    with pytest.raises(ValueError, match="need at least 2 intervals, got m = 1"):
+        Grid(0.0, 1.0, 1)
 
 
 def test_sampled_function_shapes_and_nan_policy():
@@ -46,6 +48,14 @@ def test_sampled_function_shapes_and_nan_policy():
     assert filled[-1] == 2.0 * 3.0 - 2.0
     with pytest.raises(ValueError):
         SampledFunction(grid, np.array([0.0, np.nan, 2.0, 3.0, 4.0]))
+    with pytest.raises(ValueError, match=r"expected \(m\+1, dim\) values, got shape \(4, 1\)"):
+        SampledFunction(grid, np.zeros(4))
+    with pytest.raises(ValueError, match=r"expected \(m\+1, dim\) values, got shape \(5, 1, 1\)"):
+        SampledFunction(grid, np.zeros((5, 1, 1)))
+    with pytest.raises(ValueError, match="expected scalar samples, got dim = 2"):
+        SampledFunction(grid, np.zeros((5, 2))).scalar
+    with pytest.raises(ValueError, match="sampled functions live on different grids"):
+        f + SampledFunction(Grid(0.0, 2.0, 4), np.zeros(5))
 
 
 def test_non_finite_interior_sample_names_its_node():
@@ -96,6 +106,21 @@ def test_point_field_self_check():
     )
     with pytest.raises(ValueError):
         bad.check_partials((0.0, 1.0), 1, np.random.default_rng(0))
+    bad_y = PointField(
+        lambda t, x, y: float(x[0] * y[0]),
+        grad_y=lambda t, x, y: 5.0 + x,
+    )
+    with pytest.raises(ValueError, match="grad_y disagrees with finite differences"):
+        bad_y.check_partials((0.0, 1.0), 1, np.random.default_rng(0))
+
+
+def test_self_check_without_analytic_partials_evaluates_nothing():
+    """Finite differences have nothing to be checked against, so the field
+    is not called."""
+    calls = []
+    field = PointField(lambda t, x, y: calls.append(t) or 0.0)
+    field.check_partials((0.0, 1.0), 1, np.random.default_rng(0))
+    assert calls == []
 
 
 def test_vector_field_fd_jacobian():

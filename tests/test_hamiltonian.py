@@ -289,3 +289,17 @@ def test_hamiltonian_checks_reject_a_candidate_that_does_not_fit(check, case):
     cp, ext = mismatched(case)
     with pytest.raises(ValueError, match=MISMATCHES[case]):
         check(cp, ext)
+
+
+def test_control_problem_and_extremal_validation():
+    """A control problem of order above 1, levels that do not match the
+    constraints (the message VariationalProblem gives), and a costate whose
+    dimension is not the state's."""
+    cp = lifted_benchmark(Grid(0.0, 1.0, 20))
+    with pytest.raises(ValueError, match="control layer needs 0 < alpha <= 1"):
+        replace(cp, order=FracOrder(1.5))
+    with pytest.raises(ValueError, match="1 constraints but 2 levels"):
+        replace(cp, constraint_levels=[0.2, 0.3])
+    q = benchmark_extremal(cp.grid)
+    with pytest.raises(ValueError, match="state and costate dimensions disagree"):
+        PontryaginExtremal(q, q, SampledFunction(cp.grid, np.zeros((21, 2))), [2.0])

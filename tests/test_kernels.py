@@ -79,6 +79,17 @@ def test_closed_form_degenerate_pairing_raises():
         closed_form_left_derivative(PowerShifted(1.0, -0.5), HALF, 0.5)
 
 
+def test_closed_form_atoms_refuse_points_outside_their_domain():
+    with pytest.raises(ValueError, match=r"power atom needs exponent > -1, got -1\.0"):
+        PowerShifted(1.0, -1.0)
+    with pytest.raises(ValueError, match=r"need t > a = 0\.0 for the constant rule"):
+        closed_form_left_derivative(Constant(2.0), HALF, 0.0)
+    for t in (-0.1, 0.0):
+        # exponent 0.2 - alpha 0.5 < 0: the derivative is singular at t = a
+        with pytest.raises(ValueError, match=rf"atom derivative undefined at t = {t} \(base point 0\.0\)"):
+            closed_form_left_derivative(PowerShifted(1.0, 0.2), HALF, t)
+
+
 def test_singular_markers():
     grid = Grid(0.0, 1.0, 64)
     d = left_rl_derivative(sample(grid, lambda s: s + 1.0), HALF).scalar

@@ -200,26 +200,36 @@ def test_first_order_probe_samples_generator_once():
     ],
     ids=["translation", "scaling", "state-shift"],
 )
-def test_first_order_probe_evaluates_f_only_inside_its_window(gen):
-    """Per eps value, F is called at the transformed nodes that bracket the
-    outermost subinterval, nodes round(0.05 m)..round(0.95 m), not at all
-    m + 1."""
+def test_first_order_check_evaluates_f_only_at_the_nodes(gen):
+    """L, L.d_x and L.d_y are each swept once, at the nodes' points (t, q,
+    filled velocity), and L's value not at all when tau == 0."""
     from dataclasses import replace
 
-    from conftest import benchmark_extremal, benchmark_problem
+    from fracnoether.problems import _node_points
 
     problem = benchmark_problem(100)
     q = benchmark_extremal(problem.grid)
-    L, calls = problem.lagrangian, []
+    L = problem.lagrangian
+    calls = {"L": [], "L.d_x": [], "L.d_y": []}
 
-    def evaluator(t, x, v):
-        calls.append(t)
-        return L(t, x, v)
+    def counted(name, fn):
+        def wrapped(t, x, v):
+            calls[name].append((t, x[0], v[0]))
+            return fn(t, x, v)
 
-    counting = replace(problem, lagrangian=PointField(evaluator, L.grad_x, L.grad_y))
+        return wrapped
+
+    counting = replace(problem, lagrangian=PointField(
+        counted("L", L.evaluator), counted("L.d_x", L.grad_x), counted("L.d_y", L.grad_y)
+    ))
     invariance_first_order_check(counting, np.array([2.0]), q, gen)
-    j0, j1 = round(0.05 * problem.grid.m), round(0.95 * problem.grid.m)
-    assert 4 * (j1 - j0 + 1) <= len(calls) <= 4 * (j1 - j0 + 3)
+    t, x, v = _node_points(problem, q)
+    nodes = np.column_stack([t, x[:, 0], v[:, 0]])
+    for name, points in calls.items():
+        if name == "L" and gen is STATE_SHIFT:
+            assert points == []
+        else:
+            assert np.array_equal(np.array(points), nodes)
 
 
 def test_conservation_laws_sample_only_the_velocity_partial():
@@ -295,15 +305,17 @@ def assert_same_result(result, reference):
 def test_certification_sweeps_each_callable_once_per_set_of_points():
     """A callable swept again at its previous points is not called: Noether
     reuses the EL's L.d_y and g.d_y and the constraint's g, momentum reuses
-    Noether's L.d_y and g.d_y, and the invariance probe reuses Noether's tau
-    and xi.  22 sweeps (29 when every check swept afresh), and every result
-    is bitwise that of the same check on fresh fields."""
+    Noether's L.d_y and g.d_y, and the invariance check reuses Noether's tau,
+    xi, L and g and the EL's partials, so it sweeps nothing.  14 sweeps (22
+    while the invariance check resampled F at four transformed curves, 29
+    when every check swept afresh), and every result is bitwise that of the
+    same check on fresh fields."""
     counter = SweepCounter()
     problem, shift, state_shift = counted_certification(counter)
     q = benchmark_extremal(problem.grid)
     bad = q + sample(problem.grid, lambda t: 0.005 * np.sin(3.0 * np.pi * t))
     results = [check() for check in certification(problem, shift, state_shift, q, bad)]
-    assert counter.sweeps == 22
+    assert counter.sweeps == 14
     for k, result in enumerate(results):
         fresh = certification(*counted_certification(SweepCounter()), q, bad)[k]()
         assert_same_result(result, fresh)

@@ -5,13 +5,19 @@ from fracnoether import (
     FracOrder,
     Grid,
     PointField,
+    SampledFunction,
+    SymmetryGenerator,
     VariationalProblem,
     augmented_lagrangian,
     certification_tolerance,
     constraint_values,
     euler_lagrange_residual,
     frac_velocity,
+    invariance_first_order_check,
+    invariance_necessary_condition,
     make_report,
+    momentum_law_residual,
+    noether_law_residual,
     normality_check,
     objective_value,
     sample,
@@ -226,3 +232,40 @@ def test_a_zero_multiplier_keeps_a_non_finite_constraint_out_of_F():
     # nor does a NaN sample of g2 reach F's partials composed from samples
     nan = np.full_like(samples.L_dx, np.nan)
     assert np.isfinite(_compose(lam, samples.L_dx, [samples.g_dx[0], nan])).all()
+
+
+FITTING_GEN = SymmetryGenerator(tau=lambda t, q: 0.0, xi=lambda t, q: np.ones_like(q))
+
+VARIATIONAL_CHECKS = {
+    "el": lambda p, q: euler_lagrange_residual(p, np.array([2.0]), q),
+    "normality": lambda p, q: normality_check(p, q, 0),
+    "constraint": constraint_values,
+    "objective": objective_value,
+    "noether": lambda p, q: noether_law_residual(p, np.array([2.0]), q, FITTING_GEN),
+    "momentum": lambda p, q: momentum_law_residual(p, np.array([2.0]), q, FITTING_GEN),
+    "invariance-necessary": lambda p, q: invariance_necessary_condition(p, np.array([2.0]), q, FITTING_GEN),
+    "invariance-first-order": lambda p, q: invariance_first_order_check(p, np.array([2.0]), q, FITTING_GEN),
+}
+
+CANDIDATE_MISFITS = {
+    "grid": (
+        lambda grid: benchmark_extremal(Grid(0.0, 2.0, grid.m)),
+        r"candidate grid Grid\(a=0.0, b=2.0, m=200\) is not the problem's Grid\(a=0.0, b=1.0, m=200\)",
+    ),
+    "state": (
+        lambda grid: SampledFunction(grid, np.column_stack([benchmark_extremal(grid).values] * 2)),
+        "state has 2 components but the problem has 1",
+    ),
+}
+
+
+@pytest.mark.parametrize("check", VARIATIONAL_CHECKS.values(), ids=VARIATIONAL_CHECKS)
+@pytest.mark.parametrize("misfit", CANDIDATE_MISFITS)
+def test_variational_checks_reject_a_candidate_that_does_not_fit(check, misfit):
+    """A candidate on another grid, or with another number of states, is a
+    ValueError naming the mismatch, as in the Hamiltonian checks, not a
+    number (the EL sup of a two-state q would read 2.9e-3 and pass)."""
+    problem = benchmark_problem(200)
+    candidate, message = CANDIDATE_MISFITS[misfit]
+    with pytest.raises(ValueError, match=message):
+        check(problem, candidate(problem.grid))

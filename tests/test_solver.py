@@ -153,6 +153,8 @@ def test_refine_requires_convergence_and_sane_factor():
     with pytest.raises(ValueError, match="integer"):
         refine(p, sol, factor=2.5)
     assert refine(p, sol, factor=np.int64(2)).q.grid.m == 400
+    with pytest.raises(ValueError, match="refine requires a converged input solution"):
+        refine(p, replace(sol, converged=False))
 
 
 def test_infeasible_level_reports_non_convergence():
