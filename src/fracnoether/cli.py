@@ -375,19 +375,13 @@ def _selftest_cases() -> list[tuple[str, float, float]]:
     grid = Grid(0.0, 1.0, 2000)
     t = grid.nodes
     mask = t >= 0.05
-    power = fk.PowerShifted(1.0, 2.0, 0.0)
-    num = fk.left_rl_derivative(sample(grid, lambda s: s * s), order).scalar
-    exact = np.array([fk.closed_form_left_derivative(power, order, s) for s in t[mask]])
-    cases.append(
-        ("kernel-power-rule", float(np.max(np.abs(num[mask] - exact) / np.abs(exact))), 1e-3)
-    )
-    num = fk.left_rl_derivative(sample(grid, lambda s: 1.0), order).scalar
-    exact = np.array(
-        [fk.closed_form_left_derivative(fk.Constant(1.0, 0.0), order, s) for s in t[mask]]
-    )
-    cases.append(
-        ("kernel-constant-rule", float(np.max(np.abs(num[mask] - exact) / np.abs(exact))), 1e-3)
-    )
+    for name, values, form in (
+        ("kernel-power-rule", t * t, fk.PowerShifted(1.0, 2.0, 0.0)),
+        ("kernel-constant-rule", np.ones_like(t), fk.Constant(1.0, 0.0)),
+    ):
+        num = fk.left_rl_derivative(SampledFunction(grid, values), order).scalar
+        exact = np.array([fk.closed_form_left_derivative(form, order, s) for s in t[mask]])
+        cases.append((name, float(np.max(np.abs(num[mask] - exact) / np.abs(exact))), 1e-3))
 
     # benchmark spec end to end: certification, constraint, conservation law,
     # and the order-1/2 solver, D^T included, recovering the multiplier
@@ -412,46 +406,23 @@ def _selftest_cases() -> list[tuple[str, float, float]]:
     cases.append(("benchmark-solve", lam_err, tol))
 
     # classical limit: quadratic-velocity isoperimetric problem, exact parabola
-    cgrid = Grid(0.0, 1.0, 500)
-    cl_problem = VariationalProblem(
-        order=FracOrder(1.0),
-        lagrangian=PointField(
-            lambda tt, x, y: float(y[0] ** 2),
-            grad_x=lambda tt, x, y: np.zeros(1),
-            grad_y=lambda tt, x, y: 2.0 * y,
-        ),
-        grid=cgrid,
-        boundary_a=np.zeros(1),
-        boundary_b=np.zeros(1),
-        constraints=[
-            PointField(
-                lambda tt, x, y: float(x[0]),
-                grad_x=lambda tt, x, y: np.ones(1),
-                grad_y=lambda tt, x, y: np.zeros(1),
-            )
-        ],
-        constraint_levels=np.array([1.0]),
+    classical = dataclasses.replace(
+        spec, alpha=1.0, m=500, lagrangian="v1^2", constraints=["q1"], levels=[1.0],
+        q_a=[0.0], q_b=[0.0],
     )
-    sol = solver.solve(cl_problem)
-    parabola = 6.0 * cgrid.nodes * (1.0 - cgrid.nodes)
+    sol = solver.solve(build_variational(classical))
+    parabola = 6.0 * sol.q.grid.nodes * (1.0 - sol.q.grid.nodes)
     cases.append(
         ("classical-trajectory", float(np.max(np.abs(sol.q.scalar - parabola))), 1e-5)
     )
     cases.append(("classical-multiplier", abs(float(sol.lam[0]) - 24.0), 1e-4))
 
     # control lift of the benchmark: phi = u, control = fractional velocity
-    lift = ControlProblem(
-        order=FracOrder(spec.alpha),
-        lagrangian=PointField(lambda tt, x, y: tt**4 + float(y[0] ** 2)),
-        dynamics=VectorField(lambda tt, x, y: y.copy()),
-        grid=Grid(spec.a, spec.b, spec.m),
-        initial=np.array(spec.q_a),
-        constraints=[PointField(lambda tt, x, y: tt * tt * float(y[0]))],
-        constraint_levels=np.array(spec.levels),
+    lift = dataclasses.replace(
+        spec, lagrangian="t^4 + u1^2", constraints=["t^2 * u1"], dynamics=["u1"],
+        control=["t^2"], costate=["0"],
     )
-    reps = pontryagin_residuals(
-        lift, _extremal(dataclasses.replace(spec, control=["t^2"], costate=["0"]))
-    )
+    reps = pontryagin_residuals(build_control(lift), _extremal(lift))
     cases.append(("pontryagin-system", max(r.sup_norm for r in reps), tol))
 
     # autonomous control spec: energy law holds exactly along its extremal

@@ -150,20 +150,23 @@ class _Expression:
         of a constant exponent) that read the operands' values; a subtree
         that reads no q or y component has partial zero, so its terms drop
         out.  They are None where the subtree holds a power whose exponent
-        reads a variable, or gamma of an argument that reads one: finite
-        differences of its values stand in.  The rules next to the leaves
-        loop, as a comprehension takes a level of the recursion limit in the
-        interpreter, so that the partials reach no deeper than the values."""
+        reads a q or y component, or gamma of an argument that reads one:
+        finite differences of its values stand in.  An exponent or a gamma
+        argument that reads t alone has partial zero, so the rules around it
+        stay exact.  The rules next to the leaves loop, as a comprehension
+        takes a level of the recursion limit in the interpreter, so that the
+        partials reach no deeper than the values."""
         match node:
             case ast.BinOp(left, ast.Pow(), right):
                 base, da, base_reads = self._build(left)
-                exponent, _, exponent_reads = self._build(right)
+                exponent, de, exponent_reads = self._build(right)
                 power = _power(base, exponent, self._piece(node), self.text)
                 if not (base_reads or exponent_reads):
                     return _folded(power), {}, False
-                if da is None or exponent_reads:
+                if da is None or de != {}:
                     return power, None, True
-                if not da or _evaluated(exponent) == 0.0:
+                # an exponent that reads t has no value here to compare with 0
+                if not da or (not exponent_reads and _evaluated(exponent) == 0.0):
                     return power, {}, True
                 lowered = _power(base, lambda env: exponent(env) - 1.0, self._piece(node), self.text)
                 slope = _OPERATORS[ast.Mult](exponent, lowered)
@@ -225,9 +228,11 @@ class _Expression:
             case ast.Call(ast.Name(name), [arg], []) if (
                 name in _FUNCTIONS and node.col_offset == node.func.col_offset
             ):
-                fn, (inner, _, reads) = _FUNCTIONS[name], self._build(arg)
+                fn, (inner, d_inner, reads) = _FUNCTIONS[name], self._build(arg)
                 call = lambda env: fn(inner(env))
-                return (call, None, True) if reads else (_folded(call), {}, False)
+                if not reads:
+                    return _folded(call), {}, False
+                return call, ({} if d_inner == {} else None), True
         raise SpecError(f"unexpected {self._piece(node)!r} in {self.text!r}")
 
 
@@ -379,9 +384,9 @@ class ProblemSpec:
         points first, (M, n) or (M, k, n).  A partial that is structurally
         zero broadcasts to M.  The callables are marked ``whole_array``, as
         ``compile``'s are.  (None, None) when any of the expressions holds a
-        power with a variable exponent, or gamma of a variable
-        (``_Expression._build``): the field then takes finite differences
-        of its values."""
+        power whose exponent reads a q or y component, or gamma of an
+        argument that reads one (``_Expression._build``): the field then
+        takes finite differences of its values."""
         places = self.variables(key)
         texts = [text] if isinstance(text, str) else text
         gradients = [_compile_once(self.compiled, s, places).gradient for s in texts]

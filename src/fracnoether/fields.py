@@ -108,7 +108,7 @@ def _pointwise(fn: Optional[Callable], ndim: int = 0) -> Optional[Callable]:
             return kept.copy()
         # the library's only loop over points calling user code, so its body is
         # the call alone
-        out = np.array([fn(*point) for point in zip(t, *rows)], dtype=float)
+        out = np.array([fn(*point) for point in zip(t, *rows, strict=True)], dtype=float)
         while out.ndim <= ndim:
             out = out[:, None]
         last = (key, out.copy())

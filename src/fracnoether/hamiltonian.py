@@ -171,7 +171,7 @@ def hamiltonian_noether_residual(
         D^alpha(H - (1 - alpha) p . D^alpha q, tau) - D^alpha(p, xi).
     """
     _checked_dynamics(cp, ext)
-    taus, xis = sym.sampled_along(cp.grid, ext.q)
+    taus, xis = sym.sampled_along(ext.q)
     energy = _reduced_hamiltonian(cp, ext)
     # D^alpha(p, xi) = -D^alpha(-p, xi) bitwise: negation is exact
     return _noether_fold(cp.grid, cp.order, energy, taus, -ext.p.values, xis, band)

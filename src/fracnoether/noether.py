@@ -62,11 +62,11 @@ class SymmetryGenerator:
         object.__setattr__(self, "tau", _pointwise(self.tau))
         object.__setattr__(self, "xi", _pointwise(self.xi, ndim=1))
 
-    def sampled_along(self, grid: Grid, q: SampledFunction) -> tuple[np.ndarray, np.ndarray]:
-        """(tau, xi) at the nodes, shapes (M,) and (M, dim), each from one
+    def sampled_along(self, q: SampledFunction) -> tuple[np.ndarray, np.ndarray]:
+        """(tau, xi) at q's nodes, shapes (M,) and (M, dim), each from one
         call on all nodes; tau must have one value per node, as a float or a
         one-element array, and xi q's dim components."""
-        t, Q = grid.nodes, q.values
+        t, Q = q.grid.nodes, q.values
         taus = np.asarray(self.tau(t, Q), float)
         if taus.size != t.size:
             raise ValueError(f"tau has shape {taus.shape} but there are {t.size} nodes")
@@ -110,18 +110,24 @@ def _noether_fold(
     return make_report(grid, r, band=band)
 
 
-def _zero_tau_xis(gen: SymmetryGenerator, grid: Grid, q: SampledFunction, law: str) -> np.ndarray:
-    """xi at the nodes, for a law that needs tau exactly 0 there (NaN is not)."""
-    taus, xis = gen.sampled_along(grid, q)
+def _zero_tau_xis(gen: SymmetryGenerator, q: SampledFunction, law: str) -> np.ndarray:
+    """xi at q's nodes, for a law that needs tau exactly 0 there (NaN is not)."""
+    taus, xis = gen.sampled_along(q)
     if np.any(taus != 0.0):
         raise ValueError(f"{law} requires tau == 0")
     return xis
 
 
 def _invariance_integrand(
-    problem: VariationalProblem, lam: np.ndarray, q: SampledFunction, taus: np.ndarray, xis: np.ndarray
+    problem: VariationalProblem,
+    lam: np.ndarray,
+    q: SampledFunction,
+    points: tuple[np.ndarray, np.ndarray, np.ndarray],
+    taus: np.ndarray,
+    xis: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(tau F, r) at the nodes, so that dI/d(eps) over [t_i, t_j] is
+    """(tau F, r) at q's nodes, whose ``points`` (t, x, v) are
+    ``_node_points(problem, q)``, so that dI/d(eps) over [t_i, t_j] is
     [tau F]_i^j + int_i^j r dt.  With Olver's characteristic eta = xi - tau q',
 
         r = d_q F . eta + d_v F . (D^alpha eta + alpha tau(a) q(a) (t - a)^(-alpha-1) / Gamma(1 - alpha)),
@@ -130,7 +136,7 @@ def _invariance_integrand(
     is filled as the velocity is.  With tau == 0 at every node, eta is xi
     and F's value is not sampled.
     """
-    t, x, v = _node_points(problem, q)
+    t, x, v = points
     F, alpha = augmented_lagrangian(problem, lam), problem.order.alpha
     eta, tau_F = xis, np.zeros(t.size)
     if np.any(taus != 0.0):
@@ -160,8 +166,9 @@ def invariance_necessary_condition(
     differentiated as a sampled composite function of t (there is no
     fractional chain rule to apply instead).
     """
-    xis = _zero_tau_xis(gen, problem.grid, q, "the necessary condition of invariance")
-    _, r = _invariance_integrand(problem, lam, q, np.zeros(len(xis)), xis)
+    points = _node_points(problem, q)
+    xis = _zero_tau_xis(gen, q, "the necessary condition of invariance")
+    _, r = _invariance_integrand(problem, lam, q, points, np.zeros(len(xis)), xis)
     return make_report(problem.grid, r, band=band)
 
 
@@ -174,8 +181,9 @@ def momentum_law_residual(
 ) -> ResidualReport:
     """Residual of D^alpha(d_v F, xi): fractional conservation of momentum,
     the tau == 0 case of the Noether law."""
-    xis = _zero_tau_xis(gen, problem.grid, q, "the momentum law")
-    b = augmented_lagrangian(problem, lam).d_y(*_node_points(problem, q))
+    points = _node_points(problem, q)
+    xis = _zero_tau_xis(gen, q, "the momentum law")
+    b = augmented_lagrangian(problem, lam).d_y(*points)
     return _noether_fold(problem.grid, problem.order, None, None, b, xis, band)
 
 
@@ -190,9 +198,9 @@ def noether_law_residual(
 
         D^alpha(F - alpha d_v F . D^alpha q, tau) + D^alpha(d_v F, xi).
     """
-    taus, xis = gen.sampled_along(problem.grid, q)
-    F = augmented_lagrangian(problem, lam)
     t, x, v = _node_points(problem, q)
+    taus, xis = gen.sampled_along(q)
+    F = augmented_lagrangian(problem, lam)
     b = F.d_y(t, x, v)
     energy = F(t, x, v) - problem.order.alpha * np.sum(b * v, axis=1)
     return _noether_fold(problem.grid, problem.order, energy, taus, b, xis, band)
@@ -216,7 +224,8 @@ def invariance_first_order_check(
     certifies first-order invariance.
     """
     grid = problem.grid
-    tau_F, r = _invariance_integrand(problem, lam, q, *gen.sampled_along(grid, q))
+    points = _node_points(problem, q)
+    tau_F, r = _invariance_integrand(problem, lam, q, points, *gen.sampled_along(q))
     windows = [(round(lo * grid.m), round(hi * grid.m)) for lo, hi in _SUBINTERVALS]
     est = np.array([tau_F[j] - tau_F[i] + _trapezoid(problem, r[i : j + 1]) for i, j in windows])
     rows = Grid(0.0, 1.0, len(est) - 1)

@@ -37,7 +37,7 @@ def epsilon_probe(problem, lam, q, gen) -> np.ndarray:
     F = augmented_lagrangian(problem, lam)
     grid = problem.grid
     t = grid.nodes
-    taus, xis = gen.sampled_along(grid, q)
+    taus, xis = gen.sampled_along(q)
 
     def integrand(eps):
         tbar = t + eps * taus

@@ -108,7 +108,7 @@ def test_generator_and_sample_equal_per_point_loops():
     grid = Grid(0.0, 1.0, M - 1)
     t, Q, _ = points(2)
     gen = SymmetryGenerator(tau=lambda s, q: s * q[0], xi=lambda s, q: np.array([q[1], -s * q[0]]))
-    taus, xis = gen.sampled_along(grid, SampledFunction(grid, Q))
+    taus, xis = gen.sampled_along(SampledFunction(grid, Q))
     assert_same(taus, stacked(gen.tau, t, Q))
     assert_same(xis, stacked(gen.xi, t, Q))
     assert_same(sample(grid, np.sin).values, stacked(lambda s: [np.sin(s)], t))
@@ -136,6 +136,14 @@ def test_per_point_callable_receives_the_rows_of_a_strided_view():
         assert x.flags.c_contiguous and y.flags.c_contiguous
 
 
+def test_a_sweep_whose_arguments_disagree_in_length_is_refused():
+    """The loop pairs each time with one row of every argument: 5 times
+    against 4 rows is a ValueError, not a sweep cut to 4 points."""
+    f = PointField(lambda t, x, y: float(x @ y))
+    with pytest.raises(ValueError):
+        f(np.arange(5.0), np.zeros((4, 1)), np.zeros((4, 1)))
+
+
 def test_scalar_where_a_length_one_vector_is_expected_keeps_its_axis():
     """Per point, np.atleast_1d and np.atleast_2d give a scalar result the
     shape of one component; a sweep keeps that axis."""
@@ -154,7 +162,7 @@ def test_scalar_where_a_length_one_vector_is_expected_keeps_its_axis():
         assert partial(t, X, Y).shape == (M, 1)
         assert_same(partial(t, X, Y), stacked(partial, t, X, Y))
     gen = SymmetryGenerator(tau=lambda s, q: 0.0, xi=lambda s, q: s * q[0])
-    xis = gen.sampled_along(grid, SampledFunction(grid, X))[1]
+    xis = gen.sampled_along(SampledFunction(grid, X))[1]
     assert_same(xis, stacked(lambda s, q: np.atleast_1d(gen.xi(s, q)), t, X))
     assert sample(grid, lambda s: s * s).values.shape == (M, 1)
 
@@ -333,7 +341,7 @@ def test_a_field_rebuilt_after_a_parameter_change_sees_the_new_value():
 
     def taus():
         gen = SymmetryGenerator(tau, lambda s, q: q)
-        return gen.sampled_along(grid, SampledFunction(grid, X))[0]
+        return gen.sampled_along(SampledFunction(grid, X))[0]
 
     t, X, Y = points(2)
     grid = Grid(0.0, 1.0, M - 1)

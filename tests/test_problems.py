@@ -252,6 +252,11 @@ CANDIDATE_MISFITS = {
         lambda grid: benchmark_extremal(Grid(0.0, 2.0, grid.m)),
         r"candidate grid Grid\(a=0.0, b=2.0, m=200\) is not the problem's Grid\(a=0.0, b=1.0, m=200\)",
     ),
+    # a generator sampled before the check would name tau's shape instead
+    "grid-size": (
+        lambda grid: benchmark_extremal(Grid(0.0, 1.0, grid.m // 2)),
+        r"candidate grid Grid\(a=0.0, b=1.0, m=100\) is not the problem's Grid\(a=0.0, b=1.0, m=200\)",
+    ),
     "state": (
         lambda grid: SampledFunction(grid, np.column_stack([benchmark_extremal(grid).values] * 2)),
         "state has 2 components but the problem has 1",

@@ -608,6 +608,14 @@ def test_dense_fallback_only_where_krylov_cannot_solve(monkeypatch):
     assert np.max(np.abs(dense.q.values - krylov.q.values)) <= 1e-10
 
 
+def test_gmres_returns_none_where_the_operator_is_singular_on_its_krylov_space():
+    """A zero operator maps the first basis vector to 0, so the Arnoldi
+    process breaks down before any solution is formed; the caller then
+    takes the dense fallback."""
+    b = np.array([1.0, -2.0, 0.5])
+    assert solver._gmres(lambda x: np.zeros_like(x), lambda x: x, b) is None
+
+
 def test_dense_fallback_solves_singular_cvv(monkeypatch):
     """L = (q - t)^2 has no v-dependence, so C_vv = 0 and the Krylov
     preconditioner does not exist, while J is nonsingular.  With g = q at

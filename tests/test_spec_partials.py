@@ -2,8 +2,9 @@
 
 The oracle shares no code with them: mpmath differentiates the expression
 text, evaluated by Python's own ``eval`` with ``^`` read as ``**``, at 40
-digits.  A key whose text holds a power with a variable exponent, or gamma
-of a variable, keeps finite differences.
+digits.  A key whose text holds a power with an exponent that reads a q or
+y component, or gamma of an argument that reads one, keeps finite
+differences.
 """
 
 import json
@@ -235,11 +236,25 @@ def test_constants_are_decided_without_a_second_walk(monkeypatch, text):
 
 
 @pytest.mark.parametrize(
-    "text", ["v1^q1", "gamma(v1)", "gamma(1.5 + t * v1)", "2^-t * q2", "t^4 + v1^2 + gamma(t)"]
+    "text",
+    ["v1^2 * 2^-t", "v1^2 * gamma(1 + t)", "v1^(2 + t)", "2^-t * q2", "t^4 + v1^2 + gamma(t)"],
 )
+def test_exponent_or_gamma_of_t_alone_matches_mpmath(text):
+    """An exponent or a gamma argument that reads t but no q or y component
+    has partials zero, so the rules around it stay exact.  t > 0 keeps gamma
+    off its pole, and v > 0 keeps v1^(2 + t) real."""
+    t = np.array([0.25, 0.5, 0.75, 1.0])
+    q, v = np.random.default_rng(17).uniform(0.5, 2.0, (2, 4, 2))
+    assert_matches_oracle(spec_for(control=False), "L", text, t, q, v)
+    phi = text.replace("v1", "u1")
+    assert_matches_oracle(spec_for(control=True), "phi", phi, t, q, v, stem="u")
+
+
+@pytest.mark.parametrize("text", ["v1^q1", "gamma(v1)", "gamma(1.5 + t * v1)", "2^(t * q1) * v1"])
 def test_variable_exponent_or_gamma_keeps_finite_differences(text):
-    """The whole key falls back: L's field, and a phi list of which one
-    expression falls back."""
+    """An exponent or a gamma argument that reads a q or y component: the
+    whole key falls back, L's field, and a phi list of which one expression
+    falls back."""
     spec = spec_for(control=False)
     assert spec.partials("L", text) == (None, None)
     L = _point_field(spec, "L", text)
