@@ -95,8 +95,7 @@ def _generator(spec: ProblemSpec) -> SymmetryGenerator:
 
 
 def _point_field(spec: ProblemSpec, key: str, text: str) -> PointField:
-    """The field of ``text`` under ``key``, with its exact partials where the
-    expression has them."""
+    """The field of ``text`` under ``key``, with the partials of its tree."""
     return PointField(spec.compile(key, text), *spec.partials(key, text))
 
 
@@ -259,8 +258,11 @@ def _check_reports(
         rep = noether_law_residual(problem, lam, q, _generator(spec), band=band)
     elif which == "momentum":
         # the momentum law is the tau == 0 specialization; ignore any
-        # declared time component of the generator
-        gen = SymmetryGenerator(tau=spec.compile("tau", "0"), xi=_generator(spec).xi)
+        # declared time component of the generator.  Without xi it would
+        # be identically zero, and pass.
+        if spec.xi is None:
+            raise SpecError("the momentum check needs 'xi1..'")
+        gen = SymmetryGenerator(tau=spec.compile("tau", "0"), xi=spec.compile("xi", spec.xi))
         rep = momentum_law_residual(problem, lam, q, gen, band=band)
     else:
         rep = invariance_first_order_check(problem, lam, q, _generator(spec))
@@ -269,14 +271,16 @@ def _check_reports(
 
 def cmd_check(args: argparse.Namespace) -> int:
     spec = _load_spec(args)
-    out = _output_dir(args.out)
     which = args.which
     problem = build_control(spec) if which == "hamiltonian" else build_variational(spec)
     default = INVARIANCE_TOLERANCE if which == "invariance" else certification_tolerance(problem)
     tol = args.tol if args.tol is not None else default
+    # computed first, so that a spec error leaves no output directory
+    reports = _check_reports(which, spec, problem, endpoint_band(spec.m))
 
+    out = _output_dir(args.out)
     entries = []
-    for name, rep in _check_reports(which, spec, problem, endpoint_band(spec.m)):
+    for name, rep in reports:
         profile = os.path.join(out, f"{name}_profile.csv")
         _write_profile(profile, rep)
         entries.append(_report_entry(name, rep, tol, profile))
@@ -310,8 +314,8 @@ def _write_trajectory(
 
 def cmd_solve(args: argparse.Namespace) -> int:
     spec = _load_spec(args)
-    out = _output_dir(args.out)
     problem = build_variational(spec)
+    out = _output_dir(args.out)
     sol = solver.solve(problem)
 
     reference = _candidate(spec) if spec.trajectory is not None else None

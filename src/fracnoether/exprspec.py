@@ -22,6 +22,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
+from .fields import _differences
 from .gammafn import gamma
 from .problems import DEFAULT_BAND
 
@@ -123,6 +124,23 @@ def _negated(a: Callable) -> Callable:
     return lambda env: -a(env)
 
 
+def _led(lead: Callable, rest: Callable) -> Callable:
+    """``lead * rest``, and 0 wherever ``lead`` is 0: a power's derivative
+    terms there, where ``rest`` may be infinite (``0 * 0^-1``)."""
+    return lambda env: np.where((a := lead(env)) == 0, 0.0, a * rest(env))
+
+
+def _slope(fn: Callable, inner: Callable) -> Callable:
+    """fn' at ``inner``'s value, by the central differences that fields
+    take (``fields._differences``, with its step)."""
+
+    def slope(env):
+        u = np.asarray(inner(env), float)[..., None]
+        return _differences(lambda x: fn(x[..., 0]), u)[..., 0]
+
+    return slope
+
+
 # An expression's exact first partials by place: the q and y components it
 # reads.  A partial that is structurally zero is absent.
 _Gradient = dict[_Place, Callable]
@@ -142,40 +160,41 @@ class _Expression:
     def _piece(self, node: ast.expr) -> str:
         return self.source[node.col_offset : node.end_col_offset].replace("**", "^")
 
-    def _build(self, node: ast.expr) -> tuple[Callable, _Gradient | None, bool]:
+    def _build(self, node: ast.expr) -> tuple[Callable, _Gradient, bool]:
         """The value of ``node``, its exact first partials in the q and y
         components, and whether it reads any variable, ``t`` included: a
         ``^`` or gamma call that reads none is evaluated here, once.  The
-        partials follow forward-mode rules (``+ - * /``, unary signs, ``^``
-        of a constant exponent) that read the operands' values; a subtree
-        that reads no q or y component has partial zero, so its terms drop
-        out.  They are None where the subtree holds a power whose exponent
-        reads a q or y component, or gamma of an argument that reads one:
-        finite differences of its values stand in.  An exponent or a gamma
-        argument that reads t alone has partial zero, so the rules around it
-        stay exact.  The rules next to the leaves loop, as a comprehension
-        takes a level of the recursion limit in the interpreter, so that the
-        partials reach no deeper than the values."""
+        partials follow forward-mode rules (``+ - * /``, unary signs, ``^``,
+        gamma) that read the operands' values; a subtree that reads no q or
+        y component has partial zero, so its terms drop out.  ``b^e`` has
+        the terms ``e b^(e-1) b'`` and ``b^e log(b) e'``, each 0 wherever
+        its leading factor ``e`` or ``b^e`` is; a constant exponent of 0
+        drops the first.  ``gamma(u)`` has ``gamma'(u) u'``, with
+        ``gamma'`` by central differences (``_slope``).  The rules next to
+        the leaves loop, as a comprehension takes a level of the recursion
+        limit in the interpreter, so that the partials reach no deeper than
+        the values."""
         match node:
             case ast.BinOp(left, ast.Pow(), right):
-                base, da, base_reads = self._build(left)
+                base, db, base_reads = self._build(left)
                 exponent, de, exponent_reads = self._build(right)
                 power = _power(base, exponent, self._piece(node), self.text)
                 if not (base_reads or exponent_reads):
                     return _folded(power), {}, False
-                if da is None or de != {}:
-                    return power, None, True
+                out = {}
                 # an exponent that reads t has no value here to compare with 0
-                if not da or (not exponent_reads and _evaluated(exponent) == 0.0):
-                    return power, {}, True
-                lowered = _power(base, lambda env: exponent(env) - 1.0, self._piece(node), self.text)
-                slope = _OPERATORS[ast.Mult](exponent, lowered)
-                return power, {place: _times(slope, d) for place, d in da.items()}, True
+                if db and (exponent_reads or _evaluated(exponent) != 0.0):
+                    lowered = _power(base, lambda env: exponent(env) - 1.0, self._piece(node), self.text)
+                    slope = _led(exponent, lowered)
+                    out = {place: _times(slope, d) for place, d in db.items()}
+                growth = _led(power, lambda env: np.log(base(env)))
+                for place, d in de.items():
+                    term = _times(growth, d)
+                    out[place] = _OPERATORS[ast.Add](out[place], term) if place in out else term
+                return power, out, True
             case ast.BinOp(left, op, right) if type(op) in _OPERATORS:
                 (a, da, reads_a), (b, db, reads_b) = self._build(left), self._build(right)
                 value = _OPERATORS[type(op)](a, b)
-                if da is None or db is None:
-                    return value, None, reads_a or reads_b
                 match op:
                     case ast.Add() | ast.Sub():
                         out = dict(da)
@@ -205,7 +224,7 @@ class _Expression:
             case ast.UnaryOp(ast.USub(), operand):
                 value, out, reads = self._build(operand)
                 # negated in place: each walk returns a dict of its own
-                for place, d in (out or {}).items():
+                for place, d in out.items():
                     out[place] = _negated(d)
                 return _negated(value), out, reads
             case ast.UnaryOp(ast.UAdd(), operand):
@@ -232,7 +251,8 @@ class _Expression:
                 call = lambda env: fn(inner(env))
                 if not reads:
                     return _folded(call), {}, False
-                return call, ({} if d_inner == {} else None), True
+                slope = _slope(fn, inner)
+                return call, {place: _times(slope, d) for place, d in d_inner.items()}, True
         raise SpecError(f"unexpected {self._piece(node)!r} in {self.text!r}")
 
 
@@ -373,25 +393,22 @@ class ProblemSpec:
         return _bound(key, text, [_compile_once(self.compiled, s, self.variables(key)).value
                                   for s in texts])
 
-    def partials(self, key: str, text: str | list[str]) -> tuple[Callable | None, Callable | None]:
+    def partials(self, key: str, text: str | list[str]) -> tuple[Callable, Callable]:
         """The exact first partials of the expression under `key` (L, g or
         phi) in q and in y, as callables of (t, q, y): the ``grad_x`` and
         ``grad_y`` of a ``PointField``, or for a list of expressions the
-        ``jac_x`` and ``jac_y`` of a ``VectorField``.
+        ``jac_x`` and ``jac_y`` of a ``VectorField``.  gamma of an argument
+        that reads a q or y component takes its own derivative by central
+        differences (``_Expression._build``).
 
         At one point they return shape (n,), or (k, n) for a list of k
         expressions, n being the dimension of q or of y; over M points,
         points first, (M, n) or (M, k, n).  A partial that is structurally
         zero broadcasts to M.  The callables are marked ``whole_array``, as
-        ``compile``'s are.  (None, None) when any of the expressions holds a
-        power whose exponent reads a q or y component, or gamma of an
-        argument that reads one (``_Expression._build``): the field then
-        takes finite differences of its values."""
+        ``compile``'s are."""
         places = self.variables(key)
         texts = [text] if isinstance(text, str) else text
         gradients = [_compile_once(self.compiled, s, places).gradient for s in texts]
-        if any(gradient is None for gradient in gradients):
-            return None, None
         return tuple(
             _bound(key, text, [[g.get(p, _zero) for p in places.values() if p[0] == slot]
                                for g in gradients])

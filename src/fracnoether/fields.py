@@ -118,6 +118,18 @@ def _pointwise(fn: Optional[Callable], ndim: int = 0) -> Optional[Callable]:
     return lifted
 
 
+def _partial(field: Callable, exact: Optional[Callable], promote: Callable, wrt: int,
+             t, x, y) -> np.ndarray:
+    """The partial of ``field`` in x (``wrt`` = 1) or in y (``wrt`` = 2) at
+    (t, x, y): ``exact`` there, promoted to the field's rank by ``promote``
+    (``np.atleast_1d`` or ``atleast_2d``), or without it central
+    differences of the field's values."""
+    args = [t, np.asarray(x, float), np.asarray(y, float)]
+    if exact is not None:
+        return promote(np.asarray(exact(*args), float))
+    return _differences(lambda z: field(*args[:wrt], z, *args[wrt + 1:]), args[wrt])
+
+
 @dataclass(frozen=True)
 class PointField:
     """Scalar field (t, x, y) -> R with x, y in R^n (e.g. L(t, q, D^alpha q)).
@@ -153,18 +165,10 @@ class PointField:
         return float(value)
 
     def d_x(self, t: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, float)
-        y = np.asarray(y, float)
-        if self.grad_x is not None:
-            return np.atleast_1d(np.asarray(self.grad_x(t, x, y), float))
-        return _differences(lambda xx: self.evaluator(t, xx, y), x)
+        return _partial(self, self.grad_x, np.atleast_1d, 1, t, x, y)
 
     def d_y(self, t: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, float)
-        y = np.asarray(y, float)
-        if self.grad_y is not None:
-            return np.atleast_1d(np.asarray(self.grad_y(t, x, y), float))
-        return _differences(lambda yy: self.evaluator(t, x, yy), y)
+        return _partial(self, self.grad_y, np.atleast_1d, 2, t, x, y)
 
     def hessian(
         self,
@@ -198,22 +202,19 @@ class PointField:
     def check_partials(
         self, t_range: tuple[float, float], dim: int, rng: np.random.Generator
     ) -> None:
-        """Verify analytic gradients against finite differences."""
+        """Verify analytic gradients against finite differences at
+        _PARTIALS_PROBES random points, drawn and checked as one sweep."""
         if self.grad_x is None and self.grad_y is None:
             return
-        for _ in range(_PARTIALS_PROBES):
-            t = rng.uniform(*t_range)
-            x = rng.uniform(-1.0, 1.0, dim)
-            y = rng.uniform(-1.0, 1.0, dim)
-            bound = _PARTIALS_TOL * (1.0 + abs(self(t, x, y)))
-            if self.grad_x is not None:
-                fd = _differences(lambda xx: self.evaluator(t, xx, y), x)
-                if np.max(np.abs(self.d_x(t, x, y) - fd)) > bound:
-                    raise ValueError("grad_x disagrees with finite differences")
-            if self.grad_y is not None:
-                fd = _differences(lambda yy: self.evaluator(t, x, yy), y)
-                if np.max(np.abs(self.d_y(t, x, y) - fd)) > bound:
-                    raise ValueError("grad_y disagrees with finite differences")
+        t = rng.uniform(*t_range, _PARTIALS_PROBES)
+        x, y = rng.uniform(-1.0, 1.0, (2, _PARTIALS_PROBES, dim))
+        bound = _PARTIALS_TOL * (1.0 + np.abs(self(t, x, y)))
+        for name, exact, wrt in (("grad_x", self.grad_x, 1), ("grad_y", self.grad_y, 2)):
+            if exact is not None:
+                fd = _partial(self, None, np.atleast_1d, wrt, t, x, y)
+                error = np.abs(_partial(self, exact, np.atleast_1d, wrt, t, x, y) - fd)
+                if np.any(np.max(error, axis=-1) > bound):
+                    raise ValueError(f"{name} disagrees with finite differences")
 
 
 @dataclass(frozen=True)
@@ -241,15 +242,7 @@ class VectorField:
         return np.atleast_1d(np.asarray(self.evaluator(t, np.asarray(x, float), np.asarray(y, float)), float))
 
     def d_x(self, t: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, float)
-        y = np.asarray(y, float)
-        if self.jac_x is not None:
-            return np.atleast_2d(np.asarray(self.jac_x(t, x, y), float))
-        return _differences(lambda xx: self(t, xx, y), x)
+        return _partial(self, self.jac_x, np.atleast_2d, 1, t, x, y)
 
     def d_y(self, t: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, float)
-        y = np.asarray(y, float)
-        if self.jac_y is not None:
-            return np.atleast_2d(np.asarray(self.jac_y(t, x, y), float))
-        return _differences(lambda yy: self(t, x, yy), y)
+        return _partial(self, self.jac_y, np.atleast_2d, 2, t, x, y)

@@ -117,20 +117,18 @@ class ResidualReport:
 
 
 def make_report(grid: Grid, residual: np.ndarray, band: int = DEFAULT_BAND) -> ResidualReport:
-    """Fold a nodewise residual (m+1, dim) into magnitudes and norms."""
-    r = np.asarray(residual, float)
-    if r.ndim == 1:
-        r = r[:, None]
-    mag = np.sqrt(np.sum(r * r, axis=1))
+    """Fold a nodewise residual (m+1, dim) into magnitudes and norms over
+    the nodes that ``band`` leaves at each end.  Those are interior nodes,
+    where ``SampledFunction`` requires finite values."""
+    pointwise = SampledFunction(grid, residual)
+    r = pointwise.values
     lo = max(band, 1)
-    hi = grid.m - lo
-    window = mag[lo : hi + 1]
-    window = window[np.isfinite(window)]
+    window = np.sqrt(np.sum(r * r, axis=1))[lo : grid.m - lo + 1]
     if window.size == 0:
-        raise ValueError("no finite residual values inside the exclusion band")
+        raise ValueError(f"an endpoint band of {band} leaves no node of {grid.m + 1} to fold")
     sup = float(np.max(window))
     l2 = float(np.sqrt(grid.h * np.sum(window * window)))
-    return ResidualReport(grid, SampledFunction(grid, r), sup, l2, band)
+    return ResidualReport(grid, pointwise, sup, l2, band)
 
 
 def certification_tolerance(problem) -> float:

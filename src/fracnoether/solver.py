@@ -40,9 +40,9 @@ _CONSTRAINT_TOL = 1e-8
 _MAX_ITERATIONS = 50
 # scaled-gradient stopping test; the floor for fields with finite-difference
 # gradients is about 1e-7, so do not tighten much.  That floor applies only
-# to callables without gradients and to spec expressions that keep finite
-# differences (a power with a variable exponent, gamma of a variable):
-# other spec expressions carry exact partials.  The Newton matrix's
+# to callables without gradients.  Spec expressions carry exact partials;
+# only gamma of a variable takes its derivative as a central difference of
+# gamma alone, about 1e-10 relative away from its poles.  The Newton matrix's
 # forward-difference Hessian is off by O(1e-6) relative with analytic
 # gradients and by up to about 1e-4 with finite-difference ones: that can
 # cost Newton steps, but it does not move the point they converge to.

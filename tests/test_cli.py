@@ -222,20 +222,34 @@ def edited(tmp_path, path, drop=(), add=()):
         (EX1, "el", ("L",), (), "missing required key 'L'", None),
         (EX1, "el", (), ("lambda2 = 1",), "expected 1 'lambda' entries, got 2", "lambda1 = 2"),
         (EX1, "el", ("q_a1",), (), "missing required key(s) 'q_a1..'", None),
+        (EX1, "momentum", ("xi1",), (), "the momentum check needs 'xi1..'", None),
     ],
     ids=["no-generator", "no-q_b", "no-phi", "no-lambda", "no-costate", "no-equals",
-         "empty-key", "no-L", "entry-count", "no-q_a"],
+         "empty-key", "no-L", "entry-count", "no-q_a", "no-xi"],
 )
 def test_spec_diagnostic_exits_3_with_its_message(
     tmp_path, capsys, base, which, drop, add, message, line_of
 ):
     """Each missing or malformed key is a spec error with its message, and
-    with the line it is on where the message names one."""
+    with the line it is on where the message names one, before the output
+    directory is made.  Without xi the momentum law is identically zero,
+    so its check would pass whatever the candidate."""
     spec, lines = edited(tmp_path, base, drop, add)
     if line_of is not None:
         message = f"line {lines.index(line_of) + 1}: {message}"
     assert run("check", "--which", which, "--out", str(tmp_path / "o"), spec) == 3
     assert capsys.readouterr().err == f"spec error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_solve_and_check_fold_el_over_their_own_bands(tmp_path):
+    """solve's el entry is the solver's certificate, which leaves out
+    DEFAULT_BAND = 2 nodes at each end; check leaves out 5% of the m
+    intervals at each end, 25 at m = 500."""
+    assert run("solve", "--grid", "500", "--out", str(tmp_path / "s"), EX1) == 0
+    assert run("check", "--which", "el", "--grid", "500", "--out", str(tmp_path / "c"), EX1) == 0
+    assert read_report(tmp_path / "s")["el"]["excluded_band"] == 2
+    assert [c["excluded_band"] for c in read_report(tmp_path / "c")["checks"]] == [25]
 
 
 def test_spec_without_constraints_checks_and_solves(tmp_path):
@@ -253,6 +267,7 @@ def test_spec_without_constraints_checks_and_solves(tmp_path):
 def test_solve_control_spec_exits_3(tmp_path, capsys):
     assert run("solve", "--out", str(tmp_path / "o"), EX2) == 3
     assert "spec declares dynamics" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize(

@@ -45,8 +45,25 @@ def test_make_report_band_and_norms():
 
 def test_make_report_all_nan_rejected():
     grid = Grid(0.0, 1.0, 10)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="non-finite sample at interior node 1"):
         make_report(grid, np.full(11, np.nan))
+
+
+def test_make_report_rejects_a_band_that_leaves_no_node():
+    grid = Grid(0.0, 1.0, 10)
+    assert make_report(grid, np.ones(11), band=5).sup_norm == 1.0
+    with pytest.raises(ValueError, match="leaves no node"):
+        make_report(grid, np.ones(11), band=6)
+
+
+def test_make_report_keeps_a_magnitude_that_overflows():
+    """A finite residual whose magnitude overflows to inf is reported as
+    inf, not left out of the norms."""
+    r = np.zeros(11)
+    r[3], r[5] = 1.0, 1e200
+    with np.errstate(over="ignore"):
+        rep = make_report(Grid(0.0, 1.0, 10), r)
+    assert rep.sup_norm == rep.l2_norm == np.inf and not rep.passes(1.0)
 
 
 def test_certification_tolerance_scales_with_scheme_order():

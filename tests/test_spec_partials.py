@@ -2,12 +2,14 @@
 
 The oracle shares no code with them: mpmath differentiates the expression
 text, evaluated by Python's own ``eval`` with ``^`` read as ``**``, at 40
-digits.  A key whose text holds a power with an exponent that reads a q or
-y component, or gamma of an argument that reads one, keeps finite
-differences.
+digits.  gamma of an argument that reads a q or y component takes its
+derivative by central differences, so it is compared at GAMMA_RTOL, away
+from gamma's poles.
 """
 
+import ast
 import json
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -17,26 +19,36 @@ from hypothesis import strategies as st
 from test_whole_array import EX1, EX2, _positive_expressions, _signed_expressions, points, spec_for
 
 from fracnoether import VectorField, exprspec
-from fracnoether.cli import _point_field, build_control, build_variational, main
+from fracnoether.cli import build_control, build_variational, main
 from fracnoether.exprspec import parse_spec
 
 # exact partials against the oracle, relative to the scale of the values
 RTOL = 1e-9
+# gamma' by central differences with step 1e-6 (1 + |u|), at arguments at
+# least 0.1 from a pole of gamma
+GAMMA_RTOL = 1e-8
+
+
+def evaluate(text, env):
+    """``text`` by Python's ``eval``, with mpmath's gamma."""
+    return eval(text.replace("^", "**"), {"__builtins__": {}, "gamma": mpmath.gamma}, env)
+
+
+def point(t, q, y, stem):
+    """The variables at one point, by name, as mpmath numbers."""
+    names = {"t": t}
+    names.update({f"q{i + 1}": x for i, x in enumerate(q)})
+    names.update({f"{stem}{i + 1}": x for i, x in enumerate(y)})
+    return {k: mpmath.mpf(float(v)) for k, v in names.items()}
 
 
 def oracle(text, t, q, y, stem="v"):
     """(d/dq_i, d/dy_i) of ``text`` at one point, by mpmath, as floats."""
-    names = {"t": t}
-    names.update({f"q{i + 1}": x for i, x in enumerate(q)})
-    names.update({f"{stem}{i + 1}": x for i, x in enumerate(y)})
-
-    def value(**env):
-        return eval(text.replace("^", "**"), {"__builtins__": {}, "gamma": mpmath.gamma}, env)
 
     def partial(name):
-        point = {k: mpmath.mpf(float(v)) for k, v in names.items()}
-        at = point.pop(name)
-        return float(mpmath.diff(lambda s: value(**point, **{name: s}), at))
+        env = point(t, q, y, stem)
+        at = env.pop(name)
+        return float(mpmath.diff(lambda s: evaluate(text, {**env, name: s}), at))
 
     with mpmath.workdps(40):
         return (
@@ -45,10 +57,34 @@ def oracle(text, t, q, y, stem="v"):
         )
 
 
-def assert_matches_oracle(spec, key, text, t, q, y, stem="v"):
-    """The exact partials of ``text`` at M points against the oracle at each."""
+def gamma_arguments(text):
+    """The text of each gamma argument in ``text``, and whether it reads a
+    q, v or u component."""
+    calls = [node for node in ast.walk(ast.parse(text.replace("^", "**"), mode="eval"))
+             if isinstance(node, ast.Call)]
+    return [(ast.unparse(call.args[0]),
+             any(isinstance(name, ast.Name) and name.id[0] in "qvu" for name in ast.walk(call.args[0])))
+            for call in calls]
+
+
+def pole_distance(text, t, q, y, stem="v"):
+    """How far the gamma argument of ``text`` nearest to a pole of gamma
+    (0, -1, -2, ...) lies from it at one point: inf without gamma, 0 where
+    an argument cannot be evaluated."""
+    out = np.inf
+    with mpmath.workdps(40):
+        for argument, _ in gamma_arguments(text):
+            try:
+                u = float(evaluate(argument, point(t, q, y, stem)))
+            except (ArithmeticError, ValueError, TypeError):
+                return 0.0
+            out = min(out, u if u > 0 else abs(u - round(u)))
+    return out
+
+
+def assert_matches_oracle(spec, key, text, t, q, y, stem="v", rtol=RTOL):
+    """The partials of ``text`` at M points against the oracle at each."""
     dq, dy = spec.partials(key, text)
-    assert dq is not None and dy is not None, text
     value = spec.compile(key, text)(t, q, y)
     with np.errstate(all="ignore"):
         got_q, got_y = dq(t, q, y), dy(t, q, y)
@@ -57,7 +93,7 @@ def assert_matches_oracle(spec, key, text, t, q, y, stem="v"):
         want_q, want_y = oracle(text, t[s], q[s], y[s], stem)
         for got, want in ((got_q[s], want_q), (got_y[s], want_y)):
             scale = 1.0 + abs(value[s]) + np.max(np.abs(want))
-            assert np.all(np.abs(got - want) <= RTOL * scale), (text, s, got, want)
+            assert np.all(np.abs(got - want) <= rtol * scale), (text, s, got, want)
 
 
 def bundled_fields():
@@ -91,8 +127,7 @@ def test_bundled_partials_match_mpmath(spec, key, text, stem):
 
 def test_bundled_specs_get_exact_partials():
     """Every L, g_j and phi_i of the bundled specs is differentiated from
-    its tree: none falls back to finite differences, so a grammar change
-    that would make one fall back fails here."""
+    its tree, so none of their fields takes finite differences."""
     variational = build_variational(parse_spec(EX1))
     control = build_control(parse_spec(EX2))
     fields = [variational.lagrangian, *variational.constraints,
@@ -101,9 +136,6 @@ def test_bundled_specs_get_exact_partials():
     for f in fields:
         assert f.grad_x is not None and f.grad_y is not None
     assert control.dynamics.jac_x is not None and control.dynamics.jac_y is not None
-    for param in bundled_fields():
-        spec, key, text, _ = param.values
-        assert all(d is not None for d in spec.partials(key, text)), text
 
 
 @pytest.mark.parametrize(
@@ -127,13 +159,10 @@ def test_each_rule_matches_mpmath(text):
 @given(st.one_of(_signed_expressions(), _positive_expressions().map(lambda case: case[0])),
        st.integers(0, 2**32 - 1))
 def test_random_expressions_match_mpmath(text, seed):
-    """Random grammar expressions: those without gamma of a variable get
-    exact partials, which match the oracle where the expression is finite."""
+    """Random grammar expressions match the oracle where the expression is
+    finite: at RTOL, or at GAMMA_RTOL with gamma of a variable."""
     spec = spec_for(control=False)
     dq, dv = spec.partials("L", text)
-    if dq is None:
-        assert "gamma" in text
-        return
     rng = np.random.default_rng(seed)
     t = rng.uniform(0.25, 1.0, 3)
     q, v = rng.uniform(0.5, 2.0, (3, 2)), rng.uniform(0.5, 2.0, (3, 2))
@@ -144,8 +173,12 @@ def test_random_expressions_match_mpmath(text, seed):
         return
     # finite and far from a pole, where mpmath's step stays on one side of it
     keep = (np.abs(value) < 1e6) & np.isfinite(gq).all(axis=1) & np.isfinite(gv).all(axis=1)
+    rtol = RTOL
+    if any(reads for _, reads in gamma_arguments(text)):
+        keep &= np.array([pole_distance(text, *p) >= 0.1 for p in zip(t, q, v)])
+        rtol = GAMMA_RTOL
     if keep.any():
-        assert_matches_oracle(spec, "L", text, t[keep], q[keep], v[keep])
+        assert_matches_oracle(spec, "L", text, t[keep], q[keep], v[keep], rtol=rtol)
 
 
 def test_one_point_and_many_points_agree():
@@ -181,10 +214,14 @@ def test_zero_partial_broadcasts_to_every_point():
 
 
 def test_zero_exponent_has_partial_zero_not_nan():
-    """d(v1^0)/dv1 is 0 at v1 = 0 too, where 0 * v1^-1 would be NaN."""
-    dq, dv = spec_for(control=False).partials("L", "v1^0 + q1^(1 - 1)")
-    zero = np.zeros(2)
+    """d(v1^0)/dv1 is 0 at v1 = 0 too, where 0 * v1^-1 would be NaN; so is
+    d(v1^t)/dv1 at t = 0, where the exponent is 0 at that point only."""
+    spec, zero = spec_for(control=False), np.zeros(2)
+    dq, dv = spec.partials("L", "v1^0 + q1^(1 - 1)")
     assert np.array_equal(dv(0.5, zero, zero), zero) and np.array_equal(dq(0.5, zero, zero), zero)
+    dq, dv = spec.partials("L", "v1^t + q1^(t * 2)")
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0^-1 = inf, then 0 * inf
+        assert np.array_equal(dv(0.0, zero, zero), zero) and np.array_equal(dq(0.0, zero, zero), zero)
 
 
 @pytest.mark.parametrize("text", ["v1^2 * q1 / gamma(3.5)", "(q1 * v1)^gamma(2.5)"])
@@ -250,16 +287,23 @@ def test_exponent_or_gamma_of_t_alone_matches_mpmath(text):
     assert_matches_oracle(spec_for(control=True), "phi", phi, t, q, v, stem="u")
 
 
-@pytest.mark.parametrize("text", ["v1^q1", "gamma(v1)", "gamma(1.5 + t * v1)", "2^(t * q1) * v1"])
-def test_variable_exponent_or_gamma_keeps_finite_differences(text):
+@pytest.mark.parametrize("text", ["v1^q1", "2^(t * q1) * v1", "gamma(v1)", "gamma(1.5 + t * v1)"])
+def test_variable_exponent_or_gamma_matches_mpmath(text):
     """An exponent or a gamma argument that reads a q or y component: the
-    whole key falls back, L's field, and a phi list of which one expression
-    falls back."""
-    spec = spec_for(control=False)
-    assert spec.partials("L", text) == (None, None)
-    L = _point_field(spec, "L", text)
-    assert L.grad_x is None and L.grad_y is None
-    assert spec_for(control=True).partials("phi", ["u1", text.replace("v1", "u1")]) == (None, None)
+    power's exponent term b^e log(b) e' is exact, and gamma' is taken by
+    central differences, as L and as one entry of a phi list.  v in
+    [0.5, 2] keeps v1^q1 real and each gamma argument 0.5 or more from
+    gamma's pole at 0."""
+    rtol = GAMMA_RTOL if text.startswith("gamma") else RTOL
+    t = np.array([0.25, 0.5, 0.75, 1.0])
+    q, v = np.random.default_rng(18).uniform(0.5, 2.0, (2, 4, 2))
+    assert_matches_oracle(spec_for(control=False), "L", text, t, q, v, rtol=rtol)
+    spec, phi = spec_for(control=True), ["u1", text.replace("v1", "u1")]
+    dq, du = spec.partials("phi", phi)
+    single_q, single_u = spec.partials("phi", phi[1])
+    assert np.array_equal(dq(t, q, v)[:, 1], single_q(t, q, v))
+    assert np.array_equal(du(t, q, v)[:, 1], single_u(t, q, v))
+    assert_matches_oracle(spec, "phi", phi[1], t, q, v, stem="u", rtol=rtol)
 
 
 def test_vector_field_converts_lists_for_an_exact_jacobian():
@@ -286,6 +330,23 @@ def test_spec_solve_converges_in_one_newton_iteration(tmp_path, grid):
     assert main(argv) == 0
     report = json.loads((tmp_path / "o" / "report.json").read_text())
     assert report["converged"] and report["iterations"] == 1
+
+
+@pytest.mark.parametrize("term", ["0 * 2^q1", "0 * gamma(2 + q1)"])
+def test_zero_term_with_a_variable_exponent_or_gamma_keeps_the_plain_solve(tmp_path, term):
+    """A zero multiple of a power with a variable exponent, or of gamma of
+    a variable, adds zero partials, so the solve takes the plain L's one
+    Newton step and gives its multiplier bitwise."""
+    reports = []
+    for name, lagrangian in (("plain", "t^4 + v1^2"), ("term", f"t^4 + v1^2 + {term}")):
+        spec = tmp_path / f"{name}.spec"
+        spec.write_text(Path(EX1).read_text(encoding="utf-8").replace(
+            "L  = t^4 + v1^2", f"L = {lagrangian}"))
+        assert main(["solve", "--grid", "500", "--out", str(tmp_path / name), str(spec)]) == 0
+        reports.append(json.loads((tmp_path / name / "report.json").read_text()))
+    plain, with_term = reports
+    assert with_term["iterations"] == plain["iterations"] == 1
+    assert with_term["multipliers"] == plain["multipliers"]
 
 
 def test_hamiltonian_stationarity_of_example2_is_exactly_zero(tmp_path):
