@@ -44,6 +44,7 @@ from .problems import (
     INVARIANCE_TOLERANCE,
     ResidualReport,
     VariationalProblem,
+    _magnitude,
     certification_tolerance,
     constraint_values,
     endpoint_band,
@@ -187,23 +188,40 @@ def _write_json(path: str, doc: dict) -> None:
     _write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _write_csv(path: str, header: list[str], columns: list[np.ndarray]) -> None:
-    """CSV of the columns side by side, each number as its float repr (so
-    NaN is written as nan); no field needs quoting."""
-    table = np.column_stack(columns)
+def _write_csv(path: str, header: list[str], columns: list[np.ndarray | list[str]]) -> None:
+    """CSV of the columns side by side: each number of a float array (1-D,
+    or 2-D for several columns) as its float repr, so NaN is written as nan,
+    and a list of strings as its text; no field needs quoting."""
+    cells, formats = [], []
+    for column in columns:
+        if isinstance(column, list):
+            cells.append(column)
+            formats.append("%s")
+        else:
+            block = column.reshape(len(column), -1)
+            cells += block.T.tolist()
+            formats += ["%r"] * block.shape[1]
     # %r formats a float by its repr; one join sizes the text exactly, where
     # one format over the whole table grows its buffer and fragments the heap
-    row = ",".join(["%r"] * table.shape[1]) + "\n"
-    lines = map(row.__mod__, map(tuple, table.tolist()))
+    row = ",".join(formats) + "\n"
+    lines = map(row.__mod__, zip(*cells))
     _write_text(path, "".join([",".join(header) + "\n", *lines]))
 
 
 def _write_profile(path: str, report: ResidualReport) -> None:
-    """CSV with columns t, r1..rn, abs_r; endpoint NaN markers written as nan."""
+    """CSV with columns t, r1..rn, abs_r; endpoint NaN markers written as nan.
+    With one component abs_r is |r1|, unless r1 * r1 under- or overflows,
+    so its text is r1's without the sign, and each residual is formatted
+    once."""
     values = report.pointwise.values
-    mag = np.sqrt(np.sum(values * values, axis=1))
+    mag = _magnitude(values)
     header = ["t"] + [f"r{i + 1}" for i in range(values.shape[1])] + ["abs_r"]
-    _write_csv(path, header, [report.grid.nodes, values, mag])
+    if values.shape[1] == 1 and np.array_equal(mag, np.abs(values[:, 0]), equal_nan=True):
+        r1 = list(map(repr, values[:, 0].tolist()))
+        columns = [report.grid.nodes, r1, [text.removeprefix("-") for text in r1]]
+    else:
+        columns = [report.grid.nodes, values, mag]
+    _write_csv(path, header, columns)
 
 
 def _report_entry(name: str, report: ResidualReport, tol: float, profile: str | None) -> dict:

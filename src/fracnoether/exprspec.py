@@ -126,8 +126,19 @@ def _negated(a: Callable) -> Callable:
 
 def _led(lead: Callable, rest: Callable) -> Callable:
     """``lead * rest``, and 0 wherever ``lead`` is 0: a power's derivative
-    terms there, where ``rest`` may be infinite (``0 * 0^-1``)."""
-    return lambda env: np.where((a := lead(env)) == 0, 0.0, a * rest(env))
+    terms there, where ``rest`` may be infinite (``0 * 0^-1``).  When
+    ``lead`` is 0 at some point, numpy's floating-point warnings of ``rest``
+    and of the product are silenced, at all points; otherwise they stand."""
+
+    def led(env):
+        a = lead(env)
+        zero = a == 0
+        if not np.any(zero):
+            return a * rest(env)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            return np.where(zero, 0.0, a * rest(env))
+
+    return led
 
 
 def _slope(fn: Callable, inner: Callable) -> Callable:

@@ -116,6 +116,12 @@ class ResidualReport:
         return self.sup_norm <= tol
 
 
+def _magnitude(r: np.ndarray) -> np.ndarray:
+    """Each node's Euclidean magnitude of a nodewise residual (m+1, dim),
+    as ``sqrt(sum(r * r))``: inf where that sum overflows."""
+    return np.sqrt(np.sum(r * r, axis=1))
+
+
 def make_report(grid: Grid, residual: np.ndarray, band: int = DEFAULT_BAND) -> ResidualReport:
     """Fold a nodewise residual (m+1, dim) into magnitudes and norms over
     the nodes that ``band`` leaves at each end.  Those are interior nodes,
@@ -123,7 +129,7 @@ def make_report(grid: Grid, residual: np.ndarray, band: int = DEFAULT_BAND) -> R
     pointwise = SampledFunction(grid, residual)
     r = pointwise.values
     lo = max(band, 1)
-    window = np.sqrt(np.sum(r * r, axis=1))[lo : grid.m - lo + 1]
+    window = _magnitude(r)[lo : grid.m - lo + 1]
     if window.size == 0:
         raise ValueError(f"an endpoint band of {band} leaves no node of {grid.m + 1} to fold")
     sup = float(np.max(window))

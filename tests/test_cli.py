@@ -11,7 +11,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fracnoether import Grid, SampledFunction, cli, exprspec, gammafn, make_report
+from fracnoether import (
+    Grid,
+    SampledFunction,
+    cli,
+    euler_lagrange_residual,
+    exprspec,
+    gammafn,
+    make_report,
+    sample,
+)
 from fracnoether.cli import _bundled_spec, main
 from fracnoether.exprspec import SpecError, parse_spec
 
@@ -470,20 +479,36 @@ def _csv_reference(path, header, rows):
             writer.writerow([repr(float(v)) for v in row])
 
 
+def _profile_reference(path, report):
+    """csv.writer output of each value's repr for ``report``'s profile,
+    abs_r taken as sqrt(sum(r * r)) of the nodewise residual."""
+    r = report.pointwise.values
+    mag = np.sqrt(np.sum(r * r, axis=1))
+    header = ["t"] + [f"r{i + 1}" for i in range(r.shape[1])] + ["abs_r"]
+    _csv_reference(path, header, [(t, *row, m) for t, row, m in zip(report.grid.nodes, r, mag)])
+
+
 def test_csv_writers_match_csv_module(tmp_path):
     """Profiles and trajectories are byte-identical to csv.writer output
     of each value's repr, NaN endpoint markers and signed zeros included,
     and any table to a per-row join of reprs, on NaN, infinities, -0.0, the
-    smallest subnormal, 1e16 and 0.1 too."""
+    smallest subnormal, 1e16 and 0.1 too.  A one-component profile writes
+    abs_r from r1's text where |r1| is its magnitude, and from the
+    magnitude where r1 * r1 underflows (1e-200) or overflows (1e200)."""
     grid = Grid(0.0, 1.0, 8)
     r = np.column_stack([np.sin(7.0 * grid.nodes), -np.cos(3.0 * grid.nodes) / 3.0])
     r[0], r[-1, 1], r[4, 0] = np.nan, np.nan, -0.0
-    report = make_report(grid, r)
-    cli._write_profile(str(tmp_path / "profile.csv"), report)
-    mag = np.sqrt(np.sum(r * r, axis=1))
-    rows = [(t, *row, m) for t, row, m in zip(grid.nodes, r, mag)]
-    _csv_reference(tmp_path / "reference.csv", ["t", "r1", "r2", "abs_r"], rows)
-    assert (tmp_path / "profile.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+    one = r[:, :1].copy()
+    one[-1], one[2], one[3] = np.nan, 0.0, -0.0
+    tiny, huge = one.copy(), one.copy()
+    tiny[5], tiny[6] = 1e-200, -1e-200
+    huge[5], huge[6] = -1e200, 1e200
+    for i, residual in enumerate([r, one, tiny, huge]):
+        with np.errstate(over="ignore"):  # 1e200 squared is inf
+            report = make_report(grid, residual)
+            cli._write_profile(str(tmp_path / f"profile{i}.csv"), report)
+            _profile_reference(tmp_path / "reference.csv", report)
+        assert (tmp_path / f"profile{i}.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
     q = SampledFunction(grid, np.column_stack([grid.nodes**1.5, 1e-300 * grid.nodes]))
     ref = SampledFunction(grid, q.values * (1.0 + 1e-9))
@@ -498,6 +523,18 @@ def test_csv_writers_match_csv_module(tmp_path):
     rows = np.column_stack(columns).tolist()
     joined = "a,b1,b2,c\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows)
     assert (tmp_path / "special.csv").read_bytes() == joined.encode()
+
+
+def test_el_check_profile_matches_csv_module(tmp_path):
+    """``check --which el`` writes the profile of the residual that
+    euler_lagrange_residual gives, byte-identical to csv.writer output of
+    each value's repr."""
+    assert run("check", "--which", "el", "--grid", "200", "--out", str(tmp_path / "o"), EX1) == 0
+    spec = dataclasses.replace(parse_spec(EX1), m=200)
+    q = sample(Grid(spec.a, spec.b, spec.m), spec.compile("trajectory", spec.trajectory))
+    report = euler_lagrange_residual(cli.build_variational(spec), np.array(spec.multipliers), q)
+    _profile_reference(tmp_path / "reference.csv", report)
+    assert (tmp_path / "o" / "el_profile.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 # dim = 2 benchmark: two copies of the order-1/2 extremal q_i = t^2.5 / gamma(3.5)

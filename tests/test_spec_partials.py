@@ -215,13 +215,19 @@ def test_zero_partial_broadcasts_to_every_point():
 
 def test_zero_exponent_has_partial_zero_not_nan():
     """d(v1^0)/dv1 is 0 at v1 = 0 too, where 0 * v1^-1 would be NaN; so is
-    d(v1^t)/dv1 at t = 0, where the exponent is 0 at that point only."""
+    d(v1^t)/dv1 at t = 0, where the exponent is 0 at that point only, with
+    no warning of 0^-1 or 0 * inf.  Where the exponent is not 0 the term is
+    t * v1^(t - 1), which warns where it is infinite."""
     spec, zero = spec_for(control=False), np.zeros(2)
     dq, dv = spec.partials("L", "v1^0 + q1^(1 - 1)")
     assert np.array_equal(dv(0.5, zero, zero), zero) and np.array_equal(dq(0.5, zero, zero), zero)
     dq, dv = spec.partials("L", "v1^t + q1^(t * 2)")
-    with np.errstate(divide="ignore", invalid="ignore"):  # 0^-1 = inf, then 0 * inf
-        assert np.array_equal(dv(0.0, zero, zero), zero) and np.array_equal(dq(0.0, zero, zero), zero)
+    assert np.array_equal(dv(0.0, zero, zero), zero) and np.array_equal(dq(0.0, zero, zero), zero)
+    t, x = np.array([0.0, 2.0]), np.array([[0.0, 0.0], [3.0, 0.0]])
+    assert np.array_equal(dv(t, x, x), [[0.0, 0.0], [6.0, 0.0]])
+    assert np.array_equal(dq(t, x, x), [[0.0, 0.0], [108.0, 0.0]])
+    with pytest.warns(RuntimeWarning, match="divide by zero"):
+        assert np.array_equal(dv(0.5, zero, zero), [np.inf, 0.0])
 
 
 @pytest.mark.parametrize("text", ["v1^2 * q1 / gamma(3.5)", "(q1 * v1)^gamma(2.5)"])
