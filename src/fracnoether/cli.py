@@ -188,39 +188,40 @@ def _write_json(path: str, doc: dict) -> None:
     _write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
+def _reprs(values: np.ndarray) -> list[str]:
+    """Each number of the 1-D float array ``values`` as its float repr."""
+    return list(map(repr, values.tolist()))
+
+
 def _write_csv(path: str, header: list[str], columns: list[np.ndarray | list[str]]) -> None:
     """CSV of the columns side by side: each number of a float array (1-D,
     or 2-D for several columns) as its float repr, so NaN is written as nan,
-    and a list of strings as its text; no field needs quoting."""
-    cells, formats = [], []
+    and a list of strings as its text; no field needs quoting.  Each column
+    is made text once, and one join of the header, the rows and a final
+    empty line makes the whole file."""
+    cells = []
     for column in columns:
         if isinstance(column, list):
             cells.append(column)
-            formats.append("%s")
         else:
-            block = column.reshape(len(column), -1)
-            cells += block.T.tolist()
-            formats += ["%r"] * block.shape[1]
-    # %r formats a float by its repr; one join sizes the text exactly, where
-    # one format over the whole table grows its buffer and fragments the heap
-    row = ",".join(formats) + "\n"
-    lines = map(row.__mod__, zip(*cells))
-    _write_text(path, "".join([",".join(header) + "\n", *lines]))
+            cells += map(_reprs, column.reshape(len(column), -1).T)
+    _write_text(path, "\n".join([",".join(header), *map(",".join, zip(*cells)), ""]))
 
 
-def _write_profile(path: str, report: ResidualReport) -> None:
+def _write_profile(path: str, report: ResidualReport, t: list[str]) -> None:
     """CSV with columns t, r1..rn, abs_r; endpoint NaN markers written as nan.
-    With one component abs_r is |r1|, unless r1 * r1 under- or overflows,
-    so its text is r1's without the sign, and each residual is formatted
-    once."""
+    ``t`` is the text of the report's grid nodes, which a command makes once
+    for all the files it writes on that grid.  With one component abs_r is
+    |r1|, unless r1 * r1 under- or overflows, so its text is r1's without
+    the sign, and each residual is formatted once."""
     values = report.pointwise.values
     mag = _magnitude(values)
     header = ["t"] + [f"r{i + 1}" for i in range(values.shape[1])] + ["abs_r"]
     if values.shape[1] == 1 and np.array_equal(mag, np.abs(values[:, 0]), equal_nan=True):
-        r1 = list(map(repr, values[:, 0].tolist()))
-        columns = [report.grid.nodes, r1, [text.removeprefix("-") for text in r1]]
+        r1 = _reprs(values[:, 0])
+        columns = [t, r1, [text.removeprefix("-") for text in r1]]
     else:
-        columns = [report.grid.nodes, values, mag]
+        columns = [t, values, mag]
     _write_csv(path, header, columns)
 
 
@@ -297,10 +298,14 @@ def cmd_check(args: argparse.Namespace) -> int:
     reports = _check_reports(which, spec, problem, endpoint_band(spec.m))
 
     out = _output_dir(args.out)
+    # the nodes of each distinct grid are formatted once: a hamiltonian
+    # check's three reports share the spec's grid, an invariance report
+    # has its own rows
+    node_text = {grid: _reprs(grid.nodes) for grid in {rep.grid for _, rep in reports}}
     entries = []
     for name, rep in reports:
         profile = os.path.join(out, f"{name}_profile.csv")
-        _write_profile(profile, rep)
+        _write_profile(profile, rep, node_text[rep.grid])
         entries.append(_report_entry(name, rep, tol, profile))
 
     passed = all(e["pass"] for e in entries)
@@ -320,27 +325,34 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def _write_trajectory(
-    path: str, q: SampledFunction, reference: SampledFunction | None
+    path: str, t: list[str], q: SampledFunction, deviation: np.ndarray | None
 ) -> None:
+    """CSV with columns t, q1..qn and, with a reference, deviation1..n;
+    ``t`` is the text of q's grid nodes."""
     header = ["t"] + [f"q{i + 1}" for i in range(q.dim)]
-    columns = [q.grid.nodes, q.values]
-    if reference is not None:
+    columns = [t, q.values]
+    if deviation is not None:
         header += [f"deviation{i + 1}" for i in range(q.dim)]
-        columns.append(q.values - reference.values)
+        columns.append(deviation)
     _write_csv(path, header, columns)
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
     spec = _load_spec(args)
     problem = build_variational(spec)
+    # sampled first, so that a reference that cannot be sampled leaves no
+    # output directory and costs no solve
+    reference = _candidate(spec) if spec.trajectory is not None else None
     out = _output_dir(args.out)
     sol = solver.solve(problem)
 
-    reference = _candidate(spec) if spec.trajectory is not None else None
+    # the solution, its reference and its EL report share the problem's grid
+    t = _reprs(problem.grid.nodes)
+    deviation = None if reference is None else sol.q.values - reference.values
     traj_path = os.path.join(out, "trajectory.csv")
-    _write_trajectory(traj_path, sol.q, reference)
+    _write_trajectory(traj_path, t, sol.q, deviation)
     profile = os.path.join(out, "el_profile.csv")
-    _write_profile(profile, sol.el_report)
+    _write_profile(profile, sol.el_report, t)
 
     tol = args.tol if args.tol is not None else certification_tolerance(problem)
     doc = {
@@ -356,7 +368,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         "trajectory": traj_path,
     }
     if reference is not None:
-        dev = np.nanmax(np.abs(sol.q.values - reference.values))
+        dev = np.nanmax(np.abs(deviation))
         scale = max(1.0, float(np.nanmax(np.abs(reference.values))))
         doc["max_deviation"] = float(dev)
         doc["scaled_max_deviation"] = float(dev / scale)

@@ -506,13 +506,15 @@ def test_csv_writers_match_csv_module(tmp_path):
     for i, residual in enumerate([r, one, tiny, huge]):
         with np.errstate(over="ignore"):  # 1e200 squared is inf
             report = make_report(grid, residual)
-            cli._write_profile(str(tmp_path / f"profile{i}.csv"), report)
+            cli._write_profile(str(tmp_path / f"profile{i}.csv"), report, cli._reprs(grid.nodes))
             _profile_reference(tmp_path / "reference.csv", report)
         assert (tmp_path / f"profile{i}.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
     q = SampledFunction(grid, np.column_stack([grid.nodes**1.5, 1e-300 * grid.nodes]))
     ref = SampledFunction(grid, q.values * (1.0 + 1e-9))
-    cli._write_trajectory(str(tmp_path / "trajectory.csv"), q, ref)
+    cli._write_trajectory(
+        str(tmp_path / "trajectory.csv"), cli._reprs(grid.nodes), q, q.values - ref.values
+    )
     rows = [(t, *qj, *(qj - rj)) for t, qj, rj in zip(grid.nodes, q.values, ref.values)]
     _csv_reference(tmp_path / "reference.csv", ["t", "q1", "q2", "deviation1", "deviation2"], rows)
     assert (tmp_path / "trajectory.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
@@ -535,6 +537,72 @@ def test_el_check_profile_matches_csv_module(tmp_path):
     report = euler_lagrange_residual(cli.build_variational(spec), np.array(spec.multipliers), q)
     _profile_reference(tmp_path / "reference.csv", report)
     assert (tmp_path / "o" / "el_profile.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+
+@pytest.mark.parametrize(
+    "spec, which", [(EX2, "hamiltonian"), (EX1, "invariance")], ids=["hamiltonian", "invariance"]
+)
+def test_check_profiles_match_csv_module(tmp_path, monkeypatch, spec, which):
+    """Each profile of a check is byte-identical to csv.writer output of
+    its report, on that report's own grid: the three hamiltonian profiles
+    share the spec's nodes, and the invariance rows read t = 0, 0.5, 1
+    whatever the spec's grid."""
+    reports, check_reports = [], cli._check_reports
+
+    def recorded(*args):
+        reports.extend(check_reports(*args))
+        return reports
+
+    monkeypatch.setattr(cli, "_check_reports", recorded)
+    out = tmp_path / "o"
+    assert run("check", "--which", which, "--out", str(out), spec) == 0
+    assert len(reports) == (3 if which == "hamiltonian" else 1)
+    for name, report in reports:
+        _profile_reference(tmp_path / "reference.csv", report)
+        profile = (out / f"{name}_profile.csv").read_bytes()
+        assert profile == (tmp_path / "reference.csv").read_bytes()
+    if which == "invariance":
+        rows = profile.decode().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["0.0", "0.5", "1.0"]
+
+
+def test_solve_files_match_csv_module(tmp_path, monkeypatch):
+    """``solve``'s trajectory.csv and el_profile.csv, which share the text of
+    their nodes, are byte-identical to csv.writer output of the solution,
+    its deviation from the spec's reference and its EL report; the report's
+    max_deviation is that deviation's largest magnitude."""
+    solutions, solve = [], cli.solver.solve
+
+    def recorded(problem):
+        solutions.append(solve(problem))
+        return solutions[-1]
+
+    monkeypatch.setattr(cli.solver, "solve", recorded)
+    out = tmp_path / "o"
+    assert run("solve", "--grid", "200", "--out", str(out), EX1) == 0
+    (sol,) = solutions
+    spec = dataclasses.replace(parse_spec(EX1), m=200)
+    ref = sample(Grid(spec.a, spec.b, spec.m), spec.compile("trajectory", spec.trajectory))
+    deviation = sol.q.values - ref.values
+    rows = [(t, *qj, *dj) for t, qj, dj in zip(ref.grid.nodes, sol.q.values, deviation)]
+    _csv_reference(tmp_path / "reference.csv", ["t", "q1", "deviation1"], rows)
+    assert (out / "trajectory.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+    _profile_reference(tmp_path / "reference.csv", sol.el_report)
+    assert (out / "el_profile.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+    assert read_report(out)["max_deviation"] == float(np.nanmax(np.abs(deviation)))
+
+
+def test_unsampleable_reference_fails_solve_before_output(tmp_path, capsys, monkeypatch):
+    """solve samples its reference trajectory before it makes the output
+    directory or runs the solver: a gamma pole in it exits 2 with nothing
+    written and no solve, as check does."""
+    spec, _ = example1_with(tmp_path, "trajectory1", "gamma(t - 0.5)")
+    calls = []
+    monkeypatch.setattr(cli.solver, "solve", calls.append)
+    assert run("solve", "--grid", "200", "--out", str(tmp_path / "o"), spec) == 2
+    assert capsys.readouterr().err.startswith("computation failed: gamma pole")
+    assert calls == [] and not (tmp_path / "o").exists()
 
 
 # dim = 2 benchmark: two copies of the order-1/2 extremal q_i = t^2.5 / gamma(3.5)
