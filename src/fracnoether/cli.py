@@ -83,7 +83,12 @@ def _load_spec(args: argparse.Namespace) -> ProblemSpec:
 
 
 def _time_curve(spec: ProblemSpec, key: str, texts: list[str]) -> SampledFunction:
-    return sample(Grid(spec.a, spec.b, spec.m), spec.compile(key, texts))
+    """``texts`` sampled on the spec's grid.  A non-finite value is
+    SampledFunction's error, which names its node, so numpy's warnings on
+    the way to it are not shown."""
+    f = spec.compile(key, texts)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return sample(Grid(spec.a, spec.b, spec.m), f)
 
 
 def _generator(spec: ProblemSpec) -> SymmetryGenerator:
@@ -212,31 +217,28 @@ def _write_profile(path: str, report: ResidualReport, t: list[str]) -> None:
     """CSV with columns t, r1..rn, abs_r; endpoint NaN markers written as nan.
     ``t`` is the text of the report's grid nodes, which a command makes once
     for all the files it writes on that grid.  With one component abs_r is
-    |r1|, unless r1 * r1 under- or overflows, so its text is r1's without
-    the sign, and each residual is formatted once."""
+    exactly |r1|, so its text is r1's without the sign, and each residual
+    is formatted once."""
     values = report.pointwise.values
-    mag = _magnitude(values)
     header = ["t"] + [f"r{i + 1}" for i in range(values.shape[1])] + ["abs_r"]
-    if values.shape[1] == 1 and np.array_equal(mag, np.abs(values[:, 0]), equal_nan=True):
+    if values.shape[1] == 1:
         r1 = _reprs(values[:, 0])
         columns = [t, r1, [text.removeprefix("-") for text in r1]]
     else:
-        columns = [t, values, mag]
+        columns = [t, values, _magnitude(values)]
     _write_csv(path, header, columns)
 
 
-def _report_entry(name: str, report: ResidualReport, tol: float, profile: str | None) -> dict:
-    entry = {
+def _report_entry(name: str, report: ResidualReport, tol: float, profile: str) -> dict:
+    return {
         "name": name,
         "sup_norm": report.sup_norm,
         "l2_norm": report.l2_norm,
         "excluded_band": report.excluded_band,
         "tolerance": tol,
         "pass": bool(report.passes(tol)),
+        "profile": profile,
     }
-    if profile is not None:
-        entry["profile"] = profile
-    return entry
 
 
 def _spec_fields(args: argparse.Namespace, spec: ProblemSpec) -> dict:

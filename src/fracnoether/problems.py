@@ -117,15 +117,18 @@ class ResidualReport:
 
 
 def _magnitude(r: np.ndarray) -> np.ndarray:
-    """Each node's Euclidean magnitude of a nodewise residual (m+1, dim),
-    as ``sqrt(sum(r * r))``: inf where that sum overflows."""
-    return np.sqrt(np.sum(r * r, axis=1))
+    """Each node's Euclidean magnitude of a nodewise residual (m+1, dim):
+    hypot folded over the components from 0, so no square under- or
+    overflows, and with one component it is exactly |r1|."""
+    return np.hypot.reduce(r, axis=1, initial=0.0)
 
 
 def make_report(grid: Grid, residual: np.ndarray, band: int = DEFAULT_BAND) -> ResidualReport:
     """Fold a nodewise residual (m+1, dim) into magnitudes and norms over
     the nodes that ``band`` leaves at each end.  Those are interior nodes,
-    where ``SampledFunction`` requires finite values."""
+    where ``SampledFunction`` requires finite values.  ``sup_norm`` is the
+    largest magnitude; ``l2_norm`` is sqrt(h sum |r|^2) as written, so it
+    is inf where a magnitude's square overflows."""
     pointwise = SampledFunction(grid, residual)
     r = pointwise.values
     lo = max(band, 1)

@@ -87,7 +87,7 @@ def _trapezoid_weights(grid: Grid) -> np.ndarray:
 
 
 class _Discretization:
-    """Discrete augmented objective, its gradient, and the Newton partials.
+    """Discrete augmented objective and its gradient.
 
     The objective is a quadrature sum over M points,
 
@@ -108,12 +108,7 @@ class _Discretization:
 
     The gradient takes its points from ``_points`` too.  At alpha < 1 its v
     is the public checks' (``problems._velocity_filled``), bit for bit, so
-    ``solve`` certifies its result from the last gradient's samples.  The
-    Newton partials are taken at the same points, the samples' own: F's
-    forward-difference Hessian starts from the samples' partials of F, so
-    it sweeps user code 3n times per field of F, all at perturbed points.
-    A constraint with a zero multiplier is not a field of F, so the first
-    Newton step of a cold solve, at lambda = 0, sweeps L's partials alone.
+    ``solve`` certifies its result from the last gradient's samples.
     ``problem`` is held at order alpha.
     """
 
@@ -160,23 +155,6 @@ class _Discretization:
         # scale the stationarity rows to O(1) so the Newton tolerance is
         # grid-independent
         return np.concatenate([gel[1 : self.grid.m].ravel() / self.grid.h, defects]), s
-
-    def newton_partials(self, lam: np.ndarray, samples: _FieldSamples):
-        """What the Newton matrix at (q, lambda) is built from, given the
-        gradient's ``samples`` at (q, lambda): F's second partials (Hqq, Hqv,
-        Hvv) at the samples' points, and one column P^T W g_q + D^T W g_v
-        per constraint at the interior unknowns.  The Hessian's base
-        partials are F's, composed from the samples, so only its perturbed
-        sweeps call user code, and only for L and the g_j whose multiplier
-        is not 0."""
-        n = self.n
-        F = augmented_lagrangian(self.problem, lam)
-        base = (samples.F_dx(lam), samples.F_dy(lam))
-        hessians = F.hessian(samples.t, samples.x, samples.v, base=base)
-        cols = np.empty(((self.grid.m - 1) * n, self.k))
-        for r, (g_dx, g_dy) in enumerate(zip(samples.g_dx, samples.g_dy)):
-            cols[:, r] = self._pullback(g_dx, g_dy).ravel()[n:-n]
-        return hessians, cols
 
 
 def _gmres(apply, precondition, b: np.ndarray) -> np.ndarray | None:
@@ -229,11 +207,25 @@ class _NewtonOperator:
     the leading term at alpha < 1, where P = I, and all of D^T Cvv D but
     interval m-1 at alpha = 1; h T^-1 C_vv^-1 T^-T is its exact inverse and
     preconditions GMRES.
+
+    It is built at an iterate (q, lambda) from the gradient's ``samples``
+    there: F's second partials (Hqq, Hqv, Hvv) at the samples' points, and
+    one column P^T W g_q + D^T W g_v per constraint at the interior
+    unknowns.  F's forward-difference Hessian starts from F's partials
+    composed from the samples, so it sweeps user code 3n times per field of
+    F, all at perturbed points.  A constraint with a zero multiplier is not
+    a field of F, so the first Newton step of a cold solve, at lambda = 0,
+    sweeps L's partials alone.
     """
 
-    def __init__(self, disc: _Discretization, hessians, cols: np.ndarray):
-        self.disc, self.cols = disc, cols
-        self.Hqq, self.Hqv, self.Hvv = hessians
+    def __init__(self, disc: _Discretization, lam: np.ndarray, samples: _FieldSamples):
+        self.disc, n = disc, disc.n
+        F = augmented_lagrangian(disc.problem, lam)
+        base = (samples.F_dx(lam), samples.F_dy(lam))
+        self.Hqq, self.Hqv, self.Hvv = F.hessian(samples.t, samples.x, samples.v, base=base)
+        self.cols = np.empty(((disc.grid.m - 1) * n, disc.k))
+        for r, (g_dx, g_dy) in enumerate(zip(samples.g_dx, samples.g_dy)):
+            self.cols[:, r] = disc._pullback(g_dx, g_dy).ravel()[n:-n]
 
     @cached_property
     def cvv_inv(self) -> np.ndarray | None:
@@ -276,11 +268,23 @@ class _NewtonOperator:
         y = np.einsum("sij,sj->si", self.cvv_inv, D.t_solve_transposed(r.reshape(-1, self.disc.n)))
         return self.disc.grid.h * D.t_solve(y).ravel()
 
-    def step(self, G: np.ndarray) -> np.ndarray | None:
-        """The Newton step -J^-1 G, or None if C_vv or the Schur complement
-        is singular or a Krylov solve misses its tolerance.  The k multiplier
-        rows go by a Schur complement: k + 1 Krylov solves with the interior
-        block, then one k x k solve."""
+    def step(self, G: np.ndarray) -> np.ndarray:
+        """The Newton step -J^-1 G: by the Krylov solve, or by dense LU of
+        ``matrix()`` where C_vv or the Schur complement is singular or GMRES
+        misses _KRYLOV_TOL.  SolverError if that LU fails too."""
+        step = self._krylov_step(G)
+        if step is not None:
+            return step
+        try:
+            return np.linalg.solve(self.matrix(), -G)
+        except np.linalg.LinAlgError as exc:
+            raise SolverError("singular Jacobian") from exc
+
+    def _krylov_step(self, G: np.ndarray) -> np.ndarray | None:
+        """-J^-1 G with the k multiplier rows by a Schur complement: k + 1
+        Krylov solves with the interior block, then one k x k solve.  None
+        if C_vv or the Schur complement is singular or a Krylov solve misses
+        its tolerance."""
         if self.cvv_inv is None:
             return None
         ni, h = self.cols.shape[0], self.disc.grid.h
@@ -312,21 +316,6 @@ def _initial_state(problem: VariationalProblem, guess: Solution | None):
     return q, lam
 
 
-def _newton_step(
-    disc: _Discretization, lam: np.ndarray, G: np.ndarray, samples: _FieldSamples
-) -> np.ndarray:
-    """-J^-1 G: by the Krylov solve, or by dense LU of J when C_vv or the
-    Schur complement is singular or GMRES falls short of its tolerance."""
-    op = _NewtonOperator(disc, *disc.newton_partials(lam, samples))
-    step = op.step(G)
-    if step is not None:
-        return step
-    try:
-        return np.linalg.solve(op.matrix(), -G)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError("singular Jacobian") from exc
-
-
 class _NewtonResult(NamedTuple):
     """The last accepted iterate, why Newton stopped there, and the field
     samples its gradient took."""
@@ -348,7 +337,7 @@ def _newton(disc: _Discretization, q: np.ndarray, lam: np.ndarray) -> _NewtonRes
             return _NewtonResult(q, lam, iterations, gnorm, "tolerance", samples)
         if iterations == _MAX_ITERATIONS:
             return _NewtonResult(q, lam, iterations, gnorm, "iteration cap", samples)
-        step = _newton_step(disc, lam, G, samples)
+        step = _NewtonOperator(disc, lam, samples).step(G)
         base_norm = np.linalg.norm(G)
         scale = 1.0
         for _ in range(30):

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import os
 import re
@@ -481,9 +482,10 @@ def _csv_reference(path, header, rows):
 
 def _profile_reference(path, report):
     """csv.writer output of each value's repr for ``report``'s profile,
-    abs_r taken as sqrt(sum(r * r)) of the nodewise residual."""
+    abs_r taken as the two-argument hypot folded over the nodewise
+    residual's components from 0."""
     r = report.pointwise.values
-    mag = np.sqrt(np.sum(r * r, axis=1))
+    mag = functools.reduce(np.hypot, r.T, np.zeros(len(r)))
     header = ["t"] + [f"r{i + 1}" for i in range(r.shape[1])] + ["abs_r"]
     _csv_reference(path, header, [(t, *row, m) for t, row, m in zip(report.grid.nodes, r, mag)])
 
@@ -493,8 +495,8 @@ def test_csv_writers_match_csv_module(tmp_path):
     of each value's repr, NaN endpoint markers and signed zeros included,
     and any table to a per-row join of reprs, on NaN, infinities, -0.0, the
     smallest subnormal, 1e16 and 0.1 too.  A one-component profile writes
-    abs_r from r1's text where |r1| is its magnitude, and from the
-    magnitude where r1 * r1 underflows (1e-200) or overflows (1e200)."""
+    abs_r from r1's text, also where r1 * r1 underflows (1e-200) or
+    overflows (1e200)."""
     grid = Grid(0.0, 1.0, 8)
     r = np.column_stack([np.sin(7.0 * grid.nodes), -np.cos(3.0 * grid.nodes) / 3.0])
     r[0], r[-1, 1], r[4, 0] = np.nan, np.nan, -0.0
@@ -504,7 +506,7 @@ def test_csv_writers_match_csv_module(tmp_path):
     tiny[5], tiny[6] = 1e-200, -1e-200
     huge[5], huge[6] = -1e200, 1e200
     for i, residual in enumerate([r, one, tiny, huge]):
-        with np.errstate(over="ignore"):  # 1e200 squared is inf
+        with np.errstate(over="ignore"):  # l2_norm squares 1e200 to inf
             report = make_report(grid, residual)
             cli._write_profile(str(tmp_path / f"profile{i}.csv"), report, cli._reprs(grid.nodes))
             _profile_reference(tmp_path / "reference.csv", report)
@@ -591,6 +593,17 @@ def test_solve_files_match_csv_module(tmp_path, monkeypatch):
     _profile_reference(tmp_path / "reference.csv", sol.el_report)
     assert (out / "el_profile.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
     assert read_report(out)["max_deviation"] == float(np.nanmax(np.abs(deviation)))
+
+
+def test_pole_in_trajectory_names_its_node_without_warnings(tmp_path, capsys):
+    """A trajectory with a pole at a node fails with the sample's own
+    message, which names the node; the divide by zero on the way there
+    raises no RuntimeWarning (an error under this suite's filter)."""
+    spec, _ = example1_with(tmp_path, "trajectory1", "1 / (t - 0.5)")
+    assert run("check", "--which", "el", "--out", str(tmp_path / "o"), spec) == 2
+    err = capsys.readouterr().err
+    assert err == "computation failed: non-finite sample at interior node 1000 (t = 0.5)\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_unsampleable_reference_fails_solve_before_output(tmp_path, capsys, monkeypatch):

@@ -57,13 +57,16 @@ def test_make_report_rejects_a_band_that_leaves_no_node():
 
 
 def test_make_report_keeps_a_magnitude_that_overflows():
-    """A finite residual whose magnitude overflows to inf is reported as
-    inf, not left out of the norms."""
+    """A finite residual whose square overflows keeps its size in sup_norm,
+    with one component and with two; l2_norm, sqrt(h sum |r|^2), overflows
+    to inf.  Neither is left out of the norms."""
     r = np.zeros(11)
     r[3], r[5] = 1.0, 1e200
     with np.errstate(over="ignore"):
         rep = make_report(Grid(0.0, 1.0, 10), r)
-    assert rep.sup_norm == rep.l2_norm == np.inf and not rep.passes(1.0)
+        pair = make_report(Grid(0.0, 1.0, 10), np.column_stack([r, r]))
+    assert rep.sup_norm == 1e200 and rep.l2_norm == np.inf and not rep.passes(1.0)
+    assert pair.sup_norm == np.hypot(1e200, 1e200) and pair.l2_norm == np.inf
 
 
 def test_certification_tolerance_scales_with_scheme_order():

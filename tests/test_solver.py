@@ -229,7 +229,7 @@ def test_jacobian_matches_central_differences_of_gradient(alpha):
         qz[1:m] = z[: (m - 1) * n].reshape(m - 1, n)
         return disc.gradient(qz, z[(m - 1) * n :])[0]
 
-    J = _NewtonOperator(disc, *newton_partials(disc, q, z[(m - 1) * n :])).matrix()
+    J = newton_partials(disc, q, z[(m - 1) * n :]).matrix()
     step = 1e-5
     fd = np.column_stack(
         [(gradient(z + step * e) - gradient(z - step * e)) / (2.0 * step) for e in np.eye(z.size)]
@@ -268,8 +268,8 @@ def test_two_state_solve_matches_closed_form():
 
 
 def newton_partials(disc, q, lam):
-    """``disc.newton_partials`` at (q, lam), from the gradient's samples there."""
-    return disc.newton_partials(lam, disc.gradient(q, lam)[1])
+    """The Newton operator at (q, lam), from the gradient's samples there."""
+    return _NewtonOperator(disc, lam, disc.gradient(q, lam)[1])
 
 
 def filled_derivative_matrix(disc):
@@ -381,7 +381,7 @@ def test_structured_assembly_matches_dense_reference(make, alpha):
     lam = np.array([0.7])
     (x_ref, v_ref), J_ref, G_ref = dense_reference(disc, q, lam)
     x, v = disc._points(q)
-    J = _NewtonOperator(disc, *newton_partials(disc, q, lam)).matrix()
+    J = newton_partials(disc, q, lam).matrix()
     G, samples = disc.gradient(q, lam)
     if alpha < 1.0:
         # the Newton operator's D q is the gradient's v, the L1 kernel's,
@@ -467,7 +467,7 @@ def test_jacobian_peak_memory(make, alpha):
     q = np.linspace(0.0, 0.3, p.grid.m + 1)[:, None]
     tracemalloc.start()
     try:
-        J = _NewtonOperator(disc, *newton_partials(disc, q, np.array([0.7]))).matrix()
+        J = newton_partials(disc, q, np.array([0.7])).matrix()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -502,7 +502,7 @@ def krylov_case(make, alpha):
     q[0], q[-1] = p.boundary_a, p.boundary_b
     lam = np.array([0.7])
     _, J, G = dense_reference(disc, q, lam)
-    return disc, _NewtonOperator(disc, *newton_partials(disc, q, lam)), J, G
+    return disc, newton_partials(disc, q, lam), J, G
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0])
@@ -517,11 +517,12 @@ def test_krylov_product_matches_assembled_jacobian(make, alpha):
 
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0])
 @pytest.mark.parametrize("make", [coupled_problem, benchmark_at_order, self_coupled_problem])
-def test_krylov_step_matches_dense_solve(make, alpha):
+def test_krylov_step_matches_dense_solve(make, alpha, monkeypatch):
     _, op, _, G = krylov_case(make, alpha)
-    dense = np.linalg.solve(op.matrix(), -G)
+    formed = spy_on_matrix(monkeypatch)
     step = op.step(G)
-    assert step is not None
+    assert formed == []  # the step took the Krylov path, not the fallback
+    dense = np.linalg.solve(op.matrix(), -G)
     # at alpha = 1 these J are 7-260 times worse conditioned than at alpha =
     # 0.5 (6.5e7 on the benchmark, where the dense solve itself is off by
     # 1e-12 relative)
@@ -567,7 +568,7 @@ def test_toeplitz_inverse_and_preconditioner(alpha, monkeypatch):
     # on the benchmark the preconditioner inverts T^T C_vv T / h exactly
     x = np.random.default_rng(7).standard_normal((m - 1, 1))
     q = np.zeros((m + 1, 1))
-    op = _NewtonOperator(disc, *newton_partials(disc, q, np.array([0.7])))
+    op = newton_partials(disc, q, np.array([0.7]))
     cvv = disc.w[D.t_rows] * op.Hvv[D.t_rows, 0, 0]
     leading = T.T @ (cvv[:, None] * (T @ x)) / disc.grid.h
     assert np.max(np.abs(op.precondition(leading) - x.ravel())) <= 1e-10 * np.max(np.abs(x))
@@ -741,16 +742,16 @@ class PointRecorder(SweepCounter):
 
 
 def newton_partials_calls(dim: int, lam: np.ndarray) -> tuple[PointRecorder, PointRecorder]:
-    """Recorders of the calls that newton_partials makes to L's and to g's
-    callables at the initial q and multiplier ``lam`` (101 nodes), after
-    asserting that none is at one of the gradient's points."""
+    """Recorders of the calls that building the Newton operator makes to L's
+    and to g's callables at the initial q and multiplier ``lam`` (101
+    nodes), after asserting that none is at one of the gradient's points."""
     L_calls, g_calls = PointRecorder(), PointRecorder()
     p = counted_problem(0.5, dim, L_calls, g_calls)
     disc = _Discretization(p, 0.5)
     samples = disc.gradient(_initial_state(p, None)[0], lam)[1]
     for recorder in (L_calls, g_calls):
         recorder.sweeps, recorder.points = 0, []
-    disc.newton_partials(lam, samples)
+    _NewtonOperator(disc, lam, samples)
     base = {tuple(point) for point in np.column_stack([samples.t, samples.x, samples.v])}
     for recorder in (L_calls, g_calls):
         assert not any(tuple(point) in base for point in recorder.points)
@@ -760,7 +761,7 @@ def newton_partials_calls(dim: int, lam: np.ndarray) -> tuple[PointRecorder, Poi
 @pytest.mark.parametrize("dim", [1, 2])
 def test_newton_partials_call_user_code_only_at_perturbed_points(dim):
     """F's forward-difference Hessian takes its base partials from the
-    gradient's samples: at lambda = 0.7 newton_partials makes 3n sweeps of
+    gradient's samples: at lambda = 0.7 the Newton operator makes 3n sweeps of
     L's partials and 3n of g's, all at perturbed points."""
     L_calls, g_calls = newton_partials_calls(dim, np.array([0.7]))
     assert L_calls.sweeps == g_calls.sweeps == 3 * dim
@@ -787,7 +788,7 @@ def test_newton_partials_take_the_base_partials_from_the_samples(monkeypatch):
     p, lam = benchmark_problem(200), np.array([0.7])
     disc = _Discretization(p, 0.5)
     samples = disc.gradient(_initial_state(p, None)[0], lam)[1]
-    disc.newton_partials(lam, samples)
+    _NewtonOperator(disc, lam, samples)
     [(dx, dy)] = given
     assert np.array_equal(dx, samples.F_dx(lam)) and np.array_equal(dy, samples.F_dy(lam))
 
